@@ -10,23 +10,32 @@ Subcommands mirror the pipeline stages:
   fit             fit per-zone fragility and restoration models
   predict         evaluate one weather scenario into CSV + choropleth
   render          draw scatter/curve SVG plots for every fitted model
-  run-all         everything above except synth, plus a summary table
+  run-all         ingest through fit, then predict for every configured
+                  scenario, plus a summary table
 
-Every stage hashes its inputs into manifest.json and skips itself when
-nothing changed (override with --force). Exit codes: 0 success, 1 internal
-error, 2 missing input, 3 validation failure. Log lines go to stderr as
-LEVEL<TAB>stage<TAB>message.
+Every stage is one row of STAGES: its input files, the Config fields it
+reads, and its body, the module-level `stage_<name>` function. run_stage()
+records in manifest.json the hashes of the input files, of the package
+source (`__code__`) and of those Config fields plus the stage's arguments
+(`__config__`), and skips the body when the stage already ran on exactly
+these hashes and its outputs are intact (override with --force). Exit
+codes: 0 success, 1 internal error, 2 missing input, 3 validation failure.
+Log lines go to stderr as LEVEL<TAB>stage<TAB>message.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import hashlib
 import io
 import json
 import logging
 import sys
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .config import Config, canonical_hazard, load_config
 from .errors import (
@@ -63,11 +72,13 @@ from .scenario import (
     emit_scatter,
     predict_all,
     predictions_csv,
+    predictions_filename,
 )
 from .synth import SynthSpec, generate
 from .workspace import Workspace, sha256_bytes
 from .zoning import (
     HAZARD_CLASSES,
+    HAZARD_PRECIPITATION,
     HAZARD_WIND,
     build_partition,
     density_grid,
@@ -144,37 +155,78 @@ def _zone_sort_key(zone_id: str):
     return (hazard_class, int(index)) if index.isdigit() else (hazard_class, -1)
 
 
+def _classes_with(ws: Workspace, template: str) -> list[str]:
+    """Hazard classes whose `template.format(class)` file exists; none is a
+    missing input."""
+    classes = [c for c in HAZARD_CLASSES if ws.path(template.format(c)).exists()]
+    if not classes:
+        raise MissingInputError(str(ws.path(template.format(HAZARD_WIND))))
+    return classes
+
+
+class _ModelKind(NamedTuple):
+    name: str
+    samples: str                  # sample file: <samples>_<class>.csv
+    columns: tuple[str, str]      # its x and y columns
+    min_samples: int              # fewer samples skip the fit
+    noun: str                     # what the skip warning counts
+    fit: Callable                 # (samples, zone_id, class, opts) -> (model, diag)
+    record: Callable
+    axes: Callable[[str], tuple[str, str]]  # plot axis labels for a class
+
+
+_HAZARD_AXIS = {HAZARD_WIND: "wind speed (m/s)",
+                HAZARD_PRECIPITATION: "precipitation depth (in)"}
+
+# Fit functions are looked up at call time, so wrappers installed on this
+# module's names see every call.
+_MODEL_KINDS = (
+    _ModelKind(KIND_FRAGILITY, "fragility", ("intensity", "outage_count"), 3,
+               "fragility sample(s)",
+               lambda samples, zone_id, hazard_class, opts: fit_exponential(
+                   samples, zone_id=zone_id, hazard_class=hazard_class,
+                   opts=opts),
+               exponential_record,
+               lambda hazard_class: (_HAZARD_AXIS[hazard_class], "outages")),
+    _ModelKind(KIND_RESTORATION, "events",
+               ("n_outages", "total_restoration_hours"), 6, "event(s)",
+               lambda samples, zone_id, hazard_class, opts: fit_restoration(
+                   samples, zone_id=zone_id, opts=opts),
+               restoration_record,
+               lambda hazard_class: ("outages in event", "restoration hours")),
+)
+
+
+def _read_samples(ws: Workspace, kind: _ModelKind,
+                  hazard_class: str) -> dict[str, list[tuple[float, float]]]:
+    """Per-zone (x, y) samples of one model kind; none when its file is absent."""
+    path = ws.path(f"{kind.samples}_{hazard_class}.csv")
+    samples: dict[str, list[tuple[float, float]]] = {}
+    if path.exists():
+        x, y = kind.columns
+        for row in csv.DictReader(io.StringIO(path.read_bytes().decode("utf-8"))):
+            samples.setdefault(row["zone_id"], []).append(
+                (float(row[x]), float(row[y])))
+    return samples
+
+
 # ---------------------------------------------------------------------------
-# Stages
+# Stage bodies: each returns (outputs written, one-line detail)
 # ---------------------------------------------------------------------------
 
-def stage_synth(ws: Workspace, seed: int, force: bool) -> str:
-    stage = f"synth_{seed}"
-    hashes = {"__seed__": sha256_bytes(str(seed).encode())}
-    if not force and ws.stage_fresh(stage, hashes):
-        log.info("outputs up to date, skipping")
-        return "up to date"
+def stage_synth(ws: Workspace, cfg: Config, seed: int):
     bundle = generate(SynthSpec(seed=seed))
     outputs = []
     for name, data in bundle.items():
         relative = "truth.json" if name == "truth.json" else f"inputs/{name}"
         ws.write_bytes(relative, data)
         outputs.append(relative)
-    ws.record_stage(stage, hashes, outputs)
     n_outages = bundle["outages.csv"].count(b"\n") - 1
     n_weather = bundle["weather.csv"].count(b"\n") - 1
-    detail = f"{n_outages} outages, {n_weather} weather rows, seed {seed}"
-    log.info("wrote synthetic bundle: %s", detail)
-    return detail
+    return outputs, f"{n_outages} outages, {n_weather} weather rows, seed {seed}"
 
 
-def stage_ingest(ws: Workspace, cfg: Config, cfg_digest: str, force: bool) -> str:
-    hashes = ws.hash_inputs({k: ws.path(v) for k, v in INPUTS.items()})
-    hashes["__config__"] = cfg_digest
-    if not force and ws.stage_fresh("ingest", hashes):
-        log.info("outputs up to date, skipping")
-        return "up to date"
-
+def stage_ingest(ws: Workspace, cfg: Config):
     outages, outage_report = parse_outages(
         ws.read_bytes(INPUTS["outages"]),
         max_outage_days=cfg.max_outage_days,
@@ -191,31 +243,17 @@ def stage_ingest(ws: Workspace, cfg: Config, cfg_digest: str, force: bool) -> st
     ws.write_bytes(CLEAN["severe"], write_severe_csv(severe))
     ws.write_text("report_severe.json", severe_report.to_json())
 
-    ws.record_stage("ingest", hashes, [
-        CLEAN["outages"], "report_outages.json",
-        CLEAN["weather"], "report_weather.json",
-        CLEAN["stations"], CLEAN["severe"], "report_severe.json",
-    ])
+    outputs = [CLEAN["outages"], "report_outages.json",
+               CLEAN["weather"], "report_weather.json",
+               CLEAN["stations"], CLEAN["severe"], "report_severe.json"]
     detail = (f"outages {outage_report.kept}/{outage_report.total_rows}, "
               f"weather {weather_report.kept}/{weather_report.total_rows}, "
               f"severe {severe_report.kept}/{severe_report.total_rows}, "
               f"{len(stations)} stations")
-    log.info("kept %s", detail)
-    return detail
+    return outputs, detail
 
 
-def stage_zones(ws: Workspace, cfg: Config, cfg_digest: str, force: bool) -> str:
-    inputs = {
-        "stations": ws.require(CLEAN["stations"]),
-        "outages": ws.require(CLEAN["outages"]),
-        "boundary": _boundary_path(ws, cfg),
-    }
-    hashes = ws.hash_inputs(inputs)
-    hashes["__config__"] = cfg_digest
-    if not force and ws.stage_fresh("zones", hashes):
-        log.info("outputs up to date, skipping")
-        return "up to date"
-
+def stage_zones(ws: Workspace, cfg: Config):
     partitions = _load_partitions(ws, cfg)
     outputs = []
     counts = []
@@ -237,26 +275,10 @@ def stage_zones(ws: Workspace, cfg: Config, cfg_digest: str, force: bool) -> str
     ws.write_bytes("density.csv", density_grid_csv(grid))
     ws.write_text("density.json", density_grid_meta_json(grid))
     outputs += ["density.csv", "density.json"]
-
-    ws.record_stage("zones", hashes, outputs)
-    detail = " + ".join(counts) + " zones" if counts else "no partitions"
-    log.info("built %s", detail)
-    return detail
+    return outputs, " + ".join(counts) + " zones" if counts else "no partitions"
 
 
-def stage_extract_events(ws: Workspace, cfg: Config, cfg_digest: str,
-                         force: bool) -> str:
-    inputs = {
-        "outages": ws.require(CLEAN["outages"]),
-        "stations": ws.require(CLEAN["stations"]),
-        "boundary": _boundary_path(ws, cfg),
-    }
-    hashes = ws.hash_inputs(inputs)
-    hashes["__config__"] = cfg_digest
-    if not force and ws.stage_fresh("extract-events", hashes):
-        log.info("outputs up to date, skipping")
-        return "up to date"
-
+def stage_extract_events(ws: Workspace, cfg: Config):
     outages, _ = parse_outages(ws.read_bytes(CLEAN["outages"]))
     global_events = extract_events(outages)
     ws.write_bytes("events_global.csv", events_csv(global_events))
@@ -274,28 +296,13 @@ def stage_extract_events(ws: Workspace, cfg: Config, cfg_digest: str,
         outputs.append(relative)
         zone_totals.append(f"{len(rows)} {hazard_class}")
 
-    ws.record_stage("extract-events", hashes, outputs)
     detail = f"{len(global_events)} global events"
     if zone_totals:
         detail += "; per-zone " + ", ".join(zone_totals)
-    log.info("extracted %s", detail)
-    return detail
+    return outputs, detail
 
 
-def stage_link(ws: Workspace, cfg: Config, cfg_digest: str, force: bool) -> str:
-    inputs = {
-        "severe": ws.require(CLEAN["severe"]),
-        "weather": ws.require(CLEAN["weather"]),
-        "outages": ws.require(CLEAN["outages"]),
-        "stations": ws.require(CLEAN["stations"]),
-        "boundary": _boundary_path(ws, cfg),
-    }
-    hashes = ws.hash_inputs(inputs)
-    hashes["__config__"] = cfg_digest
-    if not force and ws.stage_fresh("link", hashes):
-        log.info("outputs up to date, skipping")
-        return "up to date"
-
+def stage_link(ws: Workspace, cfg: Config):
     severe, _ = parse_severe(ws.read_bytes(CLEAN["severe"]))
     weather, _ = parse_weather(ws.read_bytes(CLEAN["weather"]))
     outages, _ = parse_outages(ws.read_bytes(CLEAN["outages"]))
@@ -313,126 +320,50 @@ def stage_link(ws: Workspace, cfg: Config, cfg_digest: str, force: bool) -> str:
         outputs.append(relative)
         n = sum(len(v) for v in samples[hazard_class].values())
         counts.append(f"{n} {hazard_class}")
-    ws.record_stage("link", hashes, outputs)
-    detail = ", ".join(counts) + " samples" if counts else "no partitions"
-    log.info("linked %s", detail)
-    return detail
+    return outputs, ", ".join(counts) + " samples" if counts else "no partitions"
 
 
-def _read_fragility_samples(data: bytes) -> dict[str, list[tuple[float, float]]]:
-    samples: dict[str, list[tuple[float, float]]] = {}
-    for row in csv.DictReader(io.StringIO(data.decode("utf-8"))):
-        samples.setdefault(row["zone_id"], []).append(
-            (float(row["intensity"]), float(row["outage_count"])))
-    return samples
-
-
-def _read_event_samples(data: bytes) -> dict[str, list[tuple[float, float]]]:
-    samples: dict[str, list[tuple[float, float]]] = {}
-    for row in csv.DictReader(io.StringIO(data.decode("utf-8"))):
-        samples.setdefault(row["zone_id"], []).append(
-            (float(row["n_outages"]), float(row["total_restoration_hours"])))
-    return samples
-
-
-def stage_fit(ws: Workspace, cfg: Config, cfg_digest: str, force: bool) -> str:
-    classes = [c for c in HAZARD_CLASSES if ws.path(f"events_{c}.csv").exists()]
-    if not classes:
-        raise MissingInputError(str(ws.path(f"events_{HAZARD_WIND}.csv")))
-    inputs = {}
-    for hazard_class in classes:
-        inputs[f"events_{hazard_class}"] = ws.require(f"events_{hazard_class}.csv")
-        frag = ws.path(f"fragility_{hazard_class}.csv")
-        if frag.exists():
-            inputs[f"fragility_{hazard_class}"] = frag
-    hashes = ws.hash_inputs(inputs)
-    hashes["__config__"] = cfg_digest
-    if not force and ws.stage_fresh("fit", hashes):
-        log.info("outputs up to date, skipping")
-        return "up to date"
-
+def stage_fit(ws: Workspace, cfg: Config):
     outputs = []
     details = []
-    for hazard_class in classes:
-        event_samples = _read_event_samples(
-            ws.read_bytes(f"events_{hazard_class}.csv"))
-        frag_path = ws.path(f"fragility_{hazard_class}.csv")
-        frag_samples = _read_fragility_samples(frag_path.read_bytes()) \
-            if frag_path.exists() else {}
-
-        zone_ids = sorted(set(event_samples) | set(frag_samples),
-                          key=_zone_sort_key)
+    for hazard_class in _classes_with(ws, "events_{}.csv"):
+        samples = {k.name: _read_samples(ws, k, hazard_class) for k in _MODEL_KINDS}
+        zone_ids = sorted(set().union(*samples.values()), key=_zone_sort_key)
         store = ModelStore(hazard_class=hazard_class, zones={})
-        n_frag = n_rest = 0
+        fitted = dict.fromkeys(samples, 0)
         for zone_id in zone_ids:
             records = {}
-            samples = frag_samples.get(zone_id, [])
-            if len(samples) < 3:
-                log.warning("zone %s has %d fragility sample(s); skipping "
-                            "fragility fit", zone_id, len(samples))
-            else:
+            for kind in _MODEL_KINDS:
+                zone_samples = samples[kind.name].get(zone_id, [])
+                if len(zone_samples) < kind.min_samples:
+                    log.warning("zone %s has %d %s; skipping %s fit", zone_id,
+                                len(zone_samples), kind.noun, kind.name)
+                    continue
                 try:
-                    model, diag = fit_exponential(
-                        samples, zone_id=zone_id, hazard_class=hazard_class,
-                        opts=cfg.solver)
+                    model, diag = kind.fit(zone_samples, zone_id, hazard_class,
+                                           cfg.solver)
                 except FitError as exc:
-                    log.warning("fragility fit failed: %s", exc)
-                else:
-                    xs = [x for x, _ in samples]
-                    records[KIND_FRAGILITY] = exponential_record(
-                        model, diag, (min(xs), max(xs)))
-                    n_frag += 1
-                    if not diag.converged:
-                        log.warning("fragility fit for %s did not converge "
-                                    "(kept best of restarts)", zone_id)
-
-            events = event_samples.get(zone_id, [])
-            if len(events) < 6:
-                log.warning("zone %s has %d event(s); skipping restoration "
-                            "fit", zone_id, len(events))
-            else:
-                try:
-                    model, diag = fit_restoration(
-                        events, zone_id=zone_id, opts=cfg.solver)
-                except FitError as exc:
-                    log.warning("restoration fit failed: %s", exc)
-                else:
-                    xs = [x for x, _ in events]
-                    records[KIND_RESTORATION] = restoration_record(
-                        model, diag, (min(xs), max(xs)))
-                    n_rest += 1
-                    if not diag.converged:
-                        log.warning("restoration fit for %s did not converge "
-                                    "(kept best of restarts)", zone_id)
+                    log.warning("%s fit failed: %s", kind.name, exc)
+                    continue
+                xs = [x for x, _ in zone_samples]
+                records[kind.name] = kind.record(model, diag, (min(xs), max(xs)))
+                fitted[kind.name] += 1
+                if not diag.converged:
+                    log.warning("%s fit for %s did not converge (kept best of "
+                                "restarts)", kind.name, zone_id)
             if records:
                 store.zones[zone_id] = records
 
         relative = f"models_{hazard_class}.json"
         ws.write_text(relative, store.to_json())
         outputs.append(relative)
-        details.append(f"{hazard_class}: {n_frag} fragility, {n_rest} restoration")
-
-    ws.record_stage("fit", hashes, outputs)
-    detail = "; ".join(details)
-    log.info("fitted %s", detail)
-    return detail
+        details.append(f"{hazard_class}: "
+                       + ", ".join(f"{n} {kind}" for kind, n in fitted.items()))
+    return outputs, "; ".join(details)
 
 
-def stage_predict(ws: Workspace, cfg: Config, cfg_digest: str, force: bool,
-                  scenario: ScenarioSpec) -> str:
+def stage_predict(ws: Workspace, cfg: Config, scenario: ScenarioSpec):
     hazard_class = scenario.hazard_class
-    stage = f"predict_{hazard_class}_{scenario.intensity:g}"
-    inputs = {
-        "models": ws.require(f"models_{hazard_class}.json"),
-        "stations": ws.require(CLEAN["stations"]),
-        "boundary": _boundary_path(ws, cfg),
-    }
-    hashes = ws.hash_inputs(inputs)
-    hashes["__config__"] = cfg_digest
-    if not force and ws.stage_fresh(stage, hashes):
-        log.info("outputs up to date, skipping")
-        return "up to date"
-
     store = ModelStore.from_json(
         ws.read_bytes(f"models_{hazard_class}.json").decode("utf-8"))
     partitions = _load_partitions(ws, cfg)
@@ -442,85 +373,158 @@ def stage_predict(ws: Workspace, cfg: Config, cfg_digest: str, force: bool,
     partition = partitions[hazard_class]
 
     predictions = predict_all(store, partition, scenario)
-    pred_rel = f"predictions_{hazard_class}_{scenario.intensity:g}.csv"
+    pred_rel = predictions_filename(scenario)
     ws.write_bytes(pred_rel, predictions_csv(scenario, predictions))
     choropleth_rel = choropleth_filename(scenario)
     ws.write_text(choropleth_rel,
                   emit_choropleth(partition, predictions, scenario))
-    ws.record_stage(stage, hashes, [pred_rel, choropleth_rel])
 
-    hours = [p.predicted_restoration_hours for p in predictions]
-    detail = (f"{hazard_class}@{scenario.intensity:g}: {len(predictions)} "
-              f"zones, {min(hours):.1f}-{max(hours):.1f} h")
     for p in predictions:
         log.info("%s: %.1f outages, %.1f h%s", p.zone_id, p.predicted_outages,
                  p.predicted_restoration_hours,
                  " (extrapolated)" if p.extrapolated else "")
-    return detail
+    hours = [p.predicted_restoration_hours for p in predictions]
+    return [pred_rel, choropleth_rel], (
+        f"{hazard_class}@{scenario.intensity:g}: {len(predictions)} zones, "
+        f"{min(hours):.1f}-{max(hours):.1f} h")
 
 
-def stage_render(ws: Workspace, cfg: Config, cfg_digest: str, force: bool) -> str:
-    classes = [c for c in HAZARD_CLASSES
-               if ws.path(f"models_{c}.json").exists()]
-    if not classes:
-        raise MissingInputError(str(ws.path(f"models_{HAZARD_WIND}.json")))
-    inputs = {}
-    for hazard_class in classes:
-        inputs[f"models_{hazard_class}"] = ws.path(f"models_{hazard_class}.json")
-        for prefix in ("fragility", "events"):
-            p = ws.path(f"{prefix}_{hazard_class}.csv")
-            if p.exists():
-                inputs[f"{prefix}_{hazard_class}"] = p
-    hashes = ws.hash_inputs(inputs)
-    hashes["__config__"] = cfg_digest
-    if not force and ws.stage_fresh("render", hashes):
-        log.info("outputs up to date, skipping")
-        return "up to date"
-
-    x_labels = {HAZARD_WIND: "wind speed (m/s)",
-                "precipitation": "precipitation depth (in)"}
+def stage_render(ws: Workspace, cfg: Config):
     outputs = []
-    for hazard_class in classes:
+    for hazard_class in _classes_with(ws, "models_{}.json"):
         store = ModelStore.from_json(
             ws.read_bytes(f"models_{hazard_class}.json").decode("utf-8"))
-        frag_path = ws.path(f"fragility_{hazard_class}.csv")
-        frag_samples = _read_fragility_samples(frag_path.read_bytes()) \
-            if frag_path.exists() else {}
-        event_path = ws.path(f"events_{hazard_class}.csv")
-        event_samples = _read_event_samples(event_path.read_bytes()) \
-            if event_path.exists() else {}
-
+        samples = {k.name: _read_samples(ws, k, hazard_class) for k in _MODEL_KINDS}
         for zone_id in sorted(store.zones, key=_zone_sort_key):
-            safe = zone_id.replace(":", "_")
-            kinds = store.zones[zone_id]
-            if KIND_FRAGILITY in kinds:
-                rec = kinds[KIND_FRAGILITY]
+            for kind in _MODEL_KINDS:
+                rec = store.zones[zone_id].get(kind.name)
+                if rec is None:
+                    continue
                 svg = emit_scatter(
-                    frag_samples.get(zone_id, []), rec.to_model(zone_id),
-                    x_labels[hazard_class], "outages",
-                    title=f"{zone_id} fragility")
-                relative = f"plots/fragility_{safe}.svg"
+                    samples[kind.name].get(zone_id, []), rec.to_model(zone_id),
+                    *kind.axes(hazard_class), title=f"{zone_id} {kind.name}")
+                relative = f"plots/{kind.name}_{zone_id.replace(':', '_')}.svg"
                 ws.write_text(relative, svg)
                 outputs.append(relative)
-            if KIND_RESTORATION in kinds:
-                rec = kinds[KIND_RESTORATION]
-                svg = emit_scatter(
-                    event_samples.get(zone_id, []), rec.to_model(zone_id),
-                    "outages in event", "restoration hours",
-                    title=f"{zone_id} restoration")
-                relative = f"plots/restoration_{safe}.svg"
-                ws.write_text(relative, svg)
-                outputs.append(relative)
+    return outputs, f"{len(outputs)} plot(s)"
 
-    ws.record_stage("render", hashes, outputs)
-    detail = f"{len(outputs)} plot(s)"
-    log.info("rendered %s", detail)
+
+# ---------------------------------------------------------------------------
+# Stage table and runner
+# ---------------------------------------------------------------------------
+
+def _clean(ws: Workspace, cfg: Config, *names: str) -> dict[str, Path]:
+    """The named clean files plus the boundary polygon."""
+    return {**{name: ws.path(CLEAN[name]) for name in names},
+            "boundary": _boundary_path(ws, cfg)}
+
+
+def _per_class(ws: Workspace, template: str, *optional: str) -> dict[str, Path]:
+    """`template` for every hazard class that has one, plus each of the
+    `optional` templates whose file exists for such a class."""
+    paths = {Path(t.format(c)).stem: ws.path(t.format(c))
+             for c in _classes_with(ws, template) for t in (template, *optional)}
+    return {name: p for name, p in paths.items() if p.exists()}
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage; its body is the module-level `stage_<name>`."""
+    name: str
+    help: str
+    done: str                                   # log verb before the detail
+    inputs: Callable[..., dict[str, Path]]      # (ws, cfg, *args) -> files
+    reads: tuple[str, ...] = ()                 # Config fields the body reads
+    key: str = ""   # manifest key, formatted with the args; the name if empty
+    options: tuple[tuple[str, dict], ...] = ()  # subcommand flags
+    args: Callable[[argparse.Namespace], tuple] = lambda ns: ()
+
+
+STAGES = {stage.name: stage for stage in [
+    Stage("synth", "generate a seeded synthetic input bundle",
+          "wrote synthetic bundle:", lambda ws, cfg, seed: {},
+          key="synth_{0}",
+          options=(("--seed", {"type": int, "default": DEFAULT_SYNTH_SEED}),),
+          args=lambda ns: (ns.seed,)),
+    Stage("ingest", "parse and clean the input CSV files", "kept",
+          lambda ws, cfg: {k: ws.path(v) for k, v in INPUTS.items()},
+          reads=("max_outage_days", "max_customers")),
+    Stage("zones", "build weather zones and the density grid", "built",
+          lambda ws, cfg: _clean(ws, cfg, "stations", "outages"),
+          reads=("boundary_path", "density_cell_size")),
+    Stage("extract-events", "extract outage-restoration events", "extracted",
+          lambda ws, cfg: _clean(ws, cfg, "outages", "stations"),
+          reads=("boundary_path",)),
+    Stage("link", "build fragility samples from severe records", "linked",
+          lambda ws, cfg: _clean(ws, cfg, "severe", "weather", "outages",
+                                 "stations"),
+          reads=("hazard_mapping", "precip_intensity_mode", "boundary_path")),
+    Stage("fit", "fit fragility and restoration models", "fitted",
+          lambda ws, cfg: _per_class(ws, "events_{}.csv", "fragility_{}.csv"),
+          reads=("solver",)),
+    Stage("predict", "evaluate one weather scenario", "predicted",
+          lambda ws, cfg, scenario: {
+              **_clean(ws, cfg, "stations"),
+              "models": ws.path(f"models_{scenario.hazard_class}.json")},
+          reads=("boundary_path",),
+          key="predict_{0.hazard_class}_{0.intensity:g}",
+          options=(("--hazard", {"required": True, "help": "wind or precip"}),
+                   ("--intensity", {"type": float, "required": True,
+                                    "help": "m/s for wind, inches for "
+                                            "precipitation"})),
+          args=lambda ns: (ScenarioSpec(hazard_class=canonical_hazard(ns.hazard),
+                                        intensity=ns.intensity),)),
+    Stage("render", "render model scatter/curve SVG plots", "rendered",
+          lambda ws, cfg: _per_class(ws, "models_{}.json", "fragility_{}.csv",
+                                     "events_{}.csv")),
+]}
+
+
+@functools.cache
+def code_fingerprint() -> str:
+    """sha256 over the package's source file names and bytes."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        h.update(f"{path.name}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def _config_digest(cfg: Config, fields: tuple[str, ...], args: tuple) -> str:
+    """Canonical JSON of the named Config fields and the stage arguments, so
+    a config file that spells out a default hashes like no config file."""
+    doc = [{name: getattr(cfg, name) for name in fields}, list(args)]
+    return sha256_bytes(json.dumps(doc, sort_keys=True, default=asdict).encode())
+
+
+def run_stage(name: str, ws: Workspace, cfg: Config, force: bool, *args) -> str:
+    """Run one stage unless it already ran on exactly these inputs, code and
+    config fields; return its detail line for the run-all summary."""
+    stage = STAGES[name]
+    _set_stage(name)
+    hashes = ws.hash_inputs(stage.inputs(ws, cfg, *args))
+    hashes["__code__"] = code_fingerprint()
+    hashes["__config__"] = _config_digest(cfg, stage.reads, args)
+    key = (stage.key or name).format(*args)
+    if not force and ws.stage_fresh(key, hashes):
+        log.info("outputs up to date, skipping")
+        return "up to date"
+    # Looked up at call time, so a wrapper installed on the name takes effect.
+    body = globals()["stage_" + name.replace("-", "_")]
+    outputs, detail = body(ws, cfg, *args)
+    ws.record_stage(key, hashes, outputs)
+    log.info("%s %s", stage.done, detail)
     return detail
 
 
 # ---------------------------------------------------------------------------
 # run-all
 # ---------------------------------------------------------------------------
+
+# The fitted parameter of each model kind that run-all compares with truth.json.
+_TRUTH_PARAMS = {KIND_FRAGILITY: "b", KIND_RESTORATION: "c"}
+
 
 def _truth_comparison(ws: Workspace) -> str:
     truth = json.loads(ws.read_bytes("truth.json").decode("utf-8"))
@@ -532,61 +536,36 @@ def _truth_comparison(ws: Workspace) -> str:
                 p.read_text(encoding="utf-8"))
 
     zones_doc = {}
-    b_errors = []
-    c_errors = []
+    errors: dict[str, list[float]] = {kind: [] for kind in _TRUTH_PARAMS}
     for zone_id, zone_truth in sorted(truth["zones"].items()):
-        hazard_class = zone_truth["hazard_class"]
-        store = stores.get(hazard_class)
+        store = stores.get(zone_truth["hazard_class"])
+        kinds = store.zones.get(zone_id, {}) if store else {}
         entry: dict = {}
-        fragility = store.zones.get(zone_id, {}).get(KIND_FRAGILITY) \
-            if store else None
-        if fragility is not None:
-            true_b = zone_truth["fragility"]["b"]
-            fitted_b = fragility.params["b"]
-            rel = abs(fitted_b - true_b) / abs(true_b)
-            entry["fragility_b"] = {"true": true_b, "fitted": fitted_b,
-                                    "rel_error": rel}
-            b_errors.append(rel)
-        restoration = store.zones.get(zone_id, {}).get(KIND_RESTORATION) \
-            if store else None
-        if restoration is not None:
-            true_c = zone_truth["restoration"]["c"]
-            fitted_c = restoration.params["c"]
-            rel = abs(fitted_c - true_c) / abs(true_c)
-            entry["restoration_c"] = {"true": true_c, "fitted": fitted_c,
-                                      "rel_error": rel}
-            c_errors.append(rel)
+        for kind, param in _TRUTH_PARAMS.items():
+            if kind in kinds:
+                true, fitted = zone_truth[kind][param], kinds[kind].params[param]
+                rel = abs(fitted - true) / abs(true)
+                entry[f"{kind}_{param}"] = {"true": true, "fitted": fitted,
+                                            "rel_error": rel}
+                errors[kind].append(rel)
         zones_doc[zone_id] = entry
 
-    doc = {
-        "zones": zones_doc,
-        "max_fragility_b_rel_error": max(b_errors) if b_errors else None,
-        "max_restoration_c_rel_error": max(c_errors) if c_errors else None,
-    }
+    doc = {"zones": zones_doc}
+    parts = []
+    for kind, param in _TRUTH_PARAMS.items():
+        worst = max(errors[kind]) if errors[kind] else None
+        doc[f"max_{kind}_{param}_rel_error"] = worst
+        if worst is not None:
+            parts.append(f"max {param} error {worst * 100.0:.1f}%")
     ws.write_text("truth_comparison.json",
                   json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    parts = []
-    if b_errors:
-        parts.append(f"max b error {max(b_errors) * 100.0:.1f}%")
-    if c_errors:
-        parts.append(f"max c error {max(c_errors) * 100.0:.1f}%")
     return ", ".join(parts) if parts else "no fitted models to compare"
 
 
-def run_all(ws: Workspace, cfg: Config, cfg_digest: str, force: bool) -> int:
+def run_all(ws: Workspace, cfg: Config, force: bool) -> int:
     rows: list[tuple[str, str, str]] = []
-
-    stages = [
-        ("ingest", lambda: stage_ingest(ws, cfg, cfg_digest, force)),
-        ("zones", lambda: stage_zones(ws, cfg, cfg_digest, force)),
-        ("extract-events",
-         lambda: stage_extract_events(ws, cfg, cfg_digest, force)),
-        ("link", lambda: stage_link(ws, cfg, cfg_digest, force)),
-        ("fit", lambda: stage_fit(ws, cfg, cfg_digest, force)),
-    ]
-    for name, fn in stages:
-        _set_stage(name)
-        rows.append((name, "ok", fn()))
+    for name in ("ingest", "zones", "extract-events", "link", "fit"):
+        rows.append((name, "ok", run_stage(name, ws, cfg, force)))
 
     for scenario in cfg.scenarios:
         name = f"predict {scenario.hazard_class}@{scenario.intensity:g}"
@@ -609,8 +588,7 @@ def run_all(ws: Workspace, cfg: Config, cfg_digest: str, force: bool) -> int:
             log.warning("skipping scenario %s: %s", name, missing)
             rows.append((name, "skipped", missing))
             continue
-        rows.append((name, "ok",
-                     stage_predict(ws, cfg, cfg_digest, force, scenario)))
+        rows.append((name, "ok", run_stage("predict", ws, cfg, force, scenario)))
 
     _set_stage("run-all")
     if ws.path("truth.json").exists():
@@ -639,28 +617,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="gridres",
         description="Zone-level outage fragility and restoration analytics.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("synth", parents=[common],
-                   help="generate a seeded synthetic input bundle") \
-        .add_argument("--seed", type=int, default=DEFAULT_SYNTH_SEED)
-    sub.add_parser("ingest", parents=[common],
-                   help="parse and clean the input CSV files")
-    sub.add_parser("zones", parents=[common],
-                   help="build weather zones and the density grid")
-    sub.add_parser("extract-events", parents=[common],
-                   help="extract outage-restoration events")
-    sub.add_parser("link", parents=[common],
-                   help="build fragility samples from severe records")
-    sub.add_parser("fit", parents=[common],
-                   help="fit fragility and restoration models")
-    predict = sub.add_parser("predict", parents=[common],
-                             help="evaluate one weather scenario")
-    predict.add_argument("--hazard", required=True,
-                         help="wind or precip")
-    predict.add_argument("--intensity", type=float, required=True,
-                         help="m/s for wind, inches for precipitation")
-    sub.add_parser("render", parents=[common],
-                   help="render model scatter/curve SVG plots")
+    for stage in STAGES.values():
+        command = sub.add_parser(stage.name, parents=[common], help=stage.help)
+        for flag, kwargs in stage.options:
+            command.add_argument(flag, **kwargs)
     sub.add_parser("run-all", parents=[common],
                    help="run the whole pipeline plus configured scenarios")
     return parser
@@ -674,32 +634,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ws = Workspace(args.workspace)
         cfg = load_config(args.config)
-        if args.config is not None:
-            cfg_digest = sha256_bytes(Path(args.config).read_bytes())
-        else:
-            cfg_digest = sha256_bytes(b"default-config")
-
-        if args.command == "synth":
-            stage_synth(ws, args.seed, args.force)
-        elif args.command == "ingest":
-            stage_ingest(ws, cfg, cfg_digest, args.force)
-        elif args.command == "zones":
-            stage_zones(ws, cfg, cfg_digest, args.force)
-        elif args.command == "extract-events":
-            stage_extract_events(ws, cfg, cfg_digest, args.force)
-        elif args.command == "link":
-            stage_link(ws, cfg, cfg_digest, args.force)
-        elif args.command == "fit":
-            stage_fit(ws, cfg, cfg_digest, args.force)
-        elif args.command == "predict":
-            scenario = ScenarioSpec(
-                hazard_class=canonical_hazard(args.hazard),
-                intensity=args.intensity)
-            stage_predict(ws, cfg, cfg_digest, args.force, scenario)
-        elif args.command == "render":
-            stage_render(ws, cfg, cfg_digest, args.force)
-        elif args.command == "run-all":
-            return run_all(ws, cfg, cfg_digest, args.force)
+        if args.command == "run-all":
+            return run_all(ws, cfg, args.force)
+        stage = STAGES[args.command]
+        run_stage(stage.name, ws, cfg, args.force, *stage.args(args))
         return 0
     except MissingInputError as exc:
         log.error("missing input: %s", exc)

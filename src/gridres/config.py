@@ -21,7 +21,7 @@ from .linkage import (
     PRECIP_MODE_CUMULATIVE,
     PRECIP_MODE_PEAK,
 )
-from .scenario import ScenarioSpec
+from .scenario import ScenarioSpec, predictions_filename
 from .zoning import HAZARD_CLASSES, HAZARD_PRECIPITATION, HAZARD_WIND
 
 
@@ -129,6 +129,7 @@ def parse_config(text: str) -> Config:
         if not isinstance(doc["scenarios"], list):
             raise ValidationError("scenarios must be an array")
         scenarios = []
+        writers: dict[str, int] = {}
         for i, entry in enumerate(doc["scenarios"]):
             if not isinstance(entry, dict):
                 raise ValidationError(f"scenarios[{i}] must be an object")
@@ -139,11 +140,19 @@ def parse_config(text: str) -> Config:
             if "hazard" not in entry or "intensity" not in entry:
                 raise ValidationError(
                     f"scenarios[{i}] needs hazard and intensity")
-            scenarios.append(ScenarioSpec(
+            scenario = ScenarioSpec(
                 hazard_class=canonical_hazard(str(entry["hazard"])),
                 intensity=float(entry["intensity"]),
                 label=str(entry.get("label", "")),
-            ))
+            )
+            # Output names round the intensity, so two scenarios can collide.
+            name = predictions_filename(scenario)
+            if name in writers:
+                raise ValidationError(
+                    f"scenarios[{writers[name]}] and scenarios[{i}] would both "
+                    f"write {name}")
+            writers[name] = i
+            scenarios.append(scenario)
         cfg.scenarios = scenarios
     return cfg
 

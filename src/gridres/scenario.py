@@ -200,6 +200,10 @@ def choropleth_filename(scenario: ScenarioSpec) -> str:
     return f"choropleth_{scenario.hazard_class}_{scenario.intensity:g}.geojson"
 
 
+def predictions_filename(scenario: ScenarioSpec) -> str:
+    return f"predictions_{scenario.hazard_class}_{scenario.intensity:g}.csv"
+
+
 # ---------------------------------------------------------------------------
 # SVG scatter + fitted curve
 # ---------------------------------------------------------------------------

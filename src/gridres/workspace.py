@@ -48,9 +48,6 @@ class Workspace:
     def path(self, relative: str) -> Path:
         return self.root / relative
 
-    def inputs_dir(self) -> Path:
-        return self.root / "inputs"
-
     def require(self, relative: str) -> Path:
         p = self.path(relative)
         if not p.exists():

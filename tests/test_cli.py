@@ -1,13 +1,17 @@
 """End-to-end CLI behavior: stage wiring, exit codes, determinism."""
 
+import csv
 import dataclasses
 import json
 import re
+import shutil
+from pathlib import Path
 
 import pytest
 
 import gridres.cli as cli
 from gridres.cli import main
+from gridres.config import Config
 
 from conftest import TINY_SPEC
 
@@ -70,6 +74,77 @@ def test_force_reruns_fresh_stage(tiny_ws, capsys):
     err = capsys.readouterr().err
     assert "up to date" not in err
     assert "kept" in err
+
+
+@pytest.fixture
+def private_ws(tiny_ws, tmp_path):
+    """A copy of the tiny workspace that a test may rerun stages in."""
+    return Path(shutil.copytree(tiny_ws, tmp_path / "ws"))
+
+
+def _output_inodes(ws):
+    """Per manifest stage, the inode of each recorded output. A stage that
+    reruns replaces its outputs, so their inodes change."""
+    manifest = json.loads((ws / "manifest.json").read_text())
+    return {stage: {rel: (ws / rel).stat().st_ino for rel in record["outputs"]}
+            for stage, record in manifest["stages"].items()}
+
+
+WIND_20 = {"hazard": "wind", "intensity": 20.0}
+
+
+@pytest.mark.parametrize("edit, must_rerun, may_rerun", [
+    ({"scenarios": [WIND_20, {"hazard": "wind", "intensity": 30.0}]},
+     {"predict_wind_30"}, set()),
+    ({"density_cell_size": 0.05}, {"zones"}, set()),
+    ({"solver": {"max_iterations": 150}}, {"fit"}, {"predict_wind_20", "render"}),
+    ({"scenarios": [dict(WIND_20, label="design storm")]},
+     {"predict_wind_20"}, set()),
+    ({**dataclasses.asdict(Config()), "scenarios": [WIND_20]}, set(), set()),
+], ids=["add-scenario", "density-cell-size", "solver", "scenario-label",
+        "spelled-out-defaults"])
+def test_config_edit_reruns_only_stages_reading_it(private_ws, tmp_path, edit,
+                                                   must_rerun, may_rerun):
+    cfg = tmp_path / "cfg.json"
+
+    def run_with(doc):
+        cfg.write_text(json.dumps(doc))
+        for command in ("run-all", "render"):
+            assert main([command, "--workspace", str(private_ws),
+                         "--config", str(cfg)]) == 0
+
+    run_with({"scenarios": [WIND_20]})
+    before = _output_inodes(private_ws)
+    run_with({"scenarios": [WIND_20], **edit})
+    after = _output_inodes(private_ws)
+    rerun = {stage for stage, inodes in after.items()
+             if inodes != before.get(stage)}
+    assert must_rerun <= rerun <= must_rerun | may_rerun
+
+
+def test_code_change_reruns_fresh_stage(private_ws, monkeypatch, capsys):
+    assert main(["ingest", "--workspace", str(private_ws)]) == 0
+    assert "up to date, skipping" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "code_fingerprint", lambda: "0" * 64)
+    assert main(["ingest", "--workspace", str(private_ws)]) == 0
+    err = capsys.readouterr().err
+    assert "up to date" not in err
+    assert "kept" in err
+
+
+def test_predict_reruns_when_intensity_differs_below_file_name_precision(
+        private_ws):
+    for intensity in ("20", "20.000001"):
+        assert main(["predict", "--workspace", str(private_ws), "--hazard",
+                     "wind", "--intensity", intensity]) == 0
+    with (private_ws / "predictions_wind_20.csv").open() as fh:
+        assert {row["intensity"] for row in csv.DictReader(fh)} == {"20.000001"}
+
+
+def test_stage_table_reads_only_config_fields():
+    fields = {f.name for f in dataclasses.fields(Config)}
+    for stage in cli.STAGES.values():
+        assert set(stage.reads) <= fields, stage.name
 
 
 def test_log_lines_are_level_stage_message(tiny_ws, capsys):
@@ -209,3 +284,15 @@ def test_pipeline_outputs_byte_identical(tmp_path, tiny_bundle):
     assert outputs["a"].keys() == outputs["b"].keys()
     for name in outputs["a"]:
         assert outputs["a"][name] == outputs["b"][name], f"{name} differs"
+
+
+# ---------------------------------------------------------------------------
+# Documentation
+# ---------------------------------------------------------------------------
+
+def test_readme_input_table_matches_cli_inputs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Inputs\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE))
+    assert documented == {Path(p).name for p in
+                          [*cli.INPUTS.values(), cli.DEFAULT_BOUNDARY]}

@@ -61,6 +61,16 @@ def test_scenarios_parse_and_validate():
                                                 "bonus": True}]}))
 
 
+@pytest.mark.parametrize("second", [
+    {"hazard": "wind", "intensity": 35.000001},
+    {"hazard": "wind", "intensity": 35, "label": "again"},
+])
+def test_scenarios_writing_one_output_rejected(second):
+    with pytest.raises(ValidationError, match="predictions_wind_35.csv"):
+        parse_config(json.dumps({"scenarios": [
+            {"hazard": "wind", "intensity": 35.0}, second]}))
+
+
 def test_value_range_validation():
     with pytest.raises(ValidationError):
         parse_config(json.dumps({"max_outage_days": 0}))
