@@ -133,6 +133,20 @@ def _boundary_path(ws: Workspace, cfg: Config) -> Path:
     return p if p.is_absolute() else ws.path(cfg.boundary_path)
 
 
+# The clean outages this command has parsed: (sha256 of the file, records).
+# zones, extract-events and link all read them, so run-all parses them once.
+_clean_outages_cache: tuple[str, list] | None = None
+
+
+def _clean_outages(ws: Workspace) -> list:
+    global _clean_outages_cache
+    data = ws.read_bytes(CLEAN["outages"])
+    digest = sha256_bytes(data)
+    if _clean_outages_cache is None or _clean_outages_cache[0] != digest:
+        _clean_outages_cache = (digest, parse_outages(data)[0])
+    return list(_clean_outages_cache[1])
+
+
 def _load_partitions(ws: Workspace, cfg: Config) -> dict:
     stations = parse_stations(ws.read_bytes(CLEAN["stations"]))
     boundary_file = _boundary_path(ws, cfg)
@@ -263,7 +277,7 @@ def stage_zones(ws: Workspace, cfg: Config):
         outputs.append(relative)
         counts.append(f"{len(partition.zones)} {hazard_class}")
 
-    outage_records, _ = parse_outages(ws.read_bytes(CLEAN["outages"]))
+    outage_records = _clean_outages(ws)
     boundary = load_boundary_geojson(
         _boundary_path(ws, cfg).read_text(encoding="utf-8"))
     lons = [lon for lon, _ in boundary]
@@ -279,7 +293,7 @@ def stage_zones(ws: Workspace, cfg: Config):
 
 
 def stage_extract_events(ws: Workspace, cfg: Config):
-    outages, _ = parse_outages(ws.read_bytes(CLEAN["outages"]))
+    outages = _clean_outages(ws)
     global_events = extract_events(outages)
     ws.write_bytes("events_global.csv", events_csv(global_events))
     outputs = ["events_global.csv"]
@@ -305,7 +319,7 @@ def stage_extract_events(ws: Workspace, cfg: Config):
 def stage_link(ws: Workspace, cfg: Config):
     severe, _ = parse_severe(ws.read_bytes(CLEAN["severe"]))
     weather, _ = parse_weather(ws.read_bytes(CLEAN["weather"]))
-    outages, _ = parse_outages(ws.read_bytes(CLEAN["outages"]))
+    outages = _clean_outages(ws)
     partitions = _load_partitions(ws, cfg)
 
     samples = build_fragility_samples(
@@ -627,6 +641,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    global _clean_outages_cache
     _setup_logging()
     args = _build_parser().parse_args(argv)
     _set_stage(args.command)
@@ -651,6 +666,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - last-resort exit-code mapping
         log.error("internal error: %s: %s", type(exc).__name__, exc)
         return 1
+    finally:
+        _clean_outages_cache = None
 
 
 if __name__ == "__main__":

@@ -41,6 +41,7 @@ import csv
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -181,7 +182,7 @@ def parse_instant(text: str) -> datetime | None:
     text = text.strip()
     if not text:
         return None
-    if text.endswith(("Z", "z")):
+    if text[-1] in "Zz":
         text = text[:-1] + "+00:00"
     try:
         dt = datetime.fromisoformat(text)
@@ -189,6 +190,8 @@ def parse_instant(text: str) -> datetime | None:
         return None
     if dt.tzinfo is None:
         return dt.replace(tzinfo=timezone.utc)
+    if dt.tzinfo is timezone.utc:
+        return dt
     return dt.astimezone(timezone.utc)
 
 
@@ -196,7 +199,7 @@ def format_instant(dt: datetime) -> str:
     """Serialize a UTC instant in the canonical Z-suffixed second form."""
     if dt.tzinfo is not None:
         dt = dt.astimezone(timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return dt.isoformat(timespec="seconds")[:19] + "Z"
 
 
 def _parse_float(text: str) -> float | None:
@@ -204,21 +207,25 @@ def _parse_float(text: str) -> float | None:
         value = float(text)
     except ValueError:
         return None
-    if value != value or value in (float("inf"), float("-inf")):
-        return None
-    return value
+    return value if math.isfinite(value) else None
 
 
-def _parse_optional_float(text: str) -> tuple[float, None] | tuple[None, float] | tuple[None, None]:
-    """Returns (value, None) for a number, (None, None) for an empty cell,
-    and (None, BAD) for garbage, where BAD is a sentinel float."""
+# An unparseable measurement cell, as opposed to an empty (absent) one.
+_GARBAGE = object()
+
+
+def _parse_optional_float(text: str) -> float | None | object:
+    """Returns the number, None for an empty cell, and _GARBAGE otherwise."""
     text = text.strip()
     if not text:
-        return None, None
+        return None
     value = _parse_float(text)
-    if value is None:
-        return None, float("nan")
-    return value, None
+    return _GARBAGE if value is None else value
+
+
+def _row_id(row: list[str], line_no: int) -> str:
+    """The id a dropped row is reported under: its first cell, else its line."""
+    return row[0].strip() or f"row{line_no}"
 
 
 def _reader(csv_bytes: bytes) -> csv.reader:
@@ -257,10 +264,8 @@ def parse_outages(
         if not row:
             continue
         report.total_rows += 1
-        row_id = row[0].strip() if row and row[0].strip() else f"row{line_no}"
-
         if len(row) != len(OUTAGES_HEADER):
-            report.drop("missing_field", row_id)
+            report.drop("missing_field", _row_id(row, line_no))
             continue
         outage_id, component_id = row[0].strip(), row[1].strip()
         lat = _parse_float(row[2])
@@ -273,19 +278,19 @@ def parse_outages(
         if (not outage_id or not component_id or not cause
                 or lat is None or lon is None or start is None or end is None
                 or restore is None or customers_f is None):
-            report.drop("missing_field", row_id)
+            report.drop("missing_field", _row_id(row, line_no))
             continue
         customers = int(customers_f)
 
         duration_min = (end - start).total_seconds() / 60.0
         if start >= end or restore > duration_min + RESTORE_ROUNDING_SLACK_MIN:
-            report.drop("inconsistent_time", row_id)
+            report.drop("inconsistent_time", _row_id(row, line_no))
             continue
 
         if (not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0
                 or restore < 0.0 or customers < 0 or customers > max_customers
                 or duration_min > max_outage_days * 24.0 * 60.0):
-            report.drop("out_of_bounds", row_id)
+            report.drop("out_of_bounds", _row_id(row, line_no))
             continue
 
         report.kept += 1
@@ -322,63 +327,56 @@ def parse_weather(csv_bytes: bytes) -> tuple[list[WeatherObservation], CleaningR
     _check_header(next(rows, None), WEATHER_HEADER, "weather.csv")
 
     report = CleaningReport()
-    # (station_id, timestamp) -> (obs, arrival_index); later arrivals win ties
+    # (station_id, timestamp) -> (obs, number of present measurements)
     best: dict[tuple[str, datetime], tuple[WeatherObservation, int]] = {}
-    arrival = 0
     for line_no, row in enumerate(rows, start=2):
         if not row:
             continue
         report.total_rows += 1
-        row_id = row[0].strip() if row and row[0].strip() else f"row{line_no}"
-        row_id = f"{row_id}@{row[1].strip()}" if len(row) > 1 and row[1].strip() else row_id
-
         if len(row) != len(WEATHER_HEADER):
-            report.drop("missing_field", row_id)
+            report.drop("missing_field", _weather_row_id(row, line_no))
             continue
         station_id = row[0].strip()
         ts = parse_instant(row[1])
         if not station_id or ts is None:
-            report.drop("missing_field", row_id)
+            report.drop("missing_field", _weather_row_id(row, line_no))
             continue
 
-        values: list[float | None] = []
-        bad = False
-        for cell in row[2:7]:
-            value, err = _parse_optional_float(cell)
-            if err is not None:
-                bad = True
-                break
-            values.append(value)
-        if bad:
-            report.drop("missing_field", row_id)
+        values = [_parse_optional_float(cell) for cell in row[2:]]
+        if _GARBAGE in values:
+            report.drop("missing_field", _weather_row_id(row, line_no))
             continue
         wind_avg, wind_fast, precip, snowfall, snow_depth = values
 
-        if any(v is not None and v < 0.0 for v in values):
-            report.drop("out_of_bounds", row_id)
+        present = [v for v in values if v is not None]
+        if present and min(present) < 0.0:
+            report.drop("out_of_bounds", _weather_row_id(row, line_no))
             continue
         if wind_avg is not None and wind_fast is not None and wind_fast < wind_avg:
-            report.drop("out_of_bounds", row_id)
+            report.drop("out_of_bounds", _weather_row_id(row, line_no))
             continue
 
-        obs = WeatherObservation(station_id, ts, wind_avg, wind_fast,
-                                 precip, snowfall, snow_depth)
         key = (station_id, ts)
-        arrival += 1
         prev = best.get(key)
         if prev is None:
-            best[key] = (obs, arrival)
             report.kept += 1
         else:
             # collapse duplicates: most present fields wins, ties keep the later row
-            if obs.present_count() >= prev[0].present_count():
-                best[key] = (obs, arrival)
-            report.drop("inconsistent_time", row_id)
+            report.drop("inconsistent_time", _weather_row_id(row, line_no))
+            if len(present) < prev[1]:
+                continue
+        best[key] = (WeatherObservation(station_id, ts, wind_avg, wind_fast,
+                                        precip, snowfall, snow_depth),
+                     len(present))
     report.check()
 
-    observations = [obs for obs, _ in best.values()]
-    observations.sort(key=lambda o: (o.station_id, o.timestamp))
-    return observations, report
+    return [best[key][0] for key in sorted(best)], report
+
+
+def _weather_row_id(row: list[str], line_no: int) -> str:
+    row_id = _row_id(row, line_no)
+    timestamp = row[1].strip() if len(row) > 1 else ""
+    return f"{row_id}@{timestamp}" if timestamp else row_id
 
 
 def write_weather_csv(observations: list[WeatherObservation]) -> bytes:
@@ -466,10 +464,8 @@ def parse_severe(csv_bytes: bytes) -> tuple[list[SevereWeatherRecord], CleaningR
         if not row:
             continue
         report.total_rows += 1
-        row_id = row[0].strip() if row and row[0].strip() else f"row{line_no}"
-
         if len(row) != len(SEVERE_HEADER):
-            report.drop("missing_field", row_id)
+            report.drop("missing_field", _row_id(row, line_no))
             continue
         event_id, event_type = row[0].strip(), row[1].strip()
         start = parse_instant(row[2])
@@ -479,13 +475,13 @@ def parse_severe(csv_bytes: bytes) -> tuple[list[SevereWeatherRecord], CleaningR
         description = row[6]
         if not event_id or not event_type or start is None or end is None \
                 or lat is None or lon is None:
-            report.drop("missing_field", row_id)
+            report.drop("missing_field", _row_id(row, line_no))
             continue
         if start >= end:
-            report.drop("inconsistent_time", row_id)
+            report.drop("inconsistent_time", _row_id(row, line_no))
             continue
         if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
-            report.drop("out_of_bounds", row_id)
+            report.drop("out_of_bounds", _row_id(row, line_no))
             continue
         report.kept += 1
         kept.append(SevereWeatherRecord(event_id, event_type, start, end,

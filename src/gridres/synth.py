@@ -304,8 +304,8 @@ def _sample_in_convex(
 # ---------------------------------------------------------------------------
 
 def _format_epochs(epochs: np.ndarray) -> list[str]:
-    return [datetime.fromtimestamp(int(e), tz=timezone.utc)
-            .strftime("%Y-%m-%dT%H:%M:%SZ") for e in epochs]
+    seconds = np.asarray(epochs).astype(np.int64).astype("datetime64[s]")
+    return [stamp + "Z" for stamp in np.datetime_as_string(seconds).tolist()]
 
 
 def generate(spec: SynthSpec) -> dict[str, bytes]:
