@@ -9,6 +9,8 @@ Environment variables deliberately override nothing.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,6 +58,18 @@ _SOLVER_KEYS = {"max_iterations", "gradient_tol", "step_tol", "initial_damping"}
 _SCENARIO_KEYS = {"hazard", "intensity", "label"}
 
 
+def _number(value, name: str, integral: bool = False) -> float | int:
+    """A finite JSON number as float, or as int for a whole-number field;
+    bools, strings and fractions for whole-number fields are rejected."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        number = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if not math.isfinite(number) or integral and not number.is_integer():
+        kind = "a finite whole number" if integral else "a finite number"
+        raise ValidationError(f"{name} must be {kind}, got {value!r}")
+    return int(value) if integral else number
+
+
 def parse_config(text: str) -> Config:
     try:
         doc = json.loads(text)
@@ -70,11 +84,12 @@ def parse_config(text: str) -> Config:
 
     cfg = Config()
     if "max_outage_days" in doc:
-        cfg.max_outage_days = float(doc["max_outage_days"])
+        cfg.max_outage_days = _number(doc["max_outage_days"], "max_outage_days")
         if cfg.max_outage_days <= 0.0:
             raise ValidationError("max_outage_days must be positive")
     if "max_customers" in doc:
-        cfg.max_customers = int(doc["max_customers"])
+        cfg.max_customers = _number(doc["max_customers"], "max_customers",
+                                    integral=True)
         if cfg.max_customers < 1:
             raise ValidationError("max_customers must be at least 1")
     if "hazard_mapping" in doc:
@@ -84,7 +99,7 @@ def parse_config(text: str) -> Config:
         out = {}
         valid = set(HAZARD_CLASSES) | {HAZARD_EXCLUDED}
         for label, hazard in mapping.items():
-            if hazard not in valid:
+            if not isinstance(hazard, str) or hazard not in valid:
                 raise ValidationError(
                     f"hazard_mapping[{label!r}] must be one of "
                     f"{sorted(valid)}, got {hazard!r}")
@@ -104,12 +119,10 @@ def parse_config(text: str) -> Config:
         unknown = sorted(set(solver) - _SOLVER_KEYS)
         if unknown:
             raise ValidationError(f"unknown solver key(s): {', '.join(unknown)}")
-        opts = {
-            "max_iterations": int(solver.get("max_iterations", 200)),
-            "gradient_tol": float(solver.get("gradient_tol", 1e-10)),
-            "step_tol": float(solver.get("step_tol", 1e-12)),
-            "initial_damping": float(solver.get("initial_damping", 1e-3)),
-        }
+        defaults = SolverOptions()
+        opts = {key: _number(solver.get(key, getattr(defaults, key)),
+                             f"solver.{key}", integral=key == "max_iterations")
+                for key in sorted(_SOLVER_KEYS)}
         if opts["max_iterations"] < 1:
             raise ValidationError("solver.max_iterations must be at least 1")
         for key in ("gradient_tol", "step_tol", "initial_damping"):
@@ -122,7 +135,8 @@ def parse_config(text: str) -> Config:
             raise ValidationError("boundary_path must be a string")
         cfg.boundary_path = doc["boundary_path"]
     if "density_cell_size" in doc:
-        cfg.density_cell_size = float(doc["density_cell_size"])
+        cfg.density_cell_size = _number(doc["density_cell_size"],
+                                        "density_cell_size")
         if cfg.density_cell_size <= 0.0:
             raise ValidationError("density_cell_size must be positive")
     if "scenarios" in doc:
@@ -142,7 +156,8 @@ def parse_config(text: str) -> Config:
                     f"scenarios[{i}] needs hazard and intensity")
             scenario = ScenarioSpec(
                 hazard_class=canonical_hazard(str(entry["hazard"])),
-                intensity=float(entry["intensity"]),
+                intensity=_number(entry["intensity"],
+                                  f"scenarios[{i}].intensity"),
                 label=str(entry.get("label", "")),
             )
             # Output names round the intensity, so two scenarios can collide.
@@ -164,4 +179,10 @@ def load_config(path: str | Path | None) -> Config:
     if not path.exists():
         from .errors import MissingInputError
         raise MissingInputError(f"config file not found: {path}")
-    return parse_config(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"config file {path} is not UTF-8 text: {exc.reason} at byte "
+            f"{exc.start}") from None
+    return parse_config(text)

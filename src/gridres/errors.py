@@ -25,5 +25,6 @@ class FitError(ValidationError):
     """A model fit cannot be attempted on the given samples."""
 
 
-class EvaluationError(PipelineError):
-    """Model evaluation produced a non-finite value."""
+class EvaluationError(ValidationError):
+    """Model evaluation produced a non-finite value, as for an intensity far
+    outside any fitted range."""

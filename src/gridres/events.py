@@ -1,12 +1,11 @@
 """Outage-restoration event extraction.
 
-An event is a maximal span during which at least one outage is active.
-A single sweep over all start and restoration instants maintains the
-active count C(t) = O(t) - R(t); each return of C to zero closes the
-current event. At identical timestamps starts are processed before
-restorations, so an outage beginning at the exact instant the last active
-one ends continues the same event rather than opening a new one. This
-makes member intervals behave like half-open [start, end) spans.
+An event is a maximal span during which at least one outage is active:
+a connected component of the union of the outage intervals. Outages are
+taken in start order; one whose start is after every restoration seen so
+far in the current event opens a new event. An outage beginning at the
+exact instant the last active one ends continues the same event rather
+than opening a new one.
 
 Each event is summarized by its two model features: the number of member
 outages and the total restoration time (last restoration minus first
@@ -19,15 +18,13 @@ import csv
 import io
 from dataclasses import dataclass
 from datetime import datetime
+from typing import Any
 
 import numpy as np
 
 from .errors import ValidationError
 from .ingest import OutageRecord, format_instant
 from .zoning import ZonePartition, assign_many
-
-_START = 0  # sorts before _END at equal instants
-_END = 1
 
 
 @dataclass(frozen=True)
@@ -41,128 +38,67 @@ class OutageRestorationEvent:
     zone_id: str = ""
 
 
-@dataclass(frozen=True)
-class EventTimeline:
-    """Right-continuous step functions over one event.
+def union_intervals(spans: list[tuple[Any, Any]]) -> list[tuple[int, int, Any]]:
+    """Group (start, end) spans, sorted by start, into maximal unions.
 
-    breakpoints[i] is an instant; O[i], R[i], C[i] are the values holding on
-    [breakpoints[i], breakpoints[i+1]). C = O - R is the active-outage count.
+    A span joins the current group when its start is at or before the
+    largest end in the group, so touching spans fuse. Returns one
+    (first, stop, end) per group in order: spans[first:stop] are its
+    members and end is their largest end.
     """
-    breakpoints: tuple[datetime, ...]
-    O: tuple[int, ...]
-    R: tuple[int, ...]
-    C: tuple[int, ...]
+    groups: list[tuple[int, int, Any]] = []
+    first, group_end = 0, None
+    for i, (start, end) in enumerate(spans):
+        if i and start > group_end:
+            groups.append((first, i, group_end))
+            first, group_end = i, end
+        elif i == 0 or end > group_end:
+            group_end = end
+    if spans:
+        groups.append((first, len(spans), group_end))
+    return groups
 
 
 def extract_events(outages: list[OutageRecord], zone_id: str = "") -> list[OutageRestorationEvent]:
-    """Sweep all start/end instants and cut events where the active count
-    returns to zero. Returns events in chronological order, indexed from 0."""
+    """Union the outage intervals into events. Returns events in
+    chronological order, indexed from 0; members keep start order, ties in
+    input order."""
     for rec in outages:
         if rec.start >= rec.end:
             raise ValidationError(
                 f"outage {rec.outage_id!r} has start >= end; run ingest cleaning first")
 
-    marks: list[tuple[datetime, int, int]] = []
-    for i, rec in enumerate(outages):
-        marks.append((rec.start, _START, i))
-        marks.append((rec.end, _END, i))
-    marks.sort(key=lambda m: (m[0], m[1]))
-
+    ordered = sorted(outages, key=lambda r: r.start)
     events: list[OutageRestorationEvent] = []
-    active = 0
-    members: list[int] = []
-    first_start: datetime | None = None
-    for instant, kind, idx in marks:
-        if kind == _START:
-            if active == 0:
-                first_start = instant
-                members = []
-            active += 1
-            members.append(idx)
-        else:
-            active -= 1
-            if active == 0:
-                events.append(OutageRestorationEvent(
-                    event_index=len(events),
-                    member_outage_ids=tuple(outages[i].outage_id for i in members),
-                    first_start=first_start,
-                    last_restoration=instant,
-                    n_outages=len(members),
-                    total_restoration_hours=(instant - first_start).total_seconds() / 3600.0,
-                    zone_id=zone_id,
-                ))
-    assert active == 0
-    assert sum(e.n_outages for e in events) == len(outages)
+    for first, stop, last in union_intervals([(r.start, r.end) for r in ordered]):
+        members = ordered[first:stop]
+        first_start = members[0].start
+        events.append(OutageRestorationEvent(
+            event_index=len(events),
+            member_outage_ids=tuple(r.outage_id for r in members),
+            first_start=first_start,
+            last_restoration=last,
+            n_outages=len(members),
+            total_restoration_hours=(last - first_start).total_seconds() / 3600.0,
+            zone_id=zone_id,
+        ))
     return events
-
-
-def event_timeline(
-    event: OutageRestorationEvent, members: list[OutageRecord],
-) -> EventTimeline:
-    """Build the O/R/C step functions for one event from its member records."""
-    ids = set(event.member_outage_ids)
-    got = {m.outage_id for m in members}
-    if got != ids:
-        raise ValidationError(
-            f"event {event.event_index}: member records do not match "
-            f"member_outage_ids (missing {sorted(ids - got)[:3]}, "
-            f"extra {sorted(got - ids)[:3]})")
-    for m in members:
-        if m.start < event.first_start or m.end > event.last_restoration:
-            raise ValidationError(
-                f"outage {m.outage_id!r} extends outside event "
-                f"{event.event_index} bounds")
-
-    marks: list[tuple[datetime, int]] = []
-    for m in members:
-        marks.append((m.start, _START))
-        marks.append((m.end, _END))
-    marks.sort(key=lambda m: (m[0], m[1]))
-
-    breakpoints: list[datetime] = []
-    O: list[int] = []
-    R: list[int] = []
-    C: list[int] = []
-    o = r = 0
-    for instant, kind in marks:
-        if kind == _START:
-            o += 1
-        else:
-            r += 1
-        c = o - r
-        if c < 0:
-            raise ValidationError(
-                f"event {event.event_index}: active count went negative at "
-                f"{format_instant(instant)}")
-        if breakpoints and breakpoints[-1] == instant:
-            O[-1], R[-1], C[-1] = o, r, c
-        else:
-            breakpoints.append(instant)
-            O.append(o)
-            R.append(r)
-            C.append(c)
-    if C and (C[-1] != 0 or O[-1] != len(members) or R[-1] != len(members)):
-        raise ValidationError(
-            f"event {event.event_index}: step functions do not close at zero")
-    return EventTimeline(tuple(breakpoints), tuple(O), tuple(R), tuple(C))
 
 
 def extract_events_by_zone(
     outages: list[OutageRecord], partition: ZonePartition,
 ) -> dict[str, list[OutageRestorationEvent]]:
-    """Assign outages to zones, then run an independent sweep per zone.
+    """Assign outages to zones, then extract each zone's events on its own.
 
     Every zone of the partition appears in the result, possibly with an
     empty list. Simultaneous bursts in different zones stay separate events.
     """
     by_zone: dict[str, list[OutageRecord]] = \
         {z.zone_id: [] for z in partition.zones}
-    if outages:
-        lons = np.array([r.longitude for r in outages])
-        lats = np.array([r.latitude for r in outages])
-        idx = assign_many(partition, lons, lats)
-        for rec, i in zip(outages, idx):
-            by_zone[partition.zones[i].zone_id].append(rec)
+    lons = np.array([r.longitude for r in outages])
+    lats = np.array([r.latitude for r in outages])
+    for rec, i in zip(outages, assign_many(partition, lons, lats)):
+        by_zone[partition.zones[i].zone_id].append(rec)
     return {zone_id: extract_events(records, zone_id=zone_id)
             for zone_id, records in by_zone.items()}
 

@@ -90,10 +90,6 @@ class OutageRecord:
     customers: int
     cause_code: str
 
-    @property
-    def duration_minutes(self) -> float:
-        return (self.end - self.start).total_seconds() / 60.0
-
 
 @dataclass(frozen=True)
 class WeatherObservation:
@@ -105,13 +101,6 @@ class WeatherObservation:
     precip: float | None
     snowfall: float | None
     snow_depth: float | None
-
-    def present_count(self) -> int:
-        return sum(
-            v is not None
-            for v in (self.wind_avg, self.wind_fastest_2min,
-                      self.precip, self.snowfall, self.snow_depth)
-        )
 
 
 @dataclass(frozen=True)
@@ -228,14 +217,17 @@ def _row_id(row: list[str], line_no: int) -> str:
     return row[0].strip() or f"row{line_no}"
 
 
-def _reader(csv_bytes: bytes) -> csv.reader:
-    return csv.reader(io.StringIO(csv_bytes.decode("utf-8")))
-
-
-def _check_header(row: list[str] | None, expected: list[str], filename: str) -> None:
-    if row is None:
+def _reader(csv_bytes: bytes, expected: list[str], filename: str) -> csv.reader:
+    """CSV rows after a header that must match `expected`."""
+    try:
+        rows = csv.reader(io.StringIO(csv_bytes.decode("utf-8")))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{filename}: not UTF-8 text: {exc.reason} at byte "
+                          f"{exc.start}") from None
+    header = next(rows, None)
+    if header is None:
         raise SchemaError(f"{filename}: file is empty, expected header {','.join(expected)}")
-    got = [c.strip() for c in row]
+    got = [c.strip() for c in header]
     if got != expected:
         missing = [c for c in expected if c not in got]
         if missing:
@@ -243,6 +235,7 @@ def _check_header(row: list[str] | None, expected: list[str], filename: str) -> 
         raise SchemaError(
             f"{filename}: header {','.join(got)} does not match expected order "
             f"{','.join(expected)}")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +248,7 @@ def parse_outages(
     max_customers: int = DEFAULT_MAX_CUSTOMERS,
 ) -> tuple[list[OutageRecord], CleaningReport]:
     """Parse outages.csv, returning kept records and the cleaning tally."""
-    rows = _reader(csv_bytes)
-    _check_header(next(rows, None), OUTAGES_HEADER, "outages.csv")
+    rows = _reader(csv_bytes, OUTAGES_HEADER, "outages.csv")
 
     report = CleaningReport()
     kept: list[OutageRecord] = []
@@ -323,8 +315,7 @@ def parse_weather(csv_bytes: bytes) -> tuple[list[WeatherObservation], CleaningR
     Output is sorted by (station_id, timestamp). kept counts the surviving
     observations.
     """
-    rows = _reader(csv_bytes)
-    _check_header(next(rows, None), WEATHER_HEADER, "weather.csv")
+    rows = _reader(csv_bytes, WEATHER_HEADER, "weather.csv")
 
     report = CleaningReport()
     # (station_id, timestamp) -> (obs, number of present measurements)
@@ -399,8 +390,7 @@ def write_weather_csv(observations: list[WeatherObservation]) -> bytes:
 
 def parse_stations(csv_bytes: bytes) -> list[Station]:
     """Parse stations.csv; duplicate station ids are fatal."""
-    rows = _reader(csv_bytes)
-    _check_header(next(rows, None), STATIONS_HEADER, "stations.csv")
+    rows = _reader(csv_bytes, STATIONS_HEADER, "stations.csv")
 
     stations: list[Station] = []
     seen: set[str] = set()
@@ -455,8 +445,7 @@ def parse_severe(csv_bytes: bytes) -> tuple[list[SevereWeatherRecord], CleaningR
     Unknown event_type labels are kept: hazard classification happens
     downstream.
     """
-    rows = _reader(csv_bytes)
-    _check_header(next(rows, None), SEVERE_HEADER, "severe_events.csv")
+    rows = _reader(csv_bytes, SEVERE_HEADER, "severe_events.csv")
 
     report = CleaningReport()
     kept: list[SevereWeatherRecord] = []

@@ -1,12 +1,16 @@
 """Link severe-weather records to zones, station measurements, and outages.
 
-The chain that turns agency hazard logs into fragility samples:
+build_fragility_samples turns agency hazard logs into fragility samples:
 
-  classify  label each record wind / precipitation / excluded
-  localize  assign the record's coordinates to a weather zone
-  merge     union overlapping windows per zone so no outage counts twice
-  intensity look up the zone station's measurements over the window
-  count     count outages starting inside the window in that zone
+  classify_hazard  label each record wind / precipitation / excluded
+  assign_many      put each record and each outage in its nearest
+                   station's zone
+  merge_windows    union overlapping windows per zone so no outage
+                   counts twice
+  intensity        look up the zone station's measurements over the window
+
+and counts the zone's outages whose start falls inside each window.
+Counting is start-based because restorations may run long past the hazard.
 
 Severe records carry no numeric magnitude, so intensity always comes from
 the zone's own station: the max fastest-2-minute wind speed for wind
@@ -32,14 +36,8 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from .ingest import OutageRecord, SevereWeatherRecord, WeatherObservation
-from .zoning import (
-    HAZARD_PRECIPITATION,
-    HAZARD_WIND,
-    ZonePartition,
-    assign_index,
-    assign_many,
-    assign_zone_flagged,
-)
+from .events import union_intervals
+from .zoning import HAZARD_PRECIPITATION, HAZARD_WIND, ZonePartition, assign_many
 
 log = logging.getLogger(__name__)
 
@@ -87,7 +85,7 @@ class FragilitySample:
 
 
 # ---------------------------------------------------------------------------
-# Classification and localization
+# Classification
 # ---------------------------------------------------------------------------
 
 def classify_hazard(
@@ -101,17 +99,6 @@ def classify_hazard(
     return mapping.get(record.event_type.strip().lower(), HAZARD_EXCLUDED)
 
 
-def localize(record: SevereWeatherRecord, partition: ZonePartition) -> str:
-    """Zone containing the record's coordinates (nearest station even when
-    the point falls outside the service boundary)."""
-    zone_id, inside = assign_zone_flagged(
-        partition, (record.longitude, record.latitude))
-    if not inside:
-        log.debug("severe record %s lies outside the service boundary; "
-                  "assigned to %s", record.event_id, zone_id)
-    return zone_id
-
-
 # ---------------------------------------------------------------------------
 # Window merging
 # ---------------------------------------------------------------------------
@@ -123,18 +110,10 @@ def merge_windows(records: list[SevereWeatherRecord]) -> list[MergedWindow]:
     chronological; each merged window carries every source event id.
     """
     ordered = sorted(records, key=lambda r: (r.start, r.event_id))
-    merged: list[MergedWindow] = []
-    for rec in ordered:
-        if merged and rec.start <= merged[-1].end:
-            prev = merged[-1]
-            merged[-1] = MergedWindow(
-                start=prev.start,
-                end=max(prev.end, rec.end),
-                source_event_ids=prev.source_event_ids + (rec.event_id,),
-            )
-        else:
-            merged.append(MergedWindow(rec.start, rec.end, (rec.event_id,)))
-    return merged
+    spans = [(r.start, r.end) for r in ordered]
+    return [MergedWindow(ordered[first].start, end,
+                         tuple(r.event_id for r in ordered[first:stop]))
+            for first, stop, end in union_intervals(spans)]
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +144,7 @@ class StationIndex:
 
 
 def intensity(
-    observations: list[WeatherObservation] | StationIndex,
+    index: StationIndex,
     station_id: str,
     window: tuple[datetime, datetime],
     hazard_class: str,
@@ -177,12 +156,7 @@ def intensity(
     drop the sample and say why.
     """
     start, end = window
-    lo = start - INTENSITY_LOOKBACK
-    if isinstance(observations, StationIndex):
-        rows = observations.in_range(station_id, lo, end)
-    else:
-        rows = [o for o in observations
-                if o.station_id == station_id and lo <= o.timestamp <= end]
+    rows = index.in_range(station_id, start - INTENSITY_LOOKBACK, end)
     if not rows:
         return None
 
@@ -219,27 +193,8 @@ def intensity(
 
 
 # ---------------------------------------------------------------------------
-# Outage counting and sample assembly
+# Sample assembly
 # ---------------------------------------------------------------------------
-
-def count_outages(
-    outages: list[OutageRecord],
-    window: tuple[datetime, datetime],
-    zone_id: str,
-    partition: ZonePartition,
-) -> int:
-    """Outages whose start instant falls in the closed window and whose
-    location assigns to zone_id. Membership is start-based: restorations
-    may run long past the hazard."""
-    start, end = window
-    count = 0
-    for rec in outages:
-        if start <= rec.start <= end:
-            idx = assign_index(partition, rec.longitude, rec.latitude)
-            if partition.zones[idx].zone_id == zone_id:
-                count += 1
-    return count
-
 
 def build_fragility_samples(
     severe: list[SevereWeatherRecord],
@@ -256,12 +211,10 @@ def build_fragility_samples(
     follow partition order; samples are chronological within a zone.
     """
     station_index = StationIndex(observations)
-    n_outages = len(outages)
-    if n_outages:
-        out_lons = np.array([r.longitude for r in outages])
-        out_lats = np.array([r.latitude for r in outages])
-        out_starts = np.array(
-            [int(r.start.timestamp()) for r in outages], dtype=np.int64)
+    out_lons = np.array([r.longitude for r in outages])
+    out_lats = np.array([r.latitude for r in outages])
+    out_starts = np.array(
+        [int(r.start.timestamp()) for r in outages], dtype=np.int64)
 
     excluded = 0
     by_class: dict[str, list[SevereWeatherRecord]] = {}
@@ -279,14 +232,12 @@ def build_fragility_samples(
         records = by_class.get(hazard_class, [])
         per_zone: dict[str, list[SevereWeatherRecord]] = \
             {z.zone_id: [] for z in partition.zones}
-        if records:
-            lons = np.array([r.longitude for r in records])
-            lats = np.array([r.latitude for r in records])
-            for rec, zi in zip(records, assign_many(partition, lons, lats)):
-                per_zone[partition.zones[zi].zone_id].append(rec)
+        lons = np.array([r.longitude for r in records])
+        lats = np.array([r.latitude for r in records])
+        for rec, zi in zip(records, assign_many(partition, lons, lats)):
+            per_zone[partition.zones[zi].zone_id].append(rec)
 
-        if n_outages:
-            out_zone = assign_many(partition, out_lons, out_lats)
+        out_zone = assign_many(partition, out_lons, out_lats)
         samples_by_zone: dict[str, list[FragilitySample]] = {}
         for zi, zone in enumerate(partition.zones):
             samples: list[FragilitySample] = []
@@ -301,20 +252,16 @@ def build_fragility_samples(
                         window.start.isoformat(), window.end.isoformat(),
                         zone.zone_id, zone.station_id)
                     continue
-                if n_outages:
-                    lo = int(window.start.timestamp())
-                    hi = int(window.end.timestamp())
-                    mask = ((out_starts >= lo) & (out_starts <= hi)
-                            & (out_zone == zi))
-                    count = int(mask.sum())
-                else:
-                    count = 0
+                lo = int(window.start.timestamp())
+                hi = int(window.end.timestamp())
+                mask = ((out_starts >= lo) & (out_starts <= hi)
+                        & (out_zone == zi))
                 samples.append(FragilitySample(
                     zone_id=zone.zone_id,
                     window_start=window.start,
                     window_end=window.end,
                     intensity=measured.value,
-                    outage_count=count,
+                    outage_count=int(mask.sum()),
                     source_event_ids=window.source_event_ids,
                 ))
             samples_by_zone[zone.zone_id] = samples

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -37,9 +38,9 @@ class ScenarioSpec:
     label: str = ""
 
     def __post_init__(self):
-        if self.intensity < 0.0:
-            raise ValidationError(
-                f"scenario intensity must be nonnegative, got {self.intensity}")
+        if not 0.0 <= self.intensity < math.inf:
+            raise ValidationError(f"scenario intensity must be finite and "
+                                  f"nonnegative, got {self.intensity}")
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from .zoning import (
     HAZARD_PRECIPITATION,
     HAZARD_WIND,
     ZonePartition,
-    assign_index,
+    assign_many,
     boundary_to_geojson,
     build_partition,
     signed_area,
@@ -391,7 +391,7 @@ def generate(spec: SynthSpec) -> dict[str, bytes]:
             epi_lons, epi_lats = _sample_in_convex(rng, cell, partition, 1)
             epi_lon, epi_lat = float(epi_lons[0]), float(epi_lats[0])
             other = world.partitions[other_class[hazard_class]]
-            wi = assign_index(other, epi_lon, epi_lat)
+            wi = int(assign_many(other, epi_lons, epi_lats)[0])
             region = _clip_convex(cell, world.cells[other_class[hazard_class]][wi])
             if len(region) >= 3 and abs(signed_area(region)) > 1e-12:
                 break

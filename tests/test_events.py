@@ -1,4 +1,4 @@
-"""Event extraction: sweep over start/restoration instants."""
+"""Event extraction: union of outage intervals."""
 
 from datetime import datetime, timedelta, timezone
 
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gridres.errors import ValidationError
 from gridres.events import (
-    event_timeline,
     events_csv,
     extract_events,
     extract_events_by_zone,
@@ -96,58 +95,6 @@ def test_permutation_invariance():
     forward = extract_events(records)
     shuffled = extract_events(list(reversed(records)))
     assert forward == shuffled
-
-
-# ---------------------------------------------------------------------------
-# Timeline step functions
-# ---------------------------------------------------------------------------
-
-def test_timeline_step_values():
-    records = [outage(1, 0, 10), outage(2, 5, 20)]
-    event = extract_events(records)[0]
-    tl = event_timeline(event, records)
-    assert [hours(b) for b in tl.breakpoints] == [0.0, 5.0, 10.0, 20.0]
-    assert tl.O == (1, 2, 2, 2)
-    assert tl.R == (0, 0, 1, 2)
-    assert tl.C == (1, 2, 1, 0)
-
-
-def test_timeline_single_outage_indicator():
-    records = [outage(1, 2, 7)]
-    event = extract_events(records)[0]
-    tl = event_timeline(event, records)
-    assert tl.C == (1, 0)
-    assert [hours(b) for b in tl.breakpoints] == [2.0, 7.0]
-
-
-def test_timeline_monotone_and_conserving():
-    records = [outage(i, s, e) for i, (s, e) in
-               enumerate([(0, 3), (1, 6), (2, 4), (5, 8), (5, 7)])]
-    event = extract_events(records)[0]
-    tl = event_timeline(event, records)
-    assert all(a <= b for a, b in zip(tl.O, tl.O[1:]))
-    assert all(a <= b for a, b in zip(tl.R, tl.R[1:]))
-    assert all(c >= 0 for c in tl.C)
-    assert tl.C[-1] == 0
-    assert tl.O[-1] == tl.R[-1] == len(records)
-
-
-def test_timeline_peak_matches_overlap_counter():
-    spans = [(0, 3), (1, 6), (2, 4), (3, 8), (5, 7), (5, 9)]
-    records = [outage(i, s, e) for i, (s, e) in enumerate(spans)]
-    event = extract_events(records)[0]
-    tl = event_timeline(event, records)
-    # brute-force: max concurrent = max over onset instants of intervals
-    # covering [t, t+eps)
-    peak = max(sum(1 for s, e in spans if s <= t < e) for t, _ in spans)
-    assert max(tl.C) == peak
-
-
-def test_timeline_rejects_foreign_members():
-    records = [outage(1, 0, 10)]
-    event = extract_events(records)[0]
-    with pytest.raises(ValidationError):
-        event_timeline(event, [outage(2, 0, 10)])
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_wellformed_outage_kept_unchanged():
     r = records[0]
     assert r.outage_id == "O1"
     assert r.restore_minutes == 150.0
-    assert r.duration_minutes == 150.0
+    assert (r.end - r.start).total_seconds() == 150 * 60
 
 
 def test_missing_end_timestamp_dropped():

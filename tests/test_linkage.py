@@ -17,13 +17,12 @@ from gridres.linkage import (
     StationIndex,
     build_fragility_samples,
     classify_hazard,
-    count_outages,
     fragility_csv,
     intensity,
-    localize,
     merge_windows,
 )
 from gridres.zoning import build_partition
+from oracles import count_outages, observations_in_range
 
 BASE = datetime(2015, 3, 1, tzinfo=timezone.utc)
 EQ_BOUNDARY = [(-5.0, -5.0), (15.0, -5.0), (15.0, 5.0), (-5.0, 5.0)]
@@ -92,16 +91,22 @@ def test_custom_mapping_overrides_default():
 # Localization
 # ---------------------------------------------------------------------------
 
+def sample_zones(record):
+    """Zone ids holding a sample for a lone record, both stations reporting."""
+    weather = hourly_gusts("A", 0, 2, 20.0) + hourly_gusts("B", 0, 2, 20.0)
+    samples = build_fragility_samples(
+        [record], {"wind": two_zone_partition()}, weather, [])
+    return [zone_id for zone_id, got in samples["wind"].items() if got]
+
+
 def test_record_at_station_coordinates():
-    part = two_zone_partition()
-    assert localize(severe("E1", "tornado", 0, 1, lat=0.0, lon=10.0), part) \
-        == "wind:1"
+    assert sample_zones(severe("E1", "tornado", 0, 1, lat=0.0, lon=10.0)) \
+        == ["wind:1"]
 
 
 def test_record_on_bisector_takes_lower_index():
-    part = two_zone_partition()
-    assert localize(severe("E1", "tornado", 0, 1, lat=2.0, lon=5.0), part) \
-        == "wind:0"
+    assert sample_zones(severe("E1", "tornado", 0, 1, lat=2.0, lon=5.0)) \
+        == ["wind:0"]
 
 
 # ---------------------------------------------------------------------------
@@ -154,27 +159,27 @@ def test_merge_matches_interval_union_oracle(raw):
 
 def test_wind_intensity_is_max_gust():
     rows = [obs("A", h, wind_fast=v) for h, v in [(1, 20.0), (2, 35.0), (3, 28.0)]]
-    got = intensity(rows, "A", (at(1), at(3)), "wind")
+    got = intensity(StationIndex(rows), "A", (at(1), at(3)), "wind")
     assert got.value == 35.0
     assert got.coverage == 1.0
 
 
 def test_precip_intensity_sums_depth():
     rows = [obs("A", h, precip=v) for h, v in [(1, 0.5), (2, 1.0), (3, 1.0)]]
-    got = intensity(rows, "A", (at(1), at(3)), "precipitation")
+    got = intensity(StationIndex(rows), "A", (at(1), at(3)), "precipitation")
     assert got.value == pytest.approx(2.5)
 
 
 def test_precip_peak_mode():
     rows = [obs("A", h, precip=v) for h, v in [(1, 0.5), (2, 1.0), (3, 0.8)]]
-    got = intensity(rows, "A", (at(1), at(3)), "precipitation",
+    got = intensity(StationIndex(rows), "A", (at(1), at(3)), "precipitation",
                     precip_mode=PRECIP_MODE_PEAK)
     assert got.value == pytest.approx(1.0)
 
 
 def test_absent_fields_are_missing_not_zero():
     rows = [obs("A", 1, precip=1.0), obs("A", 2), obs("A", 3, precip=1.0)]
-    got = intensity(rows, "A", (at(1), at(3)), "precipitation")
+    got = intensity(StationIndex(rows), "A", (at(1), at(3)), "precipitation")
     assert got.value == pytest.approx(2.0)
     assert got.n_obs == 3
     assert got.n_with_field == 2
@@ -183,7 +188,7 @@ def test_absent_fields_are_missing_not_zero():
 
 def test_snowfall_counts_toward_precip():
     rows = [obs("A", 1, precip=0.1, snowfall=2.0), obs("A", 2, snowfall=1.5)]
-    got = intensity(rows, "A", (at(1), at(2)), "precipitation")
+    got = intensity(StationIndex(rows), "A", (at(1), at(2)), "precipitation")
     assert got.value == pytest.approx(3.6)
     assert got.max_snow_depth is None
 
@@ -191,54 +196,71 @@ def test_snowfall_counts_toward_precip():
 def test_lookback_hour_included():
     # window starts at hour 2; the hour-1 observation is in range
     rows = [obs("A", 1, wind_fast=40.0), obs("A", 2, wind_fast=10.0)]
-    got = intensity(rows, "A", (at(2), at(3)), "wind")
+    got = intensity(StationIndex(rows), "A", (at(2), at(3)), "wind")
     assert got.value == 40.0
 
 
 def test_no_usable_rows_returns_none():
-    assert intensity([], "A", (at(0), at(1)), "wind") is None
+    assert intensity(StationIndex([]), "A", (at(0), at(1)), "wind") is None
     rows = [obs("A", 1, precip=1.0)]  # right station, wrong field
-    assert intensity(rows, "A", (at(1), at(2)), "wind") is None
+    assert intensity(StationIndex(rows), "A", (at(1), at(2)), "wind") \
+        is None
     rows = [obs("B", 1, wind_fast=10.0)]  # wrong station
-    assert intensity(rows, "A", (at(1), at(2)), "wind") is None
+    assert intensity(StationIndex(rows), "A", (at(1), at(2)), "wind") \
+        is None
 
 
 def test_station_index_matches_list_scan():
     rows = [obs("A", h, wind_fast=float(10 + h)) for h in range(10)]
     rows += [obs("B", h, wind_fast=99.0) for h in range(10)]
-    idx = StationIndex(rows)
+    idx = StationIndex(rows[::-1])
+    for station, lo, hi in [("A", 3, 6), ("A", -2, 0), ("A", 9, 12),
+                            ("A", 4, 4), ("B", 0, 9), ("C", 0, 9)]:
+        assert idx.in_range(station, at(lo), at(hi)) \
+            == observations_in_range(rows, station, at(lo), at(hi))
     window = (at(3), at(6))
+    scanned = observations_in_range(rows, "A", at(2), at(6))
     assert intensity(idx, "A", window, "wind") == \
-        intensity(rows, "A", window, "wind")
+        intensity(StationIndex(scanned), "A", window, "wind")
 
 
 # ---------------------------------------------------------------------------
 # Outage counting
 # ---------------------------------------------------------------------------
 
+def window_counts(records, outages):
+    """Per-zone outage counts of the samples the records yield, both
+    stations reporting."""
+    weather = hourly_gusts("A", 0, 1, 20.0) + hourly_gusts("B", 0, 1, 20.0)
+    samples = build_fragility_samples(
+        records, {"wind": two_zone_partition()}, weather, outages)
+    return {zone_id: [s.outage_count for s in got]
+            for zone_id, got in samples["wind"].items()}
+
+
 def test_count_empty_window():
-    part = two_zone_partition()
-    assert count_outages([], (at(0), at(5)), "wind:0", part) == 0
+    assert window_counts([severe("E1", "tornado", 0, 5)], []) \
+        == {"wind:0": [0], "wind:1": []}
 
 
 def test_count_is_start_based():
-    part = two_zone_partition()
     records = [outage_at(1, 1, 2), outage_at(2, 2, 9), outage_at(3, 4, 30),
                outage_at(4, 6, 7)]  # starts after the window closes
-    assert count_outages(records, (at(0), at(5)), "wind:0", part) == 3
+    assert window_counts([severe("E1", "tornado", 0, 5)], records) \
+        == {"wind:0": [3], "wind:1": []}
 
 
 def test_count_degenerate_window_takes_everything():
-    part = two_zone_partition()
     records = [outage_at(i, i, i + 1) for i in range(6)]
-    assert count_outages(records, (at(0), at(100)), "wind:0", part) == 6
+    assert window_counts([severe("E1", "tornado", 0, 100)], records) \
+        == {"wind:0": [6], "wind:1": []}
 
 
 def test_count_respects_zone():
-    part = two_zone_partition()
     records = [outage_at(1, 1, 2, lon=0.0), outage_at(2, 1, 2, lon=10.0)]
-    assert count_outages(records, (at(0), at(5)), "wind:0", part) == 1
-    assert count_outages(records, (at(0), at(5)), "wind:1", part) == 1
+    storms = [severe("E1", "tornado", 0, 5, lon=0.0),
+              severe("E2", "tornado", 0, 5, lon=10.0)]
+    assert window_counts(storms, records) == {"wind:0": [1], "wind:1": [1]}
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +333,7 @@ def test_samples_are_pure_derivations():
     samples = build_fragility_samples(records, part, weather, outages)
     for s in samples["wind"]["wind:0"]:
         window = (s.window_start, s.window_end)
-        again = intensity(weather, "A", window, "wind")
+        again = intensity(StationIndex(weather), "A", window, "wind")
         assert again.value == s.intensity
         assert count_outages(outages, window, s.zone_id, part["wind"]) \
             == s.outage_count

@@ -13,15 +13,21 @@ from gridres.ingest import (
     parse_stations,
     parse_weather,
 )
-from gridres.linkage import classify_hazard, intensity
+from gridres.linkage import StationIndex, classify_hazard, intensity
 from gridres.synth import SynthSpec, generate, truth_report
-from gridres.zoning import build_partition, assign_zone, load_boundary_geojson
+from gridres.zoning import assign_many, build_partition, load_boundary_geojson
 
 SMALL = dict(years=1, events_per_zone=6, mean_outages_per_event=40.0)
 
 
 def small_spec(seed=42, **kw):
     return SynthSpec(seed=seed, **{**SMALL, **kw})
+
+
+def zone_of(partition, rec):
+    """Zone id of a severe record's coordinates."""
+    zi = int(assign_many(partition, [rec.longitude], [rec.latitude])[0])
+    return partition.zones[zi].zone_id
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +119,7 @@ def test_severe_windows_have_in_range_intensity(bundle):
     ring = load_boundary_geojson(bundle["boundary.geojson"].decode())
     parts = {h: build_partition(stations, h, ring)
              for h in ("wind", "precipitation")}
-    weather, _ = parse_weather(bundle["weather.csv"])
+    weather = StationIndex(parse_weather(bundle["weather.csv"])[0])
     severe, _ = parse_severe(bundle["severe_events.csv"])
     ranges = truth["intensity_ranges"]
 
@@ -121,8 +127,7 @@ def test_severe_windows_have_in_range_intensity(bundle):
     for rec in severe:
         hazard_class = classify_hazard(rec)
         assert hazard_class in parts
-        zone_id = assign_zone(parts[hazard_class],
-                              (rec.longitude, rec.latitude))
+        zone_id = zone_of(parts[hazard_class], rec)
         station_id = truth["zones"][zone_id]["station_id"]
         got = intensity(weather, station_id, (rec.start, rec.end), hazard_class)
         assert got is not None
@@ -184,8 +189,7 @@ def test_mean_outage_count_tracks_fragility_curve():
     counts: dict[str, list[int]] = {}
     for rec in severe:
         hazard_class = classify_hazard(rec)
-        zone_id = assign_zone(parts[hazard_class],
-                              (rec.longitude, rec.latitude))
+        zone_id = zone_of(parts[hazard_class], rec)
         n = sum(1 for o in outages if rec.start <= o.start <= rec.end)
         counts.setdefault(zone_id, []).append(n)
 

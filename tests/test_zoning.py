@@ -11,10 +11,7 @@ from hypothesis import strategies as st
 from gridres.errors import ValidationError
 from gridres.ingest import Station
 from gridres.zoning import (
-    assign_index,
     assign_many,
-    assign_zone,
-    assign_zone_flagged,
     build_partition,
     density_grid,
     density_grid_csv,
@@ -24,6 +21,7 @@ from gridres.zoning import (
     point_in_ring,
     signed_area,
 )
+from oracles import nearest_station_index
 
 # an equator-centered rectangle keeps projected coordinates equal to degrees,
 # so geometric expectations can be written directly
@@ -37,6 +35,11 @@ def wind_station(sid, lat, lon):
 def two_station_partition():
     stations = [wind_station("A", 0.0, 0.0), wind_station("B", 0.0, 10.0)]
     return build_partition(stations, "wind", EQ_BOUNDARY)
+
+
+def zone_of(part, lon, lat):
+    """Zone id assign_many gives one point."""
+    return part.zones[int(assign_many(part, [lon], [lat])[0])].zone_id
 
 
 def ring_area(ring):
@@ -122,21 +125,23 @@ def test_area_conservation():
 
 def test_strictly_closer_point():
     part = two_station_partition()
-    assert assign_zone(part, (2.0, 1.0)) == "wind:0"
+    assert zone_of(part, 2.0, 1.0) == "wind:0"
 
 
 def test_bisector_tie_goes_to_lower_index():
     part = two_station_partition()
-    assert assign_zone(part, (5.0, 0.0)) == "wind:0"
-    assert assign_index(part, 5.0, 3.3) == 0
+    assert zone_of(part, 5.0, 0.0) == "wind:0"
+    assert list(assign_many(part, [5.0, 5.0], [3.3, -4.9])) == [0, 0]
 
 
 def test_outside_point_flagged():
+    # a point outside the service boundary still gets its nearest station's
+    # zone; only the boundary ring says it lies outside
     part = two_station_partition()
-    zone_id, inside = assign_zone_flagged(part, (2.0, 1.0))
-    assert zone_id == "wind:0" and inside
-    zone_id, inside = assign_zone_flagged(part, (-20.0, 0.0))
-    assert zone_id == "wind:0" and not inside
+    assert list(assign_many(part, [2.0, -20.0, 30.0], [1.0, 0.0, 9.0])) \
+        == [0, 0, 1]
+    assert point_in_ring(part.boundary, 2.0, 1.0)
+    assert not point_in_ring(part.boundary, -20.0, 0.0)
 
 
 def test_assignment_matches_brute_force():
@@ -159,21 +164,22 @@ def test_assign_many_agrees_with_scalar_path():
     lons = rng.uniform(-5, 15, 500)
     lats = rng.uniform(-5, 5, 500)
     vec = assign_many(part, lons, lats)
-    scalar = [assign_index(part, lon, lat) for lon, lat in zip(lons, lats)]
+    scalar = [nearest_station_index(part, lon, lat)
+              for lon, lat in zip(lons, lats)]
     assert list(vec) == scalar
 
 
 def test_assignment_order_invariant():
     part = two_station_partition()
     pts = [(-1.0, 2.0), (9.0, -3.0), (5.0, 0.0), (4.999, 0.0)]
-    forward = [assign_zone(part, p) for p in pts]
-    backward = [assign_zone(part, p) for p in reversed(pts)]
+    forward = [zone_of(part, *p) for p in pts]
+    backward = [zone_of(part, *p) for p in reversed(pts)]
     assert forward == list(reversed(backward))
 
 
 def test_polygon_and_nearest_agree():
     # interior points away from cell edges must land in the polygon that
-    # assign_zone names
+    # assign_many names
     rng = np.random.default_rng(19)
     stations = [wind_station(f"S{i}", float(rng.uniform(-4, 4)),
                              float(rng.uniform(-4, 14))) for i in range(5)]
@@ -189,7 +195,7 @@ def test_polygon_and_nearest_agree():
         d = sorted(math.hypot(x - sx, y - sy) for sx, sy in part.sites)
         if d[1] - d[0] < 1e-6:  # too close to a bisector to trust either side
             continue
-        zone_id = assign_zone(part, (lon, lat))
+        zone_id = zone_of(part, lon, lat)
         assert point_in_ring(rings[zone_id], x, y)
         checked += 1
     assert checked > 700
@@ -254,10 +260,20 @@ def test_load_boundary_rejects_nonsense():
         load_boundary_geojson("not json")
 
 
+def test_boundary_multipolygon_needs_one_part():
+    square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]
+    far = [[lon + 5.0, lat] for lon, lat in square]
+    one = {"type": "MultiPolygon", "coordinates": [[square]]}
+    assert load_boundary_geojson(json.dumps(one)) == [tuple(p) for p in square]
+    two = {"type": "Feature", "properties": {},
+           "geometry": {"type": "MultiPolygon", "coordinates": [[square], [far]]}}
+    with pytest.raises(ValidationError, match="2 polygons"):
+        load_boundary_geojson(json.dumps(two))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-4.9, 14.9), st.floats(-4.9, 4.9))
 def test_any_interior_point_gets_a_zone(lon, lat):
     part = two_station_partition()
-    zone_id, inside = assign_zone_flagged(part, (lon, lat))
-    assert zone_id in ("wind:0", "wind:1")
-    assert inside
+    assert zone_of(part, lon, lat) in ("wind:0", "wind:1")
+    assert point_in_ring(part.boundary, lon, lat)
