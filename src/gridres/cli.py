@@ -13,14 +13,14 @@ Subcommands mirror the pipeline stages:
   run-all         ingest through fit, then predict for every configured
                   scenario, plus a summary table
 
-Every stage is one row of STAGES: its input files, the Config fields it
-reads, and its body, the module-level `stage_<name>` function. run_stage()
-records in manifest.json the hashes of the input files, of the package
-source (`__code__`) and of those Config fields plus the stage's arguments
-(`__config__`), and skips the body when the stage already ran on exactly
-these hashes and its outputs are intact (override with --force). Exit
-codes: 0 success, 1 internal error, 2 missing input, 3 validation failure.
-Log lines go to stderr as LEVEL<TAB>stage<TAB>message.
+Every stage is one row of STAGES: the Config fields it reads and its body,
+the module-level `stage_<name>`, which does all file I/O via the Workspace.
+run_stage() records in manifest.json what the body read and wrote, plus
+hashes of the package source (`__code__`) and of those Config fields and
+the stage's arguments (`__config__`), and skips the body while all of these
+are unchanged, absent files included (override with --force). Exit codes:
+0 success, 1 internal error, 2 missing input, 3 validation failure. Log
+lines go to stderr as LEVEL<TAB>stage<TAB>message.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -126,33 +127,38 @@ def _set_stage(name: str) -> None:
     _current_stage = name
 
 
-def _boundary_path(ws: Workspace, cfg: Config) -> Path:
-    if cfg.boundary_path is None:
-        return ws.path(DEFAULT_BOUNDARY)
-    p = Path(cfg.boundary_path)
-    return p if p.is_absolute() else ws.path(cfg.boundary_path)
+def _parsed(ws: Workspace, relative: str, parse: Callable):
+    """parse(file bytes), once per content; each call still reads (records)."""
+    data = ws.read_bytes(relative)
+    key = ws.key(relative)
+    memo = (key, ws.reads[key])
+    if memo not in ws.parsed:
+        ws.parsed[memo] = parse(data)
+    return ws.parsed[memo]
 
 
-# The clean outages this command has parsed: (sha256 of the file, records).
-# zones, extract-events and link all read them, so run-all parses them once.
-_clean_outages_cache: tuple[str, list] | None = None
+def _clean_records(ws: Workspace, name: str, parse: Callable) -> list:
+    """The records of one clean file. Ingest wrote only rows that pass
+    every rule, so a row that fails one now is invalid data."""
+    records, report = _parsed(ws, CLEAN[name], parse)
+    if report.kept != report.total_rows:
+        raise ValidationError(
+            f"{ws.path(CLEAN[name])}: {report.total_rows - report.kept} "
+            f"row(s) fail the cleaning rules; rerun ingest")
+    return records
 
 
 def _clean_outages(ws: Workspace) -> list:
-    global _clean_outages_cache
-    data = ws.read_bytes(CLEAN["outages"])
-    digest = sha256_bytes(data)
-    if _clean_outages_cache is None or _clean_outages_cache[0] != digest:
-        _clean_outages_cache = (digest, parse_outages(data)[0])
-    return list(_clean_outages_cache[1])
+    # Uncapped: ingest already applied the configured caps.
+    return _clean_records(ws, "outages", lambda data: parse_outages(
+        data, max_outage_days=math.inf, max_customers=math.inf))
 
 
-def _load_partitions(ws: Workspace, cfg: Config) -> dict:
-    stations = parse_stations(ws.read_bytes(CLEAN["stations"]))
-    boundary_file = _boundary_path(ws, cfg)
-    if not boundary_file.exists():
-        raise MissingInputError(str(boundary_file))
-    boundary = load_boundary_geojson(boundary_file.read_text(encoding="utf-8"))
+def _load_partitions(ws: Workspace, cfg: Config) -> tuple[list, dict]:
+    """The boundary ring, and a partition per class with capable stations."""
+    stations = _parsed(ws, CLEAN["stations"], parse_stations)
+    boundary = load_boundary_geojson(
+        ws.read_text(cfg.boundary_path or DEFAULT_BOUNDARY))
     partitions = {}
     for hazard_class in HAZARD_CLASSES:
         if any(hazard_class in s.capabilities for s in stations):
@@ -161,7 +167,7 @@ def _load_partitions(ws: Workspace, cfg: Config) -> dict:
         else:
             log.warning("no %s-capable stations; skipping that partition",
                         hazard_class)
-    return partitions
+    return boundary, partitions
 
 
 def _zone_sort_key(zone_id: str):
@@ -170,9 +176,8 @@ def _zone_sort_key(zone_id: str):
 
 
 def _classes_with(ws: Workspace, template: str) -> list[str]:
-    """Hazard classes whose `template.format(class)` file exists; none is a
-    missing input."""
-    classes = [c for c in HAZARD_CLASSES if ws.path(template.format(c)).exists()]
+    """Classes whose `template.format(class)` exists; none is a missing input."""
+    classes = [c for c in HAZARD_CLASSES if ws.exists(template.format(c))]
     if not classes:
         raise MissingInputError(str(ws.path(template.format(HAZARD_WIND))))
     return classes
@@ -214,30 +219,33 @@ _MODEL_KINDS = (
 def _read_samples(ws: Workspace, kind: _ModelKind,
                   hazard_class: str) -> dict[str, list[tuple[float, float]]]:
     """Per-zone (x, y) samples of one model kind; none when its file is absent."""
-    path = ws.path(f"{kind.samples}_{hazard_class}.csv")
+    relative = f"{kind.samples}_{hazard_class}.csv"
     samples: dict[str, list[tuple[float, float]]] = {}
-    if path.exists():
+    if ws.exists(relative):
         x, y = kind.columns
-        for row in csv.DictReader(io.StringIO(path.read_bytes().decode("utf-8"))):
+        for row in csv.DictReader(io.StringIO(ws.read_text(relative))):
             samples.setdefault(row["zone_id"], []).append(
                 (float(row[x]), float(row[y])))
     return samples
 
 
+def _model_store(ws: Workspace, hazard_class: str) -> ModelStore:
+    return ModelStore.from_json(ws.read_text(f"models_{hazard_class}.json"))
+
+
 # ---------------------------------------------------------------------------
-# Stage bodies: each returns (outputs written, one-line detail)
+# Stage bodies: each reads every input before its first write, and returns
+# a one-line detail
 # ---------------------------------------------------------------------------
 
 def stage_synth(ws: Workspace, cfg: Config, seed: int):
     bundle = generate(SynthSpec(seed=seed))
-    outputs = []
     for name, data in bundle.items():
-        relative = "truth.json" if name == "truth.json" else f"inputs/{name}"
-        ws.write_bytes(relative, data)
-        outputs.append(relative)
+        ws.write_bytes("truth.json" if name == "truth.json" else f"inputs/{name}",
+                       data)
     n_outages = bundle["outages.csv"].count(b"\n") - 1
     n_weather = bundle["weather.csv"].count(b"\n") - 1
-    return outputs, f"{n_outages} outages, {n_weather} weather rows, seed {seed}"
+    return f"{n_outages} outages, {n_weather} weather rows, seed {seed}"
 
 
 def stage_ingest(ws: Workspace, cfg: Config):
@@ -256,30 +264,21 @@ def stage_ingest(ws: Workspace, cfg: Config):
     ws.write_bytes(CLEAN["stations"], write_stations_csv(stations))
     ws.write_bytes(CLEAN["severe"], write_severe_csv(severe))
     ws.write_text("report_severe.json", severe_report.to_json())
-
-    outputs = [CLEAN["outages"], "report_outages.json",
-               CLEAN["weather"], "report_weather.json",
-               CLEAN["stations"], CLEAN["severe"], "report_severe.json"]
-    detail = (f"outages {outage_report.kept}/{outage_report.total_rows}, "
-              f"weather {weather_report.kept}/{weather_report.total_rows}, "
-              f"severe {severe_report.kept}/{severe_report.total_rows}, "
-              f"{len(stations)} stations")
-    return outputs, detail
+    return (f"outages {outage_report.kept}/{outage_report.total_rows}, "
+            f"weather {weather_report.kept}/{weather_report.total_rows}, "
+            f"severe {severe_report.kept}/{severe_report.total_rows}, "
+            f"{len(stations)} stations")
 
 
 def stage_zones(ws: Workspace, cfg: Config):
-    partitions = _load_partitions(ws, cfg)
-    outputs = []
+    boundary, partitions = _load_partitions(ws, cfg)
+    outage_records = _clean_outages(ws)
     counts = []
     for hazard_class, partition in partitions.items():
-        relative = f"zones_{hazard_class}.geojson"
-        ws.write_text(relative, partition_to_geojson(partition))
-        outputs.append(relative)
+        ws.write_text(f"zones_{hazard_class}.geojson",
+                      partition_to_geojson(partition))
         counts.append(f"{len(partition.zones)} {hazard_class}")
 
-    outage_records = _clean_outages(ws)
-    boundary = load_boundary_geojson(
-        _boundary_path(ws, cfg).read_text(encoding="utf-8"))
     lons = [lon for lon, _ in boundary]
     lats = [lat for _, lat in boundary]
     grid = density_grid(
@@ -288,60 +287,55 @@ def stage_zones(ws: Workspace, cfg: Config):
         cfg.density_cell_size)
     ws.write_bytes("density.csv", density_grid_csv(grid))
     ws.write_text("density.json", density_grid_meta_json(grid))
-    outputs += ["density.csv", "density.json"]
-    return outputs, " + ".join(counts) + " zones" if counts else "no partitions"
+    return " + ".join(counts) + " zones" if counts else "no partitions"
 
 
 def stage_extract_events(ws: Workspace, cfg: Config):
     outages = _clean_outages(ws)
+    _, partitions = _load_partitions(ws, cfg)
     global_events = extract_events(outages)
     ws.write_bytes("events_global.csv", events_csv(global_events))
-    outputs = ["events_global.csv"]
 
-    partitions = _load_partitions(ws, cfg)
     zone_totals = []
     for hazard_class, partition in partitions.items():
         by_zone = extract_events_by_zone(outages, partition)
         rows = []
         for zone in partition.zones:
             rows.extend(by_zone[zone.zone_id])
-        relative = f"events_{hazard_class}.csv"
-        ws.write_bytes(relative, events_csv(rows))
-        outputs.append(relative)
+        ws.write_bytes(f"events_{hazard_class}.csv", events_csv(rows))
         zone_totals.append(f"{len(rows)} {hazard_class}")
 
     detail = f"{len(global_events)} global events"
     if zone_totals:
         detail += "; per-zone " + ", ".join(zone_totals)
-    return outputs, detail
+    return detail
 
 
 def stage_link(ws: Workspace, cfg: Config):
-    severe, _ = parse_severe(ws.read_bytes(CLEAN["severe"]))
-    weather, _ = parse_weather(ws.read_bytes(CLEAN["weather"]))
+    severe = _clean_records(ws, "severe", parse_severe)
+    weather = _clean_records(ws, "weather", parse_weather)
     outages = _clean_outages(ws)
-    partitions = _load_partitions(ws, cfg)
+    _, partitions = _load_partitions(ws, cfg)
 
     samples = build_fragility_samples(
         severe, partitions, weather, outages,
         mapping=cfg.hazard_mapping, precip_mode=cfg.precip_intensity_mode)
 
-    outputs = []
     counts = []
     for hazard_class in partitions:
-        relative = f"fragility_{hazard_class}.csv"
-        ws.write_bytes(relative, fragility_csv(samples[hazard_class]))
-        outputs.append(relative)
+        ws.write_bytes(f"fragility_{hazard_class}.csv",
+                       fragility_csv(samples[hazard_class]))
         n = sum(len(v) for v in samples[hazard_class].values())
         counts.append(f"{n} {hazard_class}")
-    return outputs, ", ".join(counts) + " samples" if counts else "no partitions"
+    return ", ".join(counts) + " samples" if counts else "no partitions"
 
 
 def stage_fit(ws: Workspace, cfg: Config):
-    outputs = []
+    samples_by_class = {
+        c: {k.name: _read_samples(ws, k, c) for k in _MODEL_KINDS}
+        for c in _classes_with(ws, "events_{}.csv")}
     details = []
-    for hazard_class in _classes_with(ws, "events_{}.csv"):
-        samples = {k.name: _read_samples(ws, k, hazard_class) for k in _MODEL_KINDS}
+    for hazard_class, samples in samples_by_class.items():
         zone_ids = sorted(set().union(*samples.values()), key=_zone_sort_key)
         store = ModelStore(hazard_class=hazard_class, zones={})
         fitted = dict.fromkeys(samples, 0)
@@ -368,29 +362,25 @@ def stage_fit(ws: Workspace, cfg: Config):
             if records:
                 store.zones[zone_id] = records
 
-        relative = f"models_{hazard_class}.json"
-        ws.write_text(relative, store.to_json())
-        outputs.append(relative)
+        ws.write_text(f"models_{hazard_class}.json", store.to_json())
         details.append(f"{hazard_class}: "
                        + ", ".join(f"{n} {kind}" for kind, n in fitted.items()))
-    return outputs, "; ".join(details)
+    return "; ".join(details)
 
 
 def stage_predict(ws: Workspace, cfg: Config, scenario: ScenarioSpec):
     hazard_class = scenario.hazard_class
-    store = ModelStore.from_json(
-        ws.read_bytes(f"models_{hazard_class}.json").decode("utf-8"))
-    partitions = _load_partitions(ws, cfg)
+    store = _model_store(ws, hazard_class)
+    _, partitions = _load_partitions(ws, cfg)
     if hazard_class not in partitions:
         raise ValidationError(
             f"no {hazard_class}-capable stations; cannot build the partition")
     partition = partitions[hazard_class]
 
     predictions = predict_all(store, partition, scenario)
-    pred_rel = predictions_filename(scenario)
-    ws.write_bytes(pred_rel, predictions_csv(scenario, predictions))
-    choropleth_rel = choropleth_filename(scenario)
-    ws.write_text(choropleth_rel,
+    ws.write_bytes(predictions_filename(scenario),
+                   predictions_csv(scenario, predictions))
+    ws.write_text(choropleth_filename(scenario),
                   emit_choropleth(partition, predictions, scenario))
 
     for p in predictions:
@@ -398,17 +388,16 @@ def stage_predict(ws: Workspace, cfg: Config, scenario: ScenarioSpec):
                  p.predicted_restoration_hours,
                  " (extrapolated)" if p.extrapolated else "")
     hours = [p.predicted_restoration_hours for p in predictions]
-    return [pred_rel, choropleth_rel], (
-        f"{hazard_class}@{scenario.intensity:g}: {len(predictions)} zones, "
-        f"{min(hours):.1f}-{max(hours):.1f} h")
+    return (f"{hazard_class}@{scenario.intensity:g}: {len(predictions)} zones, "
+            f"{min(hours):.1f}-{max(hours):.1f} h")
 
 
 def stage_render(ws: Workspace, cfg: Config):
-    outputs = []
-    for hazard_class in _classes_with(ws, "models_{}.json"):
-        store = ModelStore.from_json(
-            ws.read_bytes(f"models_{hazard_class}.json").decode("utf-8"))
-        samples = {k.name: _read_samples(ws, k, hazard_class) for k in _MODEL_KINDS}
+    inputs = [(c, _model_store(ws, c),
+               {k.name: _read_samples(ws, k, c) for k in _MODEL_KINDS})
+              for c in _classes_with(ws, "models_{}.json")]
+    plots = 0
+    for hazard_class, store, samples in inputs:
         for zone_id in sorted(store.zones, key=_zone_sort_key):
             for kind in _MODEL_KINDS:
                 rec = store.zones[zone_id].get(kind.name)
@@ -417,29 +406,15 @@ def stage_render(ws: Workspace, cfg: Config):
                 svg = emit_scatter(
                     samples[kind.name].get(zone_id, []), rec.to_model(zone_id),
                     *kind.axes(hazard_class), title=f"{zone_id} {kind.name}")
-                relative = f"plots/{kind.name}_{zone_id.replace(':', '_')}.svg"
-                ws.write_text(relative, svg)
-                outputs.append(relative)
-    return outputs, f"{len(outputs)} plot(s)"
+                ws.write_text(
+                    f"plots/{kind.name}_{zone_id.replace(':', '_')}.svg", svg)
+                plots += 1
+    return f"{plots} plot(s)"
 
 
 # ---------------------------------------------------------------------------
 # Stage table and runner
 # ---------------------------------------------------------------------------
-
-def _clean(ws: Workspace, cfg: Config, *names: str) -> dict[str, Path]:
-    """The named clean files plus the boundary polygon."""
-    return {**{name: ws.path(CLEAN[name]) for name in names},
-            "boundary": _boundary_path(ws, cfg)}
-
-
-def _per_class(ws: Workspace, template: str, *optional: str) -> dict[str, Path]:
-    """`template` for every hazard class that has one, plus each of the
-    `optional` templates whose file exists for such a class."""
-    paths = {Path(t.format(c)).stem: ws.path(t.format(c))
-             for c in _classes_with(ws, template) for t in (template, *optional)}
-    return {name: p for name, p in paths.items() if p.exists()}
-
 
 @dataclass(frozen=True)
 class Stage:
@@ -447,7 +422,6 @@ class Stage:
     name: str
     help: str
     done: str                                   # log verb before the detail
-    inputs: Callable[..., dict[str, Path]]      # (ws, cfg, *args) -> files
     reads: tuple[str, ...] = ()                 # Config fields the body reads
     key: str = ""   # manifest key, formatted with the args; the name if empty
     options: tuple[tuple[str, dict], ...] = ()  # subcommand flags
@@ -456,30 +430,20 @@ class Stage:
 
 STAGES = {stage.name: stage for stage in [
     Stage("synth", "generate a seeded synthetic input bundle",
-          "wrote synthetic bundle:", lambda ws, cfg, seed: {},
-          key="synth_{0}",
+          "wrote synthetic bundle:", key="synth_{0}",
           options=(("--seed", {"type": int, "default": DEFAULT_SYNTH_SEED}),),
           args=lambda ns: (ns.seed,)),
     Stage("ingest", "parse and clean the input CSV files", "kept",
-          lambda ws, cfg: {k: ws.path(v) for k, v in INPUTS.items()},
           reads=("max_outage_days", "max_customers")),
     Stage("zones", "build weather zones and the density grid", "built",
-          lambda ws, cfg: _clean(ws, cfg, "stations", "outages"),
           reads=("boundary_path", "density_cell_size")),
     Stage("extract-events", "extract outage-restoration events", "extracted",
-          lambda ws, cfg: _clean(ws, cfg, "outages", "stations"),
           reads=("boundary_path",)),
     Stage("link", "build fragility samples from severe records", "linked",
-          lambda ws, cfg: _clean(ws, cfg, "severe", "weather", "outages",
-                                 "stations"),
           reads=("hazard_mapping", "precip_intensity_mode", "boundary_path")),
     Stage("fit", "fit fragility and restoration models", "fitted",
-          lambda ws, cfg: _per_class(ws, "events_{}.csv", "fragility_{}.csv"),
           reads=("solver",)),
     Stage("predict", "evaluate one weather scenario", "predicted",
-          lambda ws, cfg, scenario: {
-              **_clean(ws, cfg, "stations"),
-              "models": ws.path(f"models_{scenario.hazard_class}.json")},
           reads=("boundary_path",),
           key="predict_{0.hazard_class}_{0.intensity:g}",
           options=(("--hazard", {"required": True, "help": "wind or precip"}),
@@ -488,9 +452,7 @@ STAGES = {stage.name: stage for stage in [
                                             "precipitation"})),
           args=lambda ns: (ScenarioSpec(hazard_class=canonical_hazard(ns.hazard),
                                         intensity=ns.intensity),)),
-    Stage("render", "render model scatter/curve SVG plots", "rendered",
-          lambda ws, cfg: _per_class(ws, "models_{}.json", "fragility_{}.csv",
-                                     "events_{}.csv")),
+    Stage("render", "render model scatter/curve SVG plots", "rendered"),
 ]}
 
 
@@ -517,17 +479,18 @@ def run_stage(name: str, ws: Workspace, cfg: Config, force: bool, *args) -> str:
     config fields; return its detail line for the run-all summary."""
     stage = STAGES[name]
     _set_stage(name)
-    hashes = ws.hash_inputs(stage.inputs(ws, cfg, *args))
-    hashes["__code__"] = code_fingerprint()
-    hashes["__config__"] = _config_digest(cfg, stage.reads, args)
+    meta = {"__code__": code_fingerprint(),
+            "__config__": _config_digest(cfg, stage.reads, args)}
     key = (stage.key or name).format(*args)
-    if not force and ws.stage_fresh(key, hashes):
+    if not force and ws.stage_fresh(key, meta):
         log.info("outputs up to date, skipping")
         return "up to date"
     # Looked up at call time, so a wrapper installed on the name takes effect.
     body = globals()["stage_" + name.replace("-", "_")]
-    outputs, detail = body(ws, cfg, *args)
-    ws.record_stage(key, hashes, outputs)
+    ws.reads.clear()
+    ws.writes.clear()
+    detail = body(ws, cfg, *args)
+    ws.record_stage(key, {**ws.reads, **meta}, ws.writes)
     log.info("%s %s", stage.done, detail)
     return detail
 
@@ -541,13 +504,9 @@ _TRUTH_PARAMS = {KIND_FRAGILITY: "b", KIND_RESTORATION: "c"}
 
 
 def _truth_comparison(ws: Workspace) -> str:
-    truth = json.loads(ws.read_bytes("truth.json").decode("utf-8"))
-    stores = {}
-    for hazard_class in HAZARD_CLASSES:
-        p = ws.path(f"models_{hazard_class}.json")
-        if p.exists():
-            stores[hazard_class] = ModelStore.from_json(
-                p.read_text(encoding="utf-8"))
+    truth = json.loads(ws.read_text("truth.json"))
+    stores = {c: _model_store(ws, c) for c in HAZARD_CLASSES
+              if ws.exists(f"models_{c}.json")}
 
     zones_doc = {}
     errors: dict[str, list[float]] = {kind: [] for kind in _TRUTH_PARAMS}
@@ -584,12 +543,11 @@ def run_all(ws: Workspace, cfg: Config, force: bool) -> int:
     for scenario in cfg.scenarios:
         name = f"predict {scenario.hazard_class}@{scenario.intensity:g}"
         _set_stage("predict")
-        store_path = ws.path(f"models_{scenario.hazard_class}.json")
         missing = None
-        if not store_path.exists():
+        if not ws.exists(f"models_{scenario.hazard_class}.json"):
             missing = f"no models for {scenario.hazard_class}"
         else:
-            store = ModelStore.from_json(store_path.read_text(encoding="utf-8"))
+            store = _model_store(ws, scenario.hazard_class)
             incomplete = [
                 zone_id for zone_id, kinds in store.zones.items()
                 if KIND_FRAGILITY not in kinds or KIND_RESTORATION not in kinds]
@@ -605,7 +563,7 @@ def run_all(ws: Workspace, cfg: Config, force: bool) -> int:
         rows.append((name, "ok", run_stage("predict", ws, cfg, force, scenario)))
 
     _set_stage("run-all")
-    if ws.path("truth.json").exists():
+    if ws.exists("truth.json"):
         rows.append(("truth-comparison", "ok", _truth_comparison(ws)))
 
     print(f"{'stage':<28}{'status':<10}detail")
@@ -641,7 +599,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _clean_outages_cache
     _setup_logging()
     args = _build_parser().parse_args(argv)
     _set_stage(args.command)
@@ -666,8 +623,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - last-resort exit-code mapping
         log.error("internal error: %s: %s", type(exc).__name__, exc)
         return 1
-    finally:
-        _clean_outages_cache = None
 
 
 if __name__ == "__main__":

@@ -179,6 +179,8 @@ def load_config(path: str | Path | None) -> Config:
     if not path.exists():
         from .errors import MissingInputError
         raise MissingInputError(f"config file not found: {path}")
+    if path.is_dir():
+        raise ValidationError(f"config file {path} is a directory")
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -201,12 +201,7 @@ def _fit_with_restarts(
             if d_k.sse < best[1].sse:
                 best = (p_k, d_k, f"{initializer_label}+restart{k}")
         params, diag, label = best
-    diag = FitDiagnostics(
-        n_samples=diag.n_samples, sse=diag.sse, r_squared=diag.r_squared,
-        iterations=diag.iterations, converged=diag.converged,
-        initializer=label, gradient_norm=diag.gradient_norm,
-        stop_reason=diag.stop_reason)
-    return params, diag
+    return params, replace(diag, initializer=label)
 
 
 def exponential_system(x: np.ndarray, y: np.ndarray):
@@ -295,12 +290,7 @@ def fit_exponential(
         residuals, jacobian, init, bounds, opts, "loglinear-ols")
     model = ExponentialModel(a=float(params[0]), b=float(params[1]),
                              zone_id=zone_id, hazard_class=hazard_class)
-    diag = FitDiagnostics(
-        n_samples=diag.n_samples, sse=diag.sse, r_squared=_r_squared(y, diag.sse),
-        iterations=diag.iterations, converged=diag.converged,
-        initializer=diag.initializer, gradient_norm=diag.gradient_norm,
-        stop_reason=diag.stop_reason)
-    return model, diag
+    return model, replace(diag, r_squared=_r_squared(y, diag.sse))
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +334,7 @@ def fit_restoration(
         a1, b1, a2, b2 = a2, b2, a1, b1
     model = SaturatingRestorationModel(c=c, a1=a1, b1=b1, a2=a2, b2=b2,
                                        zone_id=zone_id)
-    diag = FitDiagnostics(
-        n_samples=diag.n_samples, sse=diag.sse, r_squared=_r_squared(y, diag.sse),
-        iterations=diag.iterations, converged=diag.converged,
-        initializer=diag.initializer, gradient_norm=diag.gradient_norm,
-        stop_reason=diag.stop_reason)
-    return model, diag
+    return model, replace(diag, r_squared=_r_squared(y, diag.sse))
 
 
 # ---------------------------------------------------------------------------

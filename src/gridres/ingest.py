@@ -12,7 +12,8 @@ Input files and their headers:
 Cleaning conventions:
 
   - All timestamps are ISO-8601 UTC ("2012-06-29T14:00:00Z" or "+00:00"
-    offset; naive values are treated as UTC). An unparseable or empty
+    offset; naive values are treated as UTC). Fractional seconds are
+    truncated on parse, before any rule applies. An unparseable or empty
     timestamp counts as a missing key field.
   - Every row is tallied exactly once in the CleaningReport: it is either
     kept or attributed to the first cleaning rule it violates. Rules are
@@ -167,7 +168,8 @@ class CleaningReport:
 # ---------------------------------------------------------------------------
 
 def parse_instant(text: str) -> datetime | None:
-    """Parse an ISO-8601 UTC instant; returns None when unparseable."""
+    """Parse an ISO-8601 UTC instant, truncated to whole seconds; returns
+    None when unparseable."""
     text = text.strip()
     if not text:
         return None
@@ -178,10 +180,11 @@ def parse_instant(text: str) -> datetime | None:
     except ValueError:
         return None
     if dt.tzinfo is None:
-        return dt.replace(tzinfo=timezone.utc)
-    if dt.tzinfo is timezone.utc:
-        return dt
-    return dt.astimezone(timezone.utc)
+        dt = dt.replace(tzinfo=timezone.utc)
+    elif dt.tzinfo is not timezone.utc:
+        dt = dt.astimezone(timezone.utc)
+    # Clean files hold whole seconds, so every rule sees what gets written.
+    return dt.replace(microsecond=0) if dt.microsecond else dt
 
 
 def format_instant(dt: datetime) -> str:

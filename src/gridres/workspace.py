@@ -1,9 +1,11 @@
-"""Workspace directory handling: atomic writes and a stage manifest.
+"""Workspace directory handling: recorded reads, atomic writes and a stage
+manifest.
 
 A workspace is a directory with an `inputs/` subdirectory for raw data and
-a flat collection of stage outputs at its root. `manifest.json` records,
-per stage, the sha256 of every input consumed and output produced, which
-gives two properties:
+a flat collection of stage outputs at its root. Stages read and write only
+through the Workspace, which records what they touch. `manifest.json` keeps,
+per stage, the sha256 of every file read (null for one found absent), keyed
+by workspace-relative path, and of every output, which gives two properties:
 
   - reruns with unchanged inputs are no-ops (unless forced), and
   - a manifest-vs-disk check can prove the workspace is internally
@@ -42,11 +44,26 @@ def sha256_file(path: Path) -> str:
 class Workspace:
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        # Since the last clear: key -> sha256 (None: absent) of each file
+        # read, and each file written.
+        self.reads: dict[str, str | None] = {}
+        self.writes: list[str] = []
+        # Parsed contents by (manifest key, sha256), for one command.
+        self.parsed: dict[tuple[str, str], object] = {}
 
-    # -- paths ------------------------------------------------------------
+    # -- paths and recorded reads ------------------------------------------
 
     def path(self, relative: str) -> Path:
         return self.root / relative
+
+    def key(self, relative: str) -> str:
+        """The manifest's name for a file: its workspace-relative path, or
+        its resolved path when it lies outside the workspace."""
+        p = Path(relative)
+        if not p.is_absolute():
+            return p.as_posix()
+        p, root = p.resolve(), self.root.resolve()
+        return p.relative_to(root).as_posix() if p.is_relative_to(root) else str(p)
 
     def require(self, relative: str) -> Path:
         p = self.path(relative)
@@ -54,8 +71,25 @@ class Workspace:
             raise MissingInputError(str(p))
         return p
 
+    def exists(self, relative: str) -> bool:
+        """Whether the file exists; an absent one is recorded as None, so
+        its appearance makes the reading stage stale."""
+        if self.path(relative).exists():
+            return True
+        self.reads[self.key(relative)] = None
+        return False
+
     def read_bytes(self, relative: str) -> bytes:
-        return self.require(relative).read_bytes()
+        data = self.require(relative).read_bytes()
+        self.reads[self.key(relative)] = sha256_bytes(data)
+        return data
+
+    def read_text(self, relative: str) -> str:
+        try:
+            return self.read_bytes(relative).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{self.path(relative)}: not UTF-8 text: "
+                                  f"{exc.reason} at byte {exc.start}") from None
 
     def write_bytes(self, relative: str, data: bytes) -> None:
         """Atomic write: temp file in the same directory, then rename."""
@@ -64,6 +98,7 @@ class Workspace:
         tmp = target.with_name(target.name + ".tmp")
         tmp.write_bytes(data)
         os.replace(tmp, target)
+        self.writes.append(relative)
 
     def write_text(self, relative: str, text: str) -> None:
         self.write_bytes(relative, text.encode("utf-8"))
@@ -86,28 +121,26 @@ class Workspace:
         self.write_text(MANIFEST_NAME,
                         json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
-    def hash_inputs(self, paths: dict[str, Path]) -> dict[str, str]:
-        """Map logical input names to content hashes; missing file is fatal."""
-        out = {}
-        for name, p in paths.items():
-            if not p.exists():
-                raise MissingInputError(str(p))
-            out[name] = sha256_file(p)
-        return out
+    def hash_inputs(self, keys) -> dict[str, str | None]:
+        """The current sha256 of each named file, None when absent."""
+        return {key: sha256_file(p) if (p := self.path(key)).exists() else None
+                for key in keys}
 
-    def stage_fresh(self, stage: str, input_hashes: dict[str, str]) -> bool:
-        """True when the stage ran on exactly these inputs and all of its
-        recorded outputs still exist with matching content."""
+    def stage_fresh(self, stage: str, meta: dict[str, str]) -> bool:
+        """True when the stage last ran with these `meta` hashes, every file
+        it read then still hashes the same (or is still absent), and all
+        of its recorded outputs still exist with matching content."""
         record = self.load_manifest()["stages"].get(stage)
-        if record is None or record.get("inputs") != input_hashes:
+        if record is None:
             return False
-        for relative, digest in record.get("outputs", {}).items():
-            p = self.path(relative)
-            if not p.exists() or sha256_file(p) != digest:
-                return False
-        return True
+        inputs, outputs = record.get("inputs", {}), record.get("outputs", {})
+        files = {key: digest for key, digest in inputs.items()
+                 if key not in meta}
+        return (all(inputs.get(key) == value for key, value in meta.items())
+                and self.hash_inputs(files) == files
+                and self.hash_inputs(outputs) == outputs)
 
-    def record_stage(self, stage: str, input_hashes: dict[str, str],
+    def record_stage(self, stage: str, input_hashes: dict[str, str | None],
                      outputs: list[str]) -> None:
         manifest = self.load_manifest()
         manifest["stages"][stage] = {
@@ -122,13 +155,12 @@ class Workspace:
     def verify(self) -> list[str]:
         """Return problems (missing/mismatched outputs) across all stages."""
         problems = []
-        manifest = self.load_manifest()
-        for stage, record in manifest["stages"].items():
-            for relative, digest in record.get("outputs", {}).items():
-                p = self.path(relative)
-                if not p.exists():
+        for stage, record in self.load_manifest()["stages"].items():
+            outputs = record.get("outputs", {})
+            for relative, digest in self.hash_inputs(outputs).items():
+                if digest is None:
                     problems.append(f"{stage}: missing output {relative}")
-                elif sha256_file(p) != digest:
+                elif digest != outputs[relative]:
                     problems.append(f"{stage}: output {relative} does not "
                                     f"match its recorded hash")
         return problems

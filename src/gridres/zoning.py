@@ -326,38 +326,36 @@ def density_grid_meta_json(grid: DensityGrid) -> str:
 # ---------------------------------------------------------------------------
 
 def load_boundary_geojson(text: str) -> list[tuple[float, float]]:
-    """Extract the first Polygon exterior ring from a GeoJSON document."""
+    """Extract the one Polygon exterior ring from a GeoJSON document."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"boundary GeoJSON is not valid JSON: {exc}") from exc
 
-    def first_polygon(node: dict) -> list | None:
+    def rings(node: dict) -> list:
+        """The exterior ring of every polygon under `node`."""
         kind = node.get("type")
         if kind == "FeatureCollection":
-            for feature in node.get("features", []):
-                ring = first_polygon(feature)
-                if ring is not None:
-                    return ring
-            return None
+            return [ring for feature in node.get("features", [])
+                    for ring in rings(feature)]
         if kind == "Feature":
             geom = node.get("geometry")
-            return first_polygon(geom) if geom else None
+            return rings(geom) if geom else []
         if kind == "Polygon":
             coords = node.get("coordinates")
-            return coords[0] if coords else None
+            return [coords[0]] if coords else []
         if kind == "MultiPolygon":
-            coords = node.get("coordinates")
-            if coords and len(coords) > 1:
-                raise ValidationError(
-                    f"boundary MultiPolygon has {len(coords)} polygons; "
-                    f"only a single polygon is supported")
-            return coords[0][0] if coords and coords[0] else None
-        return None
+            return [poly[0] for poly in node.get("coordinates") or [] if poly]
+        return []
 
-    ring = first_polygon(doc)
-    if ring is None:
+    found = rings(doc)
+    if not found:
         raise ValidationError("boundary GeoJSON contains no Polygon geometry")
+    if len(found) > 1:
+        raise ValidationError(
+            f"boundary GeoJSON has {len(found)} polygons; only a single "
+            f"polygon is supported")
+    ring = found[0]
     if len(ring) < 4:
         raise ValidationError("boundary ring needs at least 3 distinct vertices")
     return [(float(lon), float(lat)) for lon, lat in ring]

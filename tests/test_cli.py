@@ -141,6 +141,117 @@ def test_predict_reruns_when_intensity_differs_below_file_name_precision(
         assert {row["intensity"] for row in csv.DictReader(fh)} == {"20.000001"}
 
 
+def test_copied_workspace_stays_fresh(private_ws, capsys):
+    assert main(["run-all", "--workspace", str(private_ws)]) == 0
+    out = capsys.readouterr().out
+    rows = [line.split(None, 2) for line in out.strip().split("\n")[1:]]
+    for name, status, detail in rows:
+        if name != "truth-comparison":
+            assert detail == "up to date", name
+    for command in (PREDICT_WIND + ["20"], ["render"]):
+        assert main(command + ["--workspace", str(private_ws)]) == 0
+        assert "up to date, skipping" in capsys.readouterr().err
+
+
+def test_manifest_keys_inputs_by_workspace_path(private_ws, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"boundary_path": str(private_ws / "inputs" / "boundary.geojson")}))
+    assert main(["zones", "--workspace", str(private_ws),
+                 "--config", str(cfg)]) == 0
+    manifest = json.loads((private_ws / "manifest.json").read_text())
+    for stage, record in manifest["stages"].items():
+        for key in record["inputs"]:
+            assert not Path(key).is_absolute(), (stage, key)
+    assert set(manifest["stages"]["zones"]["inputs"]) == {
+        "clean_stations.csv", "inputs/boundary.geojson", "clean_outages.csv",
+        "__code__", "__config__"}
+
+
+def _stage_opens(monkeypatch, ws):
+    """Per stage, the workspace files its body opens for reading and for
+    writing (temp names mapped to their targets)."""
+    opens: dict[str, tuple[set, set]] = {}
+    real_open = Path.open
+    root = ws.resolve()
+
+    for name in cli.STAGES:
+        attr = "stage_" + name.replace("-", "_")
+        body = getattr(cli, attr)
+
+        def traced(*args, _body=body, _name=name):
+            reads, writes = opens.setdefault(_name, (set(), set()))
+
+            def spy(path, mode="r", *rest, **kwargs):
+                p = Path(path).resolve()
+                if p.is_relative_to(root):
+                    rel = p.relative_to(root).as_posix()
+                    if any(c in mode for c in "wax+"):
+                        writes.add(rel.removesuffix(".tmp"))
+                    else:
+                        reads.add(rel)
+                return real_open(path, mode, *rest, **kwargs)
+            monkeypatch.setattr(Path, "open", spy)
+            try:
+                return _body(*args)
+            finally:
+                monkeypatch.setattr(Path, "open", real_open)
+        monkeypatch.setattr(cli, attr, traced)
+    return opens
+
+
+def test_recorded_inputs_cover_every_file_a_stage_opens(private_ws,
+                                                        monkeypatch):
+    opens = _stage_opens(monkeypatch, private_ws)
+    commands = {"ingest": [], "zones": [], "extract-events": [], "link": [],
+                "fit": [], "predict_wind_20": PREDICT_WIND[1:] + ["20"],
+                "render": []}
+    for key, args in commands.items():
+        command = key.split("_")[0]
+        assert main([command, "--force", "--workspace", str(private_ws),
+                     *args]) == 0
+    manifest = json.loads((private_ws / "manifest.json").read_text())
+    for key in commands:
+        record = manifest["stages"][key]
+        reads, writes = opens[key.split("_")[0]]
+        assert reads, key
+        assert reads <= set(record["inputs"]), key
+        assert writes == set(record["outputs"]), key
+
+
+@pytest.mark.parametrize("command", ["fit", "render"])
+def test_optional_input_appearing_or_vanishing_reruns(private_ws, capsys,
+                                                      command):
+    argv = [command, "--workspace", str(private_ws)]
+    fragility = private_ws / "fragility_wind.csv"
+    data = fragility.read_bytes()
+
+    def reran():
+        assert main(argv) == 0
+        return "up to date" not in capsys.readouterr().err
+
+    assert not reran()
+    fragility.unlink()
+    assert reran()
+    assert not reran()
+    manifest = json.loads((private_ws / "manifest.json").read_text())
+    assert manifest["stages"][command]["inputs"]["fragility_wind.csv"] is None
+    fragility.write_bytes(data)
+    assert reran()
+    assert not reran()
+
+
+@pytest.mark.parametrize("command, missing", [
+    ("zones", "clean_outages.csv"),
+    ("extract-events", "clean_stations.csv"),
+])
+def test_missing_input_exits_2_before_any_write(private_ws, command, missing):
+    (private_ws / missing).unlink()
+    before = {p: p.stat().st_ino for p in private_ws.rglob("*")}
+    assert main([command, "--workspace", str(private_ws)]) == 2
+    assert {p: p.stat().st_ino for p in private_ws.rglob("*")} == before
+
+
 def test_stage_table_reads_only_config_fields():
     fields = {f.name for f in dataclasses.fields(Config)}
     for stage in cli.STAGES.values():
@@ -213,11 +324,13 @@ PREDICT_WIND = ["predict", "--hazard", "wind", "--intensity"]
     (PREDICT_WIND + ["1e6"], None, None, "overflowed"),
     (["ingest"], None, ("outages.csv", b"outage_id\xff,\n"), "outages.csv"),
     (["ingest"], None, ("severe_events.csv", b"\xfe\xff"), "severe_events.csv"),
+    (["zones"], None, ("boundary.geojson", b'{"type": "\xff"}'),
+     "inputs/boundary.geojson"),
 ], ids=["customers-string", "customers-bool", "cell-size-list",
         "cell-size-nan", "iterations-fractional", "mapping-list",
         "scenario-intensity-string", "config-not-utf8", "intensity-nan",
         "intensity-inf", "intensity-overflow", "outages-not-utf8",
-        "severe-not-utf8"])
+        "severe-not-utf8", "boundary-not-utf8"])
 def test_malformed_input_exits_3(private_ws, tmp_path, capsys, command,
                                  config, input_file, needle):
     argv = command + ["--workspace", str(private_ws)]
@@ -233,6 +346,55 @@ def test_malformed_input_exits_3(private_ws, tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert needle in err
+
+
+def test_config_directory_exits_3(private_ws, tmp_path, capsys):
+    assert main(["ingest", "--workspace", str(private_ws),
+                 "--config", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert str(tmp_path) in err
+
+
+# ---------------------------------------------------------------------------
+# Clean-data reload
+# ---------------------------------------------------------------------------
+
+def _edit_first_row(path, column, value):
+    header, first, *rest = path.read_text().split("\n")
+    cells = first.split(",")
+    cells[header.split(",").index(column)] = value
+    path.write_text("\n".join([header, ",".join(cells), *rest]))
+
+
+@pytest.mark.parametrize("column, value, config", [
+    ("customers", "15000000", {"max_customers": 20_000_000}),
+    ("end", "2019-12-31T00:00:00Z", {"max_outage_days": 1000.0}),
+], ids=["customers", "duration"])
+def test_clean_reload_keeps_every_row_ingest_kept(private_ws, tmp_path,
+                                                  column, value, config):
+    """A row within the configured caps but past the defaults reaches the
+    events: the reload of clean_outages.csv applies no caps."""
+    _edit_first_row(private_ws / "inputs" / "outages.csv", column, value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    for command in ("ingest", "extract-events"):
+        assert main([command, "--workspace", str(private_ws),
+                     "--config", str(cfg)]) == 0
+    with (private_ws / "clean_outages.csv").open() as fh:
+        kept = sum(1 for _ in csv.DictReader(fh))
+    with (private_ws / "events_global.csv").open() as fh:
+        members = sum(int(row["n_outages"]) for row in csv.DictReader(fh))
+    assert members == kept
+
+
+def test_clean_row_failing_a_rule_exits_3(private_ws, capsys):
+    _edit_first_row(private_ws / "clean_outages.csv", "end",
+                    "2000-01-01T00:00:00Z")    # before its start
+    assert main(["extract-events", "--workspace", str(private_ws)]) == 3
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "clean_outages.csv" in err and "1 row(s)" in err
 
 
 # ---------------------------------------------------------------------------

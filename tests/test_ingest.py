@@ -152,6 +152,20 @@ def test_outages_round_trip():
     assert report.kept == 2
 
 
+def test_subsecond_times_round_trip_without_loss():
+    # Written in whole seconds, .2 -> .7 would be a zero-length outage; the
+    # rules see the truncated instants, so ingest already drops it.
+    data = csv_bytes(OUTAGES_HEADER, [
+        outage_row("O1", "2012-06-29T10:00:00.2Z", "2012-06-29T10:00:00.7Z", "0"),
+        outage_row("O2", "2012-06-29T10:00:00.9Z", "2012-06-29T10:30:00.1Z", "30"),
+    ])
+    records, report = parse_outages(data)
+    assert report.kept == 1 and report.dropped_inconsistent_time == 1
+    assert records[0].start == parse_instant("2012-06-29T10:00:00Z")
+    again, report = parse_outages(write_outages_csv(records))
+    assert again == records and report.kept == 1
+
+
 # ---------------------------------------------------------------------------
 # Weather
 # ---------------------------------------------------------------------------

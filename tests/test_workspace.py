@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from gridres.errors import MissingInputError
+from gridres.errors import MissingInputError, ValidationError
 from gridres.workspace import Workspace, sha256_bytes
 
 
@@ -27,50 +27,103 @@ def test_require_missing_is_exit2_error(tmp_path):
         ws.require("absent.csv")
 
 
+# The non-file hashes a stage runner stores next to its recorded reads.
+META = {"__code__": "c" * 64, "__config__": "k" * 64}
+
+
+def _record_demo(ws, *probes):
+    """Run a stage body's reads the way run_stage does: read in.csv, probe
+    `probes`, write out.csv, record what was read."""
+    ws.reads.clear()
+    ws.read_bytes("in.csv")
+    for relative in probes:
+        if ws.exists(relative):
+            ws.read_bytes(relative)
+    ws.write_bytes("out.csv", b"result\n")
+    ws.record_stage("demo", {**ws.reads, **META}, ["out.csv"])
+
+
+def test_reads_are_recorded_by_relative_path(tmp_path):
+    ws = Workspace(tmp_path)
+    ws.write_bytes("sub/in.csv", b"x\n")
+    ws.read_bytes("sub/in.csv")
+    assert not ws.exists("gone.csv")
+    assert ws.reads == {"sub/in.csv": sha256_bytes(b"x\n"), "gone.csv": None}
+    # An absolute path inside the workspace is keyed relative to it, one
+    # outside by its resolved path.
+    assert ws.key(str(tmp_path / "sub" / "in.csv")) == "sub/in.csv"
+    outside = tmp_path.parent / "elsewhere.geojson"
+    assert ws.key(str(outside)) == str(outside.resolve())
+
+
+def test_read_text_maps_bad_utf8_to_validation_error(tmp_path):
+    ws = Workspace(tmp_path)
+    ws.write_bytes("bad.json", b"\xff{}")
+    with pytest.raises(ValidationError, match="bad.json"):
+        ws.read_text("bad.json")
+    ws.write_text("good.json", "{\"é\": 1}")
+    assert ws.read_text("good.json") == "{\"é\": 1}"
+
+
 def test_stage_freshness_lifecycle(tmp_path):
     ws = Workspace(tmp_path)
     ws.write_bytes("in.csv", b"a,b\n1,2\n")
-    hashes = ws.hash_inputs({"in": ws.path("in.csv")})
+    assert not ws.stage_fresh("demo", META)
+    _record_demo(ws)
+    assert ws.stage_fresh("demo", META)
+    assert not ws.stage_fresh("demo", {**META, "__config__": "0" * 64})
 
-    assert not ws.stage_fresh("demo", hashes)
-    ws.write_bytes("out.csv", b"result\n")
-    ws.record_stage("demo", hashes, ["out.csv"])
-    assert ws.stage_fresh("demo", hashes)
-
-    # input content change invalidates
+    # input content change invalidates; restoring the content revalidates
     ws.write_bytes("in.csv", b"a,b\n1,3\n")
-    changed = ws.hash_inputs({"in": ws.path("in.csv")})
-    assert not ws.stage_fresh("demo", changed)
+    assert ws.hash_inputs(["in.csv", "absent.csv"]) == {
+        "in.csv": sha256_bytes(b"a,b\n1,3\n"), "absent.csv": None}
+    assert not ws.stage_fresh("demo", META)
+    ws.write_bytes("in.csv", b"a,b\n1,2\n")
+    assert ws.stage_fresh("demo", META)
 
     # output tampering invalidates even with original inputs
     ws.write_bytes("out.csv", b"tampered\n")
-    assert not ws.stage_fresh("demo", hashes)
+    assert not ws.stage_fresh("demo", META)
     problems = ws.verify()
     assert len(problems) == 1 and "out.csv" in problems[0]
 
     ws.path("out.csv").unlink()
-    assert not ws.stage_fresh("demo", hashes)
+    assert not ws.stage_fresh("demo", META)
     assert any("missing output" in p for p in ws.verify())
+
+
+def test_probed_file_appearing_or_vanishing_invalidates(tmp_path):
+    ws = Workspace(tmp_path)
+    ws.write_bytes("in.csv", b"x\n")
+    _record_demo(ws, "optional.csv")
+    assert ws.load_manifest()["stages"]["demo"]["inputs"]["optional.csv"] is None
+    assert ws.stage_fresh("demo", META)
+    ws.write_bytes("optional.csv", b"now here\n")
+    assert not ws.stage_fresh("demo", META)
+
+    _record_demo(ws, "optional.csv")
+    assert ws.stage_fresh("demo", META)
+    ws.path("optional.csv").unlink()
+    assert not ws.stage_fresh("demo", META)
 
 
 def test_manifest_timestamps_not_compared(tmp_path):
     ws = Workspace(tmp_path)
     ws.write_bytes("in.csv", b"x\n")
-    ws.write_bytes("out.csv", b"y\n")
-    hashes = ws.hash_inputs({"in": ws.path("in.csv")})
-    ws.record_stage("demo", hashes, ["out.csv"])
+    _record_demo(ws)
 
     manifest = ws.load_manifest()
     manifest["stages"]["demo"]["completed_at"] = "1999-01-01T00:00:00Z"
     ws.save_manifest(manifest)
-    assert ws.stage_fresh("demo", hashes)
+    assert ws.stage_fresh("demo", META)
 
 
 def test_manifest_is_valid_json(tmp_path):
     ws = Workspace(tmp_path)
     ws.write_bytes("in.csv", b"x\n")
-    ws.write_bytes("out.csv", b"y\n")
-    ws.record_stage("s", ws.hash_inputs({"in": ws.path("in.csv")}), ["out.csv"])
+    _record_demo(ws)
     doc = json.loads((tmp_path / "manifest.json").read_text())
     assert "tool_version" in doc
-    assert doc["stages"]["s"]["outputs"]["out.csv"] == sha256_bytes(b"y\n")
+    assert doc["stages"]["demo"]["outputs"]["out.csv"] == sha256_bytes(b"result\n")
+    assert doc["stages"]["demo"]["inputs"] == {
+        "in.csv": sha256_bytes(b"x\n"), **META}

@@ -271,6 +271,21 @@ def test_boundary_multipolygon_needs_one_part():
         load_boundary_geojson(json.dumps(two))
 
 
+def test_boundary_feature_collection_needs_one_polygon():
+    square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]
+    far = [[lon + 5.0, lat] for lon, lat in square]
+
+    def collection(*rings):
+        return json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "properties": {},
+             "geometry": {"type": "Polygon", "coordinates": [ring]}}
+            for ring in rings]})
+
+    assert load_boundary_geojson(collection(square)) == [tuple(p) for p in square]
+    with pytest.raises(ValidationError, match="2 polygons"):
+        load_boundary_geojson(collection(square, far))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-4.9, 14.9), st.floats(-4.9, 4.9))
 def test_any_interior_point_gets_a_zone(lon, lat):
