@@ -18,9 +18,17 @@ the module-level `stage_<name>`, which does all file I/O via the Workspace.
 run_stage() records in manifest.json what the body read and wrote, plus
 hashes of the package source (`__code__`) and of those Config fields and
 the stage's arguments (`__config__`), and skips the body while all of these
-are unchanged, absent files included (override with --force). Exit codes:
+are unchanged, absent files included (override with --force). It also
+records the body's `duration_s`, which is never compared. Exit codes:
 0 success, 1 internal error, 2 missing input, 3 validation failure. Log
 lines go to stderr as LEVEL<TAB>stage<TAB>message.
+
+A command parses each file content once: parsed records are memoized in
+`Workspace.parsed` by file and sha256. When ingest runs inside a command
+(as in run-all), it hands the records it writes to that memo under the
+digest of the written bytes. Later stages still read each clean file, so
+the manifest records its on-disk digest, and they reuse the handed-over
+records only while that digest matches; a changed file is parsed again.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ import json
 import logging
 import math
 import sys
+import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -127,31 +136,41 @@ def _set_stage(name: str) -> None:
     _current_stage = name
 
 
-def _parsed(ws: Workspace, relative: str, parse: Callable):
-    """parse(file bytes), once per content; each call still reads (records)."""
+def _parsed(ws: Workspace, relative: str, parse: Callable[[bytes, str], list]):
+    """parse(file bytes, relative), once per content; each call still reads
+    (records) the file."""
     data = ws.read_bytes(relative)
     key = ws.key(relative)
     memo = (key, ws.reads[key])
     if memo not in ws.parsed:
-        ws.parsed[memo] = parse(data)
+        ws.parsed[memo] = parse(data, relative)
     return ws.parsed[memo]
+
+
+def _write_clean(ws: Workspace, name: str, records: list, write: Callable) -> None:
+    """Write one clean file, and hand its records to later stages of this
+    command as the parse of exactly the bytes written."""
+    ws.write_bytes(CLEAN[name], write(records))
+    ws.parsed[(ws.key(CLEAN[name]), ws.writes[CLEAN[name]])] = records
 
 
 def _clean_records(ws: Workspace, name: str, parse: Callable) -> list:
     """The records of one clean file. Ingest wrote only rows that pass
     every rule, so a row that fails one now is invalid data."""
-    records, report = _parsed(ws, CLEAN[name], parse)
-    if report.kept != report.total_rows:
-        raise ValidationError(
-            f"{ws.path(CLEAN[name])}: {report.total_rows - report.kept} "
-            f"row(s) fail the cleaning rules; rerun ingest")
-    return records
+    def checked(data: bytes, source: str) -> list:
+        records, report = parse(data, source)
+        if report.kept != report.total_rows:
+            raise ValidationError(
+                f"{ws.path(source)}: {report.total_rows - report.kept} "
+                f"row(s) fail the cleaning rules; rerun ingest")
+        return records
+    return _parsed(ws, CLEAN[name], checked)
 
 
 def _clean_outages(ws: Workspace) -> list:
     # Uncapped: ingest already applied the configured caps.
-    return _clean_records(ws, "outages", lambda data: parse_outages(
-        data, max_outage_days=math.inf, max_customers=math.inf))
+    return _clean_records(ws, "outages", lambda data, source: parse_outages(
+        data, max_outage_days=math.inf, max_customers=math.inf, source=source))
 
 
 def _load_partitions(ws: Workspace, cfg: Config) -> tuple[list, dict]:
@@ -257,12 +276,12 @@ def stage_ingest(ws: Workspace, cfg: Config):
     stations = parse_stations(ws.read_bytes(INPUTS["stations"]))
     severe, severe_report = parse_severe(ws.read_bytes(INPUTS["severe"]))
 
-    ws.write_bytes(CLEAN["outages"], write_outages_csv(outages))
+    _write_clean(ws, "outages", outages, write_outages_csv)
     ws.write_text("report_outages.json", outage_report.to_json())
-    ws.write_bytes(CLEAN["weather"], write_weather_csv(weather))
+    _write_clean(ws, "weather", weather, write_weather_csv)
     ws.write_text("report_weather.json", weather_report.to_json())
-    ws.write_bytes(CLEAN["stations"], write_stations_csv(stations))
-    ws.write_bytes(CLEAN["severe"], write_severe_csv(severe))
+    _write_clean(ws, "stations", stations, write_stations_csv)
+    _write_clean(ws, "severe", severe, write_severe_csv)
     ws.write_text("report_severe.json", severe_report.to_json())
     return (f"outages {outage_report.kept}/{outage_report.total_rows}, "
             f"weather {weather_report.kept}/{weather_report.total_rows}, "
@@ -489,8 +508,10 @@ def run_stage(name: str, ws: Workspace, cfg: Config, force: bool, *args) -> str:
     body = globals()["stage_" + name.replace("-", "_")]
     ws.reads.clear()
     ws.writes.clear()
+    start = time.perf_counter()
     detail = body(ws, cfg, *args)
-    ws.record_stage(key, {**ws.reads, **meta}, ws.writes)
+    ws.record_stage(key, {**ws.reads, **meta}, ws.writes,
+                    time.perf_counter() - start)
     log.info("%s %s", stage.done, detail)
     return detail
 

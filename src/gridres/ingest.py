@@ -45,6 +45,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import Callable, NamedTuple
 
 from .errors import SchemaError, ValidationError
 
@@ -75,11 +76,11 @@ RESTORE_ROUNDING_SLACK_MIN = 1.0
 
 
 # ---------------------------------------------------------------------------
-# Domain types
+# Domain types. A file holds hundreds of thousands of outage and weather
+# rows, so their records are plain named tuples, not dataclasses.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OutageRecord:
+class OutageRecord(NamedTuple):
     """One component outage from the outage management system."""
     outage_id: str
     component_id: str
@@ -92,8 +93,7 @@ class OutageRecord:
     cause_code: str
 
 
-@dataclass(frozen=True)
-class WeatherObservation:
+class WeatherObservation(NamedTuple):
     """One hourly station report; None marks an absent measurement."""
     station_id: str
     timestamp: datetime
@@ -112,8 +112,7 @@ class Station:
     capabilities: frozenset[str]
 
 
-@dataclass(frozen=True)
-class SevereWeatherRecord:
+class SevereWeatherRecord(NamedTuple):
     """Agency-logged hazard event; carries a window and a location but no
     numeric intensity."""
     event_id: str
@@ -249,9 +248,11 @@ def parse_outages(
     csv_bytes: bytes,
     max_outage_days: float = DEFAULT_MAX_OUTAGE_DAYS,
     max_customers: int = DEFAULT_MAX_CUSTOMERS,
+    source: str = "outages.csv",
 ) -> tuple[list[OutageRecord], CleaningReport]:
-    """Parse outages.csv, returning kept records and the cleaning tally."""
-    rows = _reader(csv_bytes, OUTAGES_HEADER, "outages.csv")
+    """Parse outages.csv, returning kept records and the cleaning tally.
+    `source` names the parsed file in errors."""
+    rows = _reader(csv_bytes, OUTAGES_HEADER, source)
 
     report = CleaningReport()
     kept: list[OutageRecord] = []
@@ -295,30 +296,49 @@ def parse_outages(
     return kept, report
 
 
+def _csv_bytes(header: list[str], write_rows: Callable[[csv.writer], None]) -> bytes:
+    """The header, then what `write_rows(writer)` writes, as CSV with "\n"
+    line ends. csv.writer leaves a cell holding a bare "\r" unquoted, which
+    no reader parses back, so a file that holds a "\r" is written again
+    with every cell quoted."""
+    def text(quoting: int) -> str:
+        out = io.StringIO()
+        w = csv.writer(out, lineterminator="\n", quoting=quoting)
+        w.writerow(header)
+        write_rows(w)
+        return out.getvalue()
+
+    written = text(csv.QUOTE_MINIMAL)
+    if "\r" in written:
+        written = text(csv.QUOTE_ALL)
+    return written.encode("utf-8")
+
+
 def write_outages_csv(records: list[OutageRecord]) -> bytes:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(OUTAGES_HEADER)
-    for r in records:
-        restore = int(r.restore_minutes) if r.restore_minutes == int(r.restore_minutes) \
-            else r.restore_minutes
-        w.writerow([r.outage_id, r.component_id, repr(r.latitude), repr(r.longitude),
-                    format_instant(r.start), format_instant(r.end),
-                    restore, r.customers, r.cause_code])
-    return out.getvalue().encode("utf-8")
+    def write_rows(w):
+        for r in records:
+            restore = int(r.restore_minutes) \
+                if r.restore_minutes == int(r.restore_minutes) else r.restore_minutes
+            w.writerow([r.outage_id, r.component_id, repr(r.latitude), repr(r.longitude),
+                        format_instant(r.start), format_instant(r.end),
+                        restore, r.customers, r.cause_code])
+    return _csv_bytes(OUTAGES_HEADER, write_rows)
 
 
 # ---------------------------------------------------------------------------
 # Weather observations
 # ---------------------------------------------------------------------------
 
-def parse_weather(csv_bytes: bytes) -> tuple[list[WeatherObservation], CleaningReport]:
+def parse_weather(
+    csv_bytes: bytes,
+    source: str = "weather.csv",
+) -> tuple[list[WeatherObservation], CleaningReport]:
     """Parse weather.csv: validate, then collapse duplicate station-hours.
 
     Output is sorted by (station_id, timestamp). kept counts the surviving
-    observations.
+    observations. `source` names the parsed file in errors.
     """
-    rows = _reader(csv_bytes, WEATHER_HEADER, "weather.csv")
+    rows = _reader(csv_bytes, WEATHER_HEADER, source)
 
     report = CleaningReport()
     # (station_id, timestamp) -> (obs, number of present measurements)
@@ -377,23 +397,28 @@ def write_weather_csv(observations: list[WeatherObservation]) -> bytes:
     def cell(v: float | None) -> str:
         return "" if v is None else repr(v)
 
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(WEATHER_HEADER)
-    for o in observations:
-        w.writerow([o.station_id, format_instant(o.timestamp),
-                    cell(o.wind_avg), cell(o.wind_fastest_2min),
-                    cell(o.precip), cell(o.snowfall), cell(o.snow_depth)])
-    return out.getvalue().encode("utf-8")
+    # Every station reports the same hours: format each instant once.
+    stamps: dict[datetime, str] = {}
+
+    def write_rows(w):
+        for o in observations:
+            stamp = stamps.get(o.timestamp)
+            if stamp is None:
+                stamp = stamps[o.timestamp] = format_instant(o.timestamp)
+            w.writerow([o.station_id, stamp,
+                        cell(o.wind_avg), cell(o.wind_fastest_2min),
+                        cell(o.precip), cell(o.snowfall), cell(o.snow_depth)])
+    return _csv_bytes(WEATHER_HEADER, write_rows)
 
 
 # ---------------------------------------------------------------------------
 # Stations
 # ---------------------------------------------------------------------------
 
-def parse_stations(csv_bytes: bytes) -> list[Station]:
-    """Parse stations.csv; duplicate station ids are fatal."""
-    rows = _reader(csv_bytes, STATIONS_HEADER, "stations.csv")
+def parse_stations(csv_bytes: bytes, source: str = "stations.csv") -> list[Station]:
+    """Parse stations.csv; duplicate station ids are fatal. `source` names
+    the parsed file in errors."""
+    rows = _reader(csv_bytes, STATIONS_HEADER, source)
 
     stations: list[Station] = []
     seen: set[str] = set()
@@ -401,54 +426,53 @@ def parse_stations(csv_bytes: bytes) -> list[Station]:
         if not row:
             continue
         if len(row) != len(STATIONS_HEADER):
-            raise SchemaError(f"stations.csv line {line_no}: expected "
-                                  f"{len(STATIONS_HEADER)} columns, got {len(row)}")
+            raise SchemaError(f"{source} line {line_no}: expected "
+                              f"{len(STATIONS_HEADER)} columns, got {len(row)}")
         station_id = row[0].strip()
         lat = _parse_float(row[1])
         lon = _parse_float(row[2])
         caps_raw = [c.strip().lower() for c in row[3].split(";") if c.strip()]
         if not station_id or lat is None or lon is None:
-            raise SchemaError(f"stations.csv line {line_no}: missing or "
-                                  f"unparseable station fields")
+            raise SchemaError(f"{source} line {line_no}: missing or "
+                              f"unparseable station fields")
         if station_id in seen:
-            raise SchemaError(f"stations.csv: duplicate station_id {station_id!r}")
+            raise SchemaError(f"{source}: duplicate station_id {station_id!r}")
         seen.add(station_id)
         unknown = [c for c in caps_raw if c not in KNOWN_CAPABILITIES]
         if unknown:
             raise SchemaError(
-                f"stations.csv line {line_no}: unknown capability {unknown[0]!r}")
+                f"{source} line {line_no}: unknown capability {unknown[0]!r}")
         if not caps_raw:
             raise SchemaError(
-                f"stations.csv line {line_no}: station {station_id!r} has no capabilities")
+                f"{source} line {line_no}: station {station_id!r} has no capabilities")
         stations.append(Station(station_id, lat, lon, frozenset(caps_raw)))
 
     for capability in sorted(KNOWN_CAPABILITIES):
         if not any(capability in s.capabilities for s in stations):
-            log.warning("stations.csv: no station with capability %r", capability)
+            log.warning("%s: no station with capability %r", source, capability)
     return stations
 
 
 def write_stations_csv(stations: list[Station]) -> bytes:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(STATIONS_HEADER)
-    for s in stations:
-        caps = ";".join(sorted(s.capabilities))
-        w.writerow([s.station_id, repr(s.latitude), repr(s.longitude), caps])
-    return out.getvalue().encode("utf-8")
+    return _csv_bytes(STATIONS_HEADER, lambda w: w.writerows(
+        [s.station_id, repr(s.latitude), repr(s.longitude),
+         ";".join(sorted(s.capabilities))] for s in stations))
 
 
 # ---------------------------------------------------------------------------
 # Severe weather records
 # ---------------------------------------------------------------------------
 
-def parse_severe(csv_bytes: bytes) -> tuple[list[SevereWeatherRecord], CleaningReport]:
+def parse_severe(
+    csv_bytes: bytes,
+    source: str = "severe_events.csv",
+) -> tuple[list[SevereWeatherRecord], CleaningReport]:
     """Parse severe_events.csv; output sorted by start instant.
 
     Unknown event_type labels are kept: hazard classification happens
-    downstream.
+    downstream. `source` names the parsed file in errors.
     """
-    rows = _reader(csv_bytes, SEVERE_HEADER, "severe_events.csv")
+    rows = _reader(csv_bytes, SEVERE_HEADER, source)
 
     report = CleaningReport()
     kept: list[SevereWeatherRecord] = []
@@ -484,11 +508,6 @@ def parse_severe(csv_bytes: bytes) -> tuple[list[SevereWeatherRecord], CleaningR
 
 
 def write_severe_csv(records: list[SevereWeatherRecord]) -> bytes:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(SEVERE_HEADER)
-    for r in records:
-        w.writerow([r.event_id, r.event_type, format_instant(r.start),
-                    format_instant(r.end), repr(r.latitude), repr(r.longitude),
-                    r.description])
-    return out.getvalue().encode("utf-8")
+    return _csv_bytes(SEVERE_HEADER, lambda w: w.writerows(
+        [r.event_id, r.event_type, format_instant(r.start), format_instant(r.end),
+         repr(r.latitude), repr(r.longitude), r.description] for r in records))

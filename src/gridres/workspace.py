@@ -3,9 +3,12 @@ manifest.
 
 A workspace is a directory with an `inputs/` subdirectory for raw data and
 a flat collection of stage outputs at its root. Stages read and write only
-through the Workspace, which records what they touch. `manifest.json` keeps,
-per stage, the sha256 of every file read (null for one found absent), keyed
-by workspace-relative path, and of every output, which gives two properties:
+through the Workspace, which records the sha256 of what they touch: of the
+bytes each read returns and each write stores, so no output is read back to
+be hashed. `manifest.json` keeps, per stage, the sha256 of every file read
+(null for one found absent; anything but a regular file counts as absent),
+keyed by workspace-relative path, and of every output, which gives two
+properties:
 
   - reruns with unchanged inputs are no-ops (unless forced), and
   - a manifest-vs-disk check can prove the workspace is internally
@@ -14,6 +17,12 @@ by workspace-relative path, and of every output, which gives two properties:
 Every write lands in a temp file first and is renamed into place, so a
 crash cannot leave a half-written output that hashes differently than the
 manifest claims.
+
+`parsed` memoizes parsed file contents for one command, keyed by manifest
+key and sha256. A stage that writes a file may put the records it wrote
+there under the written digest, so a later stage that reads those same
+bytes back skips the parse; a file changed in between hashes differently
+and is parsed.
 """
 
 from __future__ import annotations
@@ -45,9 +54,9 @@ class Workspace:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         # Since the last clear: key -> sha256 (None: absent) of each file
-        # read, and each file written.
+        # read, and relative path -> sha256 of each file written.
         self.reads: dict[str, str | None] = {}
-        self.writes: list[str] = []
+        self.writes: dict[str, str] = {}
         # Parsed contents by (manifest key, sha256), for one command.
         self.parsed: dict[tuple[str, str], object] = {}
 
@@ -67,14 +76,14 @@ class Workspace:
 
     def require(self, relative: str) -> Path:
         p = self.path(relative)
-        if not p.exists():
+        if not p.is_file():
             raise MissingInputError(str(p))
         return p
 
     def exists(self, relative: str) -> bool:
-        """Whether the file exists; an absent one is recorded as None, so
-        its appearance makes the reading stage stale."""
-        if self.path(relative).exists():
+        """Whether a regular file exists there; an absent one is recorded
+        as None, so its appearance makes the reading stage stale."""
+        if self.path(relative).is_file():
             return True
         self.reads[self.key(relative)] = None
         return False
@@ -98,7 +107,7 @@ class Workspace:
         tmp = target.with_name(target.name + ".tmp")
         tmp.write_bytes(data)
         os.replace(tmp, target)
-        self.writes.append(relative)
+        self.writes[relative] = sha256_bytes(data)
 
     def write_text(self, relative: str, text: str) -> None:
         self.write_bytes(relative, text.encode("utf-8"))
@@ -123,7 +132,7 @@ class Workspace:
 
     def hash_inputs(self, keys) -> dict[str, str | None]:
         """The current sha256 of each named file, None when absent."""
-        return {key: sha256_file(p) if (p := self.path(key)).exists() else None
+        return {key: sha256_file(p) if (p := self.path(key)).is_file() else None
                 for key in keys}
 
     def stage_fresh(self, stage: str, meta: dict[str, str]) -> bool:
@@ -141,14 +150,15 @@ class Workspace:
                 and self.hash_inputs(outputs) == outputs)
 
     def record_stage(self, stage: str, input_hashes: dict[str, str | None],
-                     outputs: list[str]) -> None:
+                     outputs: dict[str, str], duration_s: float) -> None:
         manifest = self.load_manifest()
         manifest["stages"][stage] = {
             "inputs": input_hashes,
-            "outputs": {rel: sha256_file(self.path(rel)) for rel in outputs},
+            "outputs": dict(outputs),
             # informational only; never hashed or compared
             "completed_at": datetime.now(timezone.utc)
             .strftime("%Y-%m-%dT%H:%M:%SZ"),
+            "duration_s": round(duration_s, 3),
         }
         self.save_manifest(manifest)
 

@@ -322,15 +322,19 @@ PREDICT_WIND = ["predict", "--hazard", "wind", "--intensity"]
     (PREDICT_WIND + ["nan"], None, None, "finite"),
     (PREDICT_WIND + ["inf"], None, None, "finite"),
     (PREDICT_WIND + ["1e6"], None, None, "overflowed"),
-    (["ingest"], None, ("outages.csv", b"outage_id\xff,\n"), "outages.csv"),
-    (["ingest"], None, ("severe_events.csv", b"\xfe\xff"), "severe_events.csv"),
-    (["zones"], None, ("boundary.geojson", b'{"type": "\xff"}'),
+    (["ingest"], None, ("inputs/outages.csv", b"outage_id\xff,\n"),
+     "outages.csv"),
+    (["ingest"], None, ("inputs/severe_events.csv", b"\xfe\xff"),
+     "severe_events.csv"),
+    (["zones"], None, ("inputs/boundary.geojson", b'{"type": "\xff"}'),
      "inputs/boundary.geojson"),
+    (["extract-events"], None, ("clean_outages.csv", b"outage_id\xff,\n"),
+     "clean_outages.csv"),
 ], ids=["customers-string", "customers-bool", "cell-size-list",
         "cell-size-nan", "iterations-fractional", "mapping-list",
         "scenario-intensity-string", "config-not-utf8", "intensity-nan",
         "intensity-inf", "intensity-overflow", "outages-not-utf8",
-        "severe-not-utf8", "boundary-not-utf8"])
+        "severe-not-utf8", "boundary-not-utf8", "clean-outages-not-utf8"])
 def test_malformed_input_exits_3(private_ws, tmp_path, capsys, command,
                                  config, input_file, needle):
     argv = command + ["--workspace", str(private_ws)]
@@ -341,11 +345,21 @@ def test_malformed_input_exits_3(private_ws, tmp_path, capsys, command,
         argv += ["--config", str(cfg)]
     if input_file is not None:
         name, data = input_file
-        (private_ws / "inputs" / name).write_bytes(data)
+        (private_ws / name).write_bytes(data)
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert needle in err
+
+
+def test_directory_in_place_of_an_input_exits_2(private_ws, capsys):
+    boundary = private_ws / "inputs" / "boundary.geojson"
+    boundary.unlink()
+    boundary.mkdir()
+    assert main(["zones", "--workspace", str(private_ws)]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "missing input" in err and "boundary.geojson" in err
 
 
 def test_config_directory_exits_3(private_ws, tmp_path, capsys):
@@ -386,6 +400,32 @@ def test_clean_reload_keeps_every_row_ingest_kept(private_ws, tmp_path,
     with (private_ws / "events_global.csv").open() as fh:
         members = sum(int(row["n_outages"]) for row in csv.DictReader(fh))
     assert members == kept
+
+
+def _outputs(ws):
+    return {p.relative_to(ws).as_posix(): p.read_bytes()
+            for p in ws.rglob("*") if p.is_file() and p.name != "manifest.json"}
+
+
+def test_run_all_parses_each_file_once_and_reparse_agrees(private_ws,
+                                                         monkeypatch):
+    """Ingest hands its records to the later stages of the same command;
+    a stage run on its own parses the clean files and writes the same."""
+    calls = dict.fromkeys(["parse_outages", "parse_weather", "parse_severe",
+                           "parse_stations"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _parse=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _parse(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    assert main(["run-all", "--force", "--workspace", str(private_ws)]) == 0
+    assert calls == dict.fromkeys(calls, 1)
+
+    handed_over = _outputs(private_ws)
+    for command in ("zones", "extract-events", "link", "fit"):
+        assert main([command, "--force", "--workspace", str(private_ws)]) == 0
+    assert calls["parse_outages"] == 4
+    assert _outputs(private_ws) == handed_over
 
 
 def test_clean_row_failing_a_rule_exits_3(private_ws, capsys):

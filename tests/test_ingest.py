@@ -1,6 +1,9 @@
 """Parsing and cleaning of the four input CSV files."""
 
+import csv
+import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from gridres.errors import SchemaError
 from gridres.ingest import (
+    DEFAULT_MAX_OUTAGE_DAYS,
     format_instant,
     parse_instant,
     parse_outages,
@@ -329,6 +333,95 @@ def test_weather_report_balances_on_fuzzed_rows(rows):
     data = csv_bytes(WEATHER_HEADER, [",".join(r) for r in rows])
     _, report = parse_weather(data)
     report.check()
+
+
+# ---------------------------------------------------------------------------
+# Clean round trip: ingest hands the records it writes to later stages in
+# place of their parse, which is sound only while parse(write(records))
+# keeps every row and gives back the records.
+# ---------------------------------------------------------------------------
+
+def _raw_csv(header: str, rows: list[list[str]]) -> bytes:
+    """Every cell quoted, so that one holding a bare "\r" parses."""
+    out = io.StringIO()
+    out.write(header + "\n")
+    csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
+    return out.getvalue().encode()
+
+
+def _mostly(valid: list[str], junk: list[str]):
+    """Cells that are valid 19 times in 20, so that rows are often kept."""
+    return st.sampled_from(valid * (19 * len(junk)) + junk * len(valid))
+
+
+_ids = _mostly(["A1", " A2 ", "007", "A,3", 'A"4', "A\r5"], [""])
+_instants = _mostly([
+    "2012-06-29T14:00:00Z", "2012-06-29T14:00:00.250Z",
+    "2012-06-29T16:30:00+02:00", "2012-06-29T09:15:00-05:30",
+    "2012-06-29 15:00:00", "2012-06-29T15:59:59.999999+00:00",
+    "2012-06-29T18:00:00z"], ["", "bad"])
+_coords = _mostly(["39.7", "-86.1", "-0.0", "0", " 39.70 ", "1e-7"],
+                  ["95.0", "-200.0", "nan", "x", ""])
+_restores = _mostly(["-0.0", "0", "30", "30.5", "0.125", " 45 ", "1e-3"],
+                    ["1440", "-5", "inf", ""])
+_customers = _mostly(["0", "10", "3.7", "1e6"], ["12000000", "-1", ""])
+_measures = _mostly(["", "0", "0.0", "-0.0", "3.5", " 2 ", "1e-3", "12.25"],
+                    ["-1", "x"])
+_texts = st.text(st.sampled_from('ab ,"\n\r'), max_size=8)
+
+
+def _round_trip(records, write, reparse):
+    written = write(records)
+    again, report = reparse(written)
+    assert again == records
+    assert report.kept == report.total_rows == len(records)
+    assert write(again) == written
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_ids, _ids, _coords, _coords, _instants, _instants,
+                          _restores, _customers, _ids), max_size=20),
+       st.sampled_from([DEFAULT_MAX_OUTAGE_DAYS, 1000.0, math.inf]))
+def test_clean_outages_round_trip(rows, max_days):
+    records, _ = parse_outages(_raw_csv(OUTAGES_HEADER, rows),
+                               max_outage_days=max_days)
+    _round_trip(records, write_outages_csv, lambda data: parse_outages(
+        data, max_outage_days=math.inf, max_customers=math.inf))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_ids, _instants, _measures, _measures, _measures,
+                          _measures, _measures), max_size=20))
+def test_clean_weather_round_trip(rows):
+    observations, _ = parse_weather(_raw_csv(WEATHER_HEADER, rows))
+    _round_trip(observations, write_weather_csv, parse_weather)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_ids, _texts, _instants, _instants, _coords,
+                          _coords, _texts), max_size=20))
+def test_clean_severe_round_trip(rows):
+    records, _ = parse_severe(_raw_csv(SEVERE_HEADER, rows))
+    _round_trip(records, write_severe_csv, parse_severe)
+
+
+# Any bad station cell is fatal, so these are all valid.
+_station_coords = st.sampled_from(["39.7", "-86.1", "-0.0", "0", " 39.70 ",
+                                   "1e-7", "95.0"])
+_capabilities = st.sampled_from(["wind", " Wind ", "precipitation",
+                                 "wind;precipitation", "precipitation; wind;wind"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(_station_coords, _station_coords, _capabilities),
+                max_size=12))
+def test_clean_stations_round_trip(cells):
+    rows = [[f" S{i:02d} ", *row] for i, row in enumerate(cells)]
+    stations = parse_stations(_raw_csv(STATIONS_HEADER, rows))
+    written = write_stations_csv(stations)
+    again = parse_stations(written)
+    assert again == stations
+    assert write_stations_csv(again) == written
 
 
 def test_parsing_is_deterministic():

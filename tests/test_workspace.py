@@ -27,20 +27,30 @@ def test_require_missing_is_exit2_error(tmp_path):
         ws.require("absent.csv")
 
 
+def test_writes_record_the_digest_of_the_bytes_written(tmp_path):
+    ws = Workspace(tmp_path)
+    ws.write_bytes("a.csv", b"one\n")
+    ws.write_text("b.txt", "two\n")
+    ws.write_bytes("a.csv", b"three\n")
+    assert ws.writes == {"a.csv": sha256_bytes(b"three\n"),
+                         "b.txt": sha256_bytes(b"two\n")}
+
+
 # The non-file hashes a stage runner stores next to its recorded reads.
 META = {"__code__": "c" * 64, "__config__": "k" * 64}
 
 
 def _record_demo(ws, *probes):
     """Run a stage body's reads the way run_stage does: read in.csv, probe
-    `probes`, write out.csv, record what was read."""
+    `probes`, write out.csv, record what was read and written."""
     ws.reads.clear()
+    ws.writes.clear()
     ws.read_bytes("in.csv")
     for relative in probes:
         if ws.exists(relative):
             ws.read_bytes(relative)
     ws.write_bytes("out.csv", b"result\n")
-    ws.record_stage("demo", {**ws.reads, **META}, ["out.csv"])
+    ws.record_stage("demo", {**ws.reads, **META}, ws.writes, 0.25)
 
 
 def test_reads_are_recorded_by_relative_path(tmp_path):
@@ -113,7 +123,12 @@ def test_manifest_timestamps_not_compared(tmp_path):
     _record_demo(ws)
 
     manifest = ws.load_manifest()
+    assert manifest["stages"]["demo"]["duration_s"] == 0.25
     manifest["stages"]["demo"]["completed_at"] = "1999-01-01T00:00:00Z"
+    manifest["stages"]["demo"]["duration_s"] = 9999.0
+    ws.save_manifest(manifest)
+    assert ws.stage_fresh("demo", META)
+    del manifest["stages"]["demo"]["duration_s"]
     ws.save_manifest(manifest)
     assert ws.stage_fresh("demo", META)
 
@@ -127,3 +142,17 @@ def test_manifest_is_valid_json(tmp_path):
     assert doc["stages"]["demo"]["outputs"]["out.csv"] == sha256_bytes(b"result\n")
     assert doc["stages"]["demo"]["inputs"] == {
         "in.csv": sha256_bytes(b"x\n"), **META}
+
+
+def test_directory_in_place_of_a_file_counts_as_absent(tmp_path):
+    ws = Workspace(tmp_path)
+    ws.write_bytes("in.csv", b"x\n")
+    _record_demo(ws, "optional.csv")
+    ws.path("in.csv").unlink()
+    ws.path("in.csv").mkdir()
+    ws.path("optional.csv").mkdir()
+    assert not ws.stage_fresh("demo", META)
+    assert ws.hash_inputs(["in.csv"]) == {"in.csv": None}
+    assert not ws.exists("optional.csv")
+    with pytest.raises(MissingInputError, match="in.csv"):
+        ws.read_bytes("in.csv")
