@@ -208,7 +208,7 @@ class _ModelKind(NamedTuple):
     columns: tuple[str, str]      # its x and y columns
     min_samples: int              # fewer samples skip the fit
     noun: str                     # what the skip warning counts
-    fit: Callable                 # (samples, zone_id, class, opts) -> (model, diag)
+    fit: Callable                 # (samples, zone_id, class) -> (model, diag)
     record: Callable
     axes: Callable[[str], tuple[str, str]]  # plot axis labels for a class
 
@@ -221,15 +221,14 @@ _HAZARD_AXIS = {HAZARD_WIND: "wind speed (m/s)",
 _MODEL_KINDS = (
     _ModelKind(KIND_FRAGILITY, "fragility", ("intensity", "outage_count"), 3,
                "fragility sample(s)",
-               lambda samples, zone_id, hazard_class, opts: fit_exponential(
-                   samples, zone_id=zone_id, hazard_class=hazard_class,
-                   opts=opts),
+               lambda samples, zone_id, hazard_class: fit_exponential(
+                   samples, zone_id=zone_id, hazard_class=hazard_class),
                exponential_record,
                lambda hazard_class: (_HAZARD_AXIS[hazard_class], "outages")),
     _ModelKind(KIND_RESTORATION, "events",
                ("n_outages", "total_restoration_hours"), 6, "event(s)",
-               lambda samples, zone_id, hazard_class, opts: fit_restoration(
-                   samples, zone_id=zone_id, opts=opts),
+               lambda samples, zone_id, hazard_class: fit_restoration(
+                   samples, zone_id=zone_id),
                restoration_record,
                lambda hazard_class: ("outages in event", "restoration hours")),
 )
@@ -367,8 +366,7 @@ def stage_fit(ws: Workspace, cfg: Config):
                                 len(zone_samples), kind.noun, kind.name)
                     continue
                 try:
-                    model, diag = kind.fit(zone_samples, zone_id, hazard_class,
-                                           cfg.solver)
+                    model, diag = kind.fit(zone_samples, zone_id, hazard_class)
                 except FitError as exc:
                     log.warning("%s fit failed: %s", kind.name, exc)
                     continue
@@ -460,11 +458,10 @@ STAGES = {stage.name: stage for stage in [
           reads=("boundary_path",)),
     Stage("link", "build fragility samples from severe records", "linked",
           reads=("hazard_mapping", "precip_intensity_mode", "boundary_path")),
-    Stage("fit", "fit fragility and restoration models", "fitted",
-          reads=("solver",)),
+    Stage("fit", "fit fragility and restoration models", "fitted"),
     Stage("predict", "evaluate one weather scenario", "predicted",
           reads=("boundary_path",),
-          key="predict_{0.hazard_class}_{0.intensity:g}",
+          key="predict_{0.stem}",
           options=(("--hazard", {"required": True, "help": "wind or precip"}),
                    ("--intensity", {"type": float, "required": True,
                                     "help": "m/s for wind, inches for "

@@ -11,11 +11,10 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ValidationError
-from .fitting import SolverOptions
 from .ingest import DEFAULT_MAX_CUSTOMERS, DEFAULT_MAX_OUTAGE_DAYS
 from .linkage import (
     DEFAULT_HAZARD_MAPPING,
@@ -45,16 +44,12 @@ class Config:
     hazard_mapping: dict[str, str] = field(
         default_factory=lambda: dict(DEFAULT_HAZARD_MAPPING))
     precip_intensity_mode: str = PRECIP_MODE_CUMULATIVE
-    solver: SolverOptions = field(default_factory=SolverOptions)
     boundary_path: str | None = None
     density_cell_size: float = 0.02
     scenarios: list[ScenarioSpec] = field(default_factory=list)
 
 
-_TOP_KEYS = {"max_outage_days", "max_customers", "hazard_mapping",
-             "precip_intensity_mode", "solver", "boundary_path",
-             "density_cell_size", "scenarios"}
-_SOLVER_KEYS = {"max_iterations", "gradient_tol", "step_tol", "initial_damping"}
+_TOP_KEYS = {f.name for f in fields(Config)}
 _SCENARIO_KEYS = {"hazard", "intensity", "label"}
 
 
@@ -112,23 +107,6 @@ def parse_config(text: str) -> Config:
                 f"precip_intensity_mode must be "
                 f"{PRECIP_MODE_CUMULATIVE!r} or {PRECIP_MODE_PEAK!r}")
         cfg.precip_intensity_mode = mode
-    if "solver" in doc:
-        solver = doc["solver"]
-        if not isinstance(solver, dict):
-            raise ValidationError("solver must be an object")
-        unknown = sorted(set(solver) - _SOLVER_KEYS)
-        if unknown:
-            raise ValidationError(f"unknown solver key(s): {', '.join(unknown)}")
-        defaults = SolverOptions()
-        opts = {key: _number(solver.get(key, getattr(defaults, key)),
-                             f"solver.{key}", integral=key == "max_iterations")
-                for key in sorted(_SOLVER_KEYS)}
-        if opts["max_iterations"] < 1:
-            raise ValidationError("solver.max_iterations must be at least 1")
-        for key in ("gradient_tol", "step_tol", "initial_damping"):
-            if opts[key] <= 0.0:
-                raise ValidationError(f"solver.{key} must be positive")
-        cfg.solver = SolverOptions(**opts)
     if "boundary_path" in doc:
         if doc["boundary_path"] is not None \
                 and not isinstance(doc["boundary_path"], str):
@@ -160,7 +138,8 @@ def parse_config(text: str) -> Config:
                                   f"scenarios[{i}].intensity"),
                 label=str(entry.get("label", "")),
             )
-            # Output names round the intensity, so two scenarios can collide.
+            # Output names round the intensity and slug the label, so two
+            # scenarios can collide.
             name = predictions_filename(scenario)
             if name in writers:
                 raise ValidationError(

@@ -30,7 +30,6 @@ from .zoning import ZonePartition, assign_many
 @dataclass(frozen=True)
 class OutageRestorationEvent:
     event_index: int
-    member_outage_ids: tuple[str, ...]
     first_start: datetime
     last_restoration: datetime
     n_outages: int
@@ -61,8 +60,7 @@ def union_intervals(spans: list[tuple[Any, Any]]) -> list[tuple[int, int, Any]]:
 
 def extract_events(outages: list[OutageRecord], zone_id: str = "") -> list[OutageRestorationEvent]:
     """Union the outage intervals into events. Returns events in
-    chronological order, indexed from 0; members keep start order, ties in
-    input order."""
+    chronological order, indexed from 0."""
     for rec in outages:
         if rec.start >= rec.end:
             raise ValidationError(
@@ -71,14 +69,12 @@ def extract_events(outages: list[OutageRecord], zone_id: str = "") -> list[Outag
     ordered = sorted(outages, key=lambda r: r.start)
     events: list[OutageRestorationEvent] = []
     for first, stop, last in union_intervals([(r.start, r.end) for r in ordered]):
-        members = ordered[first:stop]
-        first_start = members[0].start
+        first_start = ordered[first].start
         events.append(OutageRestorationEvent(
             event_index=len(events),
-            member_outage_ids=tuple(r.outage_id for r in members),
             first_start=first_start,
             last_restoration=last,
-            n_outages=len(members),
+            n_outages=stop - first,
             total_restoration_hours=(last - first_start).total_seconds() / 3600.0,
             zone_id=zone_id,
         ))

@@ -39,13 +39,11 @@ FORM_RESTORATION = "sat2exp"
 POSITIVE_FLOOR = 1e-12
 RATE_FLOOR = 1e-9
 
-
-@dataclass(frozen=True)
-class SolverOptions:
-    max_iterations: int = 200
-    gradient_tol: float = 1e-10
-    step_tol: float = 1e-12
-    initial_damping: float = 1e-3
+# Levenberg-Marquardt stopping rules and starting damping
+MAX_ITERATIONS = 200
+GRADIENT_TOL = 1e-10
+STEP_TOL = 1e-12
+INITIAL_DAMPING = 1e-3
 
 
 @dataclass(frozen=True)
@@ -87,17 +85,15 @@ def levenberg_marquardt(
     jacobian: Callable[[np.ndarray], np.ndarray],
     init: np.ndarray,
     bounds: tuple[np.ndarray, np.ndarray],
-    opts: SolverOptions | None = None,
 ) -> tuple[np.ndarray, FitDiagnostics]:
     """Minimize ||residuals(p)||^2 from init, projecting onto [lo, hi].
 
     Convergence is declared when the gradient satisfies
-    ||J^T r||_inf <= gradient_tol * max(1, sse), or when an accepted step
-    moves the iterate by less than step_tol * (1 + ||p||). A step is
+    ||J^T r||_inf <= GRADIENT_TOL * max(1, sse), or when an accepted step
+    moves the iterate by less than STEP_TOL * (1 + ||p||). A step is
     accepted only if it does not increase the objective, so the accepted
     SSE sequence is nonincreasing.
     """
-    opts = opts or SolverOptions()
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
     p = np.clip(np.asarray(init, dtype=float), lo, hi)
 
@@ -107,16 +103,16 @@ def levenberg_marquardt(
         raise FitError("residuals are not finite at the initial point")
     sse = float(r @ r)
 
-    lam = opts.initial_damping
+    lam = INITIAL_DAMPING
     accepted = 0
     converged = False
     reason = "max_iterations"
 
-    while accepted < opts.max_iterations:
+    while accepted < MAX_ITERATIONS:
         J = np.asarray(jacobian(p), dtype=float)
         g = J.T @ r
         g_norm = float(np.max(np.abs(g))) if g.size else 0.0
-        if g_norm <= opts.gradient_tol * max(1.0, sse):
+        if g_norm <= GRADIENT_TOL * max(1.0, sse):
             converged = True
             reason = "gradient"
             break
@@ -143,7 +139,7 @@ def levenberg_marquardt(
                     lam = max(lam / 10.0, 1e-12)
                     accepted += 1
                     stepped = True
-                    if moved <= opts.step_tol * (1.0 + float(np.linalg.norm(p))):
+                    if moved <= STEP_TOL * (1.0 + float(np.linalg.norm(p))):
                         converged = True
                         reason = "step"
                     break
@@ -183,19 +179,18 @@ def _fit_with_restarts(
     jacobian: Callable[[np.ndarray], np.ndarray],
     init: np.ndarray,
     bounds: tuple[np.ndarray, np.ndarray],
-    opts: SolverOptions | None,
     initializer_label: str,
 ) -> tuple[np.ndarray, FitDiagnostics]:
     """Run the solver; on non-convergence retry from perturbed initializers
     and keep the lowest-SSE result (first on ties)."""
-    params, diag = levenberg_marquardt(residuals, jacobian, init, bounds, opts)
+    params, diag = levenberg_marquardt(residuals, jacobian, init, bounds)
     label = initializer_label
     if not diag.converged:
         best = (params, diag, label)
         for k, factors in enumerate(_restart_factors(len(init)), start=1):
             try:
                 p_k, d_k = levenberg_marquardt(
-                    residuals, jacobian, init * factors, bounds, opts)
+                    residuals, jacobian, init * factors, bounds)
             except FitError:
                 continue
             if d_k.sse < best[1].sse:
@@ -255,7 +250,6 @@ def fit_exponential(
     samples: list[tuple[float, float]],
     zone_id: str = "",
     hazard_class: str = "",
-    opts: SolverOptions | None = None,
 ) -> tuple[ExponentialModel, FitDiagnostics]:
     """Fit y = a*exp(b*x) to (intensity, outage_count) pairs.
 
@@ -287,7 +281,7 @@ def fit_exponential(
     residuals, jacobian = exponential_system(x, y)
     bounds = (np.array([POSITIVE_FLOOR, -np.inf]), np.array([np.inf, np.inf]))
     params, diag = _fit_with_restarts(
-        residuals, jacobian, init, bounds, opts, "loglinear-ols")
+        residuals, jacobian, init, bounds, "loglinear-ols")
     model = ExponentialModel(a=float(params[0]), b=float(params[1]),
                              zone_id=zone_id, hazard_class=hazard_class)
     return model, replace(diag, r_squared=_r_squared(y, diag.sse))
@@ -300,7 +294,6 @@ def fit_exponential(
 def fit_restoration(
     samples: list[tuple[float, float]],
     zone_id: str = "",
-    opts: SolverOptions | None = None,
 ) -> tuple[SaturatingRestorationModel, FitDiagnostics]:
     """Fit the saturating restoration curve to (n_outages, hours) pairs.
 
@@ -327,7 +320,7 @@ def fit_restoration(
     bounds = (np.array([0.0, 0.0, RATE_FLOOR, 0.0, RATE_FLOOR]),
               np.full(5, np.inf))
     params, diag = _fit_with_restarts(
-        residuals, jacobian, init, bounds, opts, "saturating-heuristic")
+        residuals, jacobian, init, bounds, "saturating-heuristic")
 
     c, a1, b1, a2, b2 = (float(v) for v in params)
     if b1 > b2:

@@ -66,15 +66,6 @@ class MergedWindow:
 
 
 @dataclass(frozen=True)
-class IntensityResult:
-    value: float
-    n_obs: int         # observations in [start - 1h, end]
-    n_with_field: int  # of those, rows carrying the needed measurement
-    coverage: float    # n_with_field / n_obs
-    max_snow_depth: float | None
-
-
-@dataclass(frozen=True)
 class FragilitySample:
     zone_id: str
     window_start: datetime
@@ -149,7 +140,7 @@ def intensity(
     window: tuple[datetime, datetime],
     hazard_class: str,
     precip_mode: str = PRECIP_MODE_CUMULATIVE,
-) -> IntensityResult | None:
+) -> float | None:
     """Measured intensity over [window.start - 1h, window.end].
 
     Returns None when the station has no usable rows in range; callers must
@@ -157,39 +148,18 @@ def intensity(
     """
     start, end = window
     rows = index.in_range(station_id, start - INTENSITY_LOOKBACK, end)
-    if not rows:
-        return None
-
-    snow_depths = [o.snow_depth for o in rows if o.snow_depth is not None]
-    max_snow_depth = max(snow_depths) if snow_depths else None
-
     if hazard_class == HAZARD_WIND:
         present = [o.wind_fastest_2min for o in rows
                    if o.wind_fastest_2min is not None]
+        return max(present) if present else None
+    if hazard_class == HAZARD_PRECIPITATION:
+        present = [(o.precip or 0.0) + (o.snowfall or 0.0) for o in rows
+                   if o.precip is not None or o.snowfall is not None]
         if not present:
             return None
-        value = max(present)
-    elif hazard_class == HAZARD_PRECIPITATION:
-        contributions = [
-            (o.precip or 0.0) + (o.snowfall or 0.0)
-            for o in rows
-            if o.precip is not None or o.snowfall is not None
-        ]
-        if not contributions:
-            return None
-        present = contributions
-        value = sum(contributions) if precip_mode == PRECIP_MODE_CUMULATIVE \
-            else max(contributions)
-    else:
-        raise ValueError(f"no intensity definition for hazard class {hazard_class!r}")
-
-    return IntensityResult(
-        value=value,
-        n_obs=len(rows),
-        n_with_field=len(present),
-        coverage=len(present) / len(rows),
-        max_snow_depth=max_snow_depth,
-    )
+        return sum(present) if precip_mode == PRECIP_MODE_CUMULATIVE \
+            else max(present)
+    raise ValueError(f"no intensity definition for hazard class {hazard_class!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +230,7 @@ def build_fragility_samples(
                     zone_id=zone.zone_id,
                     window_start=window.start,
                     window_end=window.end,
-                    intensity=measured.value,
+                    intensity=measured,
                     outage_count=int(mask.sum()),
                     source_event_ids=window.source_event_ids,
                 ))

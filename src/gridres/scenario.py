@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -41,6 +42,22 @@ class ScenarioSpec:
         if not 0.0 <= self.intensity < math.inf:
             raise ValidationError(f"scenario intensity must be finite and "
                                   f"nonnegative, got {self.intensity}")
+        if self.label and not self.slug:
+            raise ValidationError(f"scenario label {self.label!r} needs a "
+                                  f"letter or digit")
+
+    @property
+    def slug(self) -> str:
+        """The label lowercased, each run of characters outside [a-z0-9]
+        replaced by "-", then trimmed of "-"."""
+        return re.sub(r"[^a-z0-9]+", "-", self.label.lower()).strip("-")
+
+    @property
+    def stem(self) -> str:
+        """<class>_<intensity:g>, plus _<slug> when labelled: names the
+        scenario's stage key and output files."""
+        stem = f"{self.hazard_class}_{self.intensity:g}"
+        return f"{stem}_{self.slug}" if self.label else stem
 
 
 @dataclass(frozen=True)
@@ -198,11 +215,11 @@ def emit_choropleth(
 
 
 def choropleth_filename(scenario: ScenarioSpec) -> str:
-    return f"choropleth_{scenario.hazard_class}_{scenario.intensity:g}.geojson"
+    return f"choropleth_{scenario.stem}.geojson"
 
 
 def predictions_filename(scenario: ScenarioSpec) -> str:
-    return f"predictions_{scenario.hazard_class}_{scenario.intensity:g}.csv"
+    return f"predictions_{scenario.stem}.csv"
 
 
 # ---------------------------------------------------------------------------

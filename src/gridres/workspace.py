@@ -118,9 +118,11 @@ class Workspace:
         p = self.path(MANIFEST_NAME)
         if not p.exists():
             return {"tool_version": _tool_version(), "stages": {}}
+        if not p.is_file():
+            raise ValidationError(f"{p}: manifest is not a regular file")
         try:
             doc = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise ValidationError(f"{p}: manifest is not valid JSON: {exc}") from exc
         doc.setdefault("stages", {})
         return doc

@@ -11,7 +11,7 @@ import pytest
 
 import gridres.cli as cli
 from gridres.cli import main
-from gridres.config import Config
+from gridres.config import Config, parse_config
 
 from conftest import TINY_SPEC
 
@@ -97,11 +97,10 @@ WIND_20 = {"hazard": "wind", "intensity": 20.0}
     ({"scenarios": [WIND_20, {"hazard": "wind", "intensity": 30.0}]},
      {"predict_wind_30"}, set()),
     ({"density_cell_size": 0.05}, {"zones"}, set()),
-    ({"solver": {"max_iterations": 150}}, {"fit"}, {"predict_wind_20", "render"}),
     ({"scenarios": [dict(WIND_20, label="design storm")]},
-     {"predict_wind_20"}, set()),
+     {"predict_wind_20_design-storm"}, set()),
     ({**dataclasses.asdict(Config()), "scenarios": [WIND_20]}, set(), set()),
-], ids=["add-scenario", "density-cell-size", "solver", "scenario-label",
+], ids=["add-scenario", "density-cell-size", "scenario-label",
         "spelled-out-defaults"])
 def test_config_edit_reruns_only_stages_reading_it(private_ws, tmp_path, edit,
                                                    must_rerun, may_rerun):
@@ -139,6 +138,39 @@ def test_predict_reruns_when_intensity_differs_below_file_name_precision(
                      "wind", "--intensity", intensity]) == 0
     with (private_ws / "predictions_wind_20.csv").open() as fh:
         assert {row["intensity"] for row in csv.DictReader(fh)} == {"20.000001"}
+
+
+def test_labelled_scenario_and_bare_predict_keep_separate_outputs(private_ws,
+                                                                 tmp_path):
+    """A labelled config scenario and a bare predict at the same intensity
+    have their own stage keys and files: once both have run, alternating
+    them reruns nothing and neither choropleth loses its label."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"scenarios": [dict(WIND_20, label="design storm")]}))
+
+    def alternate():
+        for command in (["run-all", "--config", str(cfg)], PREDICT_WIND + ["20"]):
+            assert main(command + ["--workspace", str(private_ws)]) == 0
+
+    alternate()
+    before = _output_inodes(private_ws)
+    alternate()
+    assert _output_inodes(private_ws) == before
+    for name, label in [("choropleth_wind_20_design-storm.geojson",
+                         "design storm"), ("choropleth_wind_20.geojson", "")]:
+        doc = json.loads((private_ws / name).read_text())
+        assert doc["scenario"]["label"] == label
+
+
+def test_label_without_letters_or_digits_exits_3(private_ws, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenarios": [dict(WIND_20, label=" -- ")]}))
+    assert main(["run-all", "--workspace", str(private_ws),
+                 "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "label" in err
 
 
 def test_copied_workspace_stays_fresh(private_ws, capsys):
@@ -313,8 +345,7 @@ PREDICT_WIND = ["predict", "--hazard", "wind", "--intensity"]
     (["ingest"], {"max_customers": True}, None, "max_customers"),
     (["zones"], {"density_cell_size": [1]}, None, "density_cell_size"),
     (["zones"], b'{"density_cell_size": NaN}', None, "density_cell_size"),
-    (["fit"], {"solver": {"max_iterations": 1.7}}, None,
-     "solver.max_iterations"),
+    (["fit"], {"solver": {"max_iterations": 200}}, None, "solver"),
     (["link"], {"hazard_mapping": {"hail": ["wind"]}}, None, "hail"),
     (["run-all"], {"scenarios": [{"hazard": "wind", "intensity": "abc"}]},
      None, "scenarios[0].intensity"),
@@ -331,7 +362,7 @@ PREDICT_WIND = ["predict", "--hazard", "wind", "--intensity"]
     (["extract-events"], None, ("clean_outages.csv", b"outage_id\xff,\n"),
      "clean_outages.csv"),
 ], ids=["customers-string", "customers-bool", "cell-size-list",
-        "cell-size-nan", "iterations-fractional", "mapping-list",
+        "cell-size-nan", "solver-unknown-key", "mapping-list",
         "scenario-intensity-string", "config-not-utf8", "intensity-nan",
         "intensity-inf", "intensity-overflow", "outages-not-utf8",
         "severe-not-utf8", "boundary-not-utf8", "clean-outages-not-utf8"])
@@ -360,6 +391,16 @@ def test_directory_in_place_of_an_input_exits_2(private_ws, capsys):
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert "missing input" in err and "boundary.geojson" in err
+
+
+def test_directory_at_manifest_exits_3(private_ws, capsys):
+    manifest = private_ws / "manifest.json"
+    manifest.unlink()
+    manifest.mkdir()
+    assert main(["zones", "--workspace", str(private_ws)]) == 3
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert str(manifest) in err
 
 
 def test_config_directory_exits_3(private_ws, tmp_path, capsys):
@@ -541,3 +582,25 @@ def test_readme_input_table_matches_cli_inputs():
     documented = set(re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE))
     assert documented == {Path(p).name for p in
                           [*cli.INPUTS.values(), cli.DEFAULT_BOUNDARY]}
+
+
+def _readme_section(title):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_config_example_parses_and_sets_every_field():
+    example = re.search(r"```json\n(.*?)```", _readme_section("Configuration"),
+                        re.DOTALL).group(1)
+    parse_config(example)
+    assert set(json.loads(example)) == {f.name for f in dataclasses.fields(Config)}
+
+
+def test_readme_freshness_table_matches_stage_reads():
+    rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$",
+                           _readme_section("Configuration"), re.MULTILINE))
+    assert set(rows) == set(cli.STAGES)
+    for name, cell in rows.items():
+        documented = {value for value in re.findall(r"`([^`]+)`", cell)
+                      if not value.startswith("-")}
+        assert documented == set(cli.STAGES[name].reads), name

@@ -31,12 +31,6 @@ def test_unknown_solver_key_rejected():
         parse_config(json.dumps({"solver": {"max_iters": 10}}))
 
 
-def test_solver_overrides_apply():
-    cfg = parse_config(json.dumps({"solver": {"max_iterations": 50}}))
-    assert cfg.solver.max_iterations == 50
-    assert cfg.solver.gradient_tol == 1e-10
-
-
 def test_hazard_mapping_values_validated():
     cfg = parse_config(json.dumps({"hazard_mapping": {"Hail": "wind",
                                                       "fog": "excluded"}}))
@@ -63,12 +57,24 @@ def test_scenarios_parse_and_validate():
 
 @pytest.mark.parametrize("second", [
     {"hazard": "wind", "intensity": 35.000001},
-    {"hazard": "wind", "intensity": 35, "label": "again"},
+    {"hazard": "wind", "intensity": 35, "label": ""},
 ])
 def test_scenarios_writing_one_output_rejected(second):
     with pytest.raises(ValidationError, match="predictions_wind_35.csv"):
         parse_config(json.dumps({"scenarios": [
             {"hazard": "wind", "intensity": 35.0}, second]}))
+
+
+def test_labelled_scenarios_write_files_named_by_label_slug():
+    cfg = parse_config(json.dumps({"scenarios": [
+        {"hazard": "wind", "intensity": 35},
+        {"hazard": "wind", "intensity": 35, "label": "Design Storm"}]}))
+    assert [s.stem for s in cfg.scenarios] == ["wind_35", "wind_35_design-storm"]
+    with pytest.raises(ValidationError,
+                       match="predictions_wind_35_design-storm.csv"):
+        parse_config(json.dumps({"scenarios": [
+            {"hazard": "wind", "intensity": 35, "label": "Design Storm"},
+            {"hazard": "wind", "intensity": 35, "label": "design storm!"}]}))
 
 
 def test_value_range_validation():

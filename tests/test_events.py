@@ -80,8 +80,7 @@ def test_touching_intervals_stay_one_event():
 def test_every_onset_is_restored():
     events = extract_events([outage(i, s, e) for i, (s, e) in
                              enumerate([(0, 4), (1, 2), (3, 9), (12, 13)])])
-    for event in events:
-        assert len(event.member_outage_ids) == event.n_outages
+    assert [event.n_outages for event in events] == [3, 1]
 
 
 def test_invalid_member_interval_fatal():

@@ -11,7 +11,6 @@ from gridres.fitting import (
     ExponentialModel,
     ModelStore,
     SaturatingRestorationModel,
-    SolverOptions,
     evaluate,
     exponential_record,
     exponential_system,
@@ -354,8 +353,3 @@ def test_store_from_json_rejects_bad_documents():
     with pytest.raises(ValidationError):
         ModelStore.from_json(json.dumps(bad))
 
-
-def test_solver_options_are_honored():
-    samples = exp_samples(2.0, 0.3, range(10))
-    _, diag = fit_exponential(samples, opts=SolverOptions(max_iterations=1))
-    assert diag.iterations <= 1

@@ -160,44 +160,39 @@ def test_merge_matches_interval_union_oracle(raw):
 def test_wind_intensity_is_max_gust():
     rows = [obs("A", h, wind_fast=v) for h, v in [(1, 20.0), (2, 35.0), (3, 28.0)]]
     got = intensity(StationIndex(rows), "A", (at(1), at(3)), "wind")
-    assert got.value == 35.0
-    assert got.coverage == 1.0
+    assert got == 35.0
 
 
 def test_precip_intensity_sums_depth():
     rows = [obs("A", h, precip=v) for h, v in [(1, 0.5), (2, 1.0), (3, 1.0)]]
     got = intensity(StationIndex(rows), "A", (at(1), at(3)), "precipitation")
-    assert got.value == pytest.approx(2.5)
+    assert got == pytest.approx(2.5)
 
 
 def test_precip_peak_mode():
     rows = [obs("A", h, precip=v) for h, v in [(1, 0.5), (2, 1.0), (3, 0.8)]]
     got = intensity(StationIndex(rows), "A", (at(1), at(3)), "precipitation",
                     precip_mode=PRECIP_MODE_PEAK)
-    assert got.value == pytest.approx(1.0)
+    assert got == pytest.approx(1.0)
 
 
 def test_absent_fields_are_missing_not_zero():
     rows = [obs("A", 1, precip=1.0), obs("A", 2), obs("A", 3, precip=1.0)]
     got = intensity(StationIndex(rows), "A", (at(1), at(3)), "precipitation")
-    assert got.value == pytest.approx(2.0)
-    assert got.n_obs == 3
-    assert got.n_with_field == 2
-    assert got.coverage == pytest.approx(2 / 3)
+    assert got == pytest.approx(2.0)
 
 
 def test_snowfall_counts_toward_precip():
     rows = [obs("A", 1, precip=0.1, snowfall=2.0), obs("A", 2, snowfall=1.5)]
     got = intensity(StationIndex(rows), "A", (at(1), at(2)), "precipitation")
-    assert got.value == pytest.approx(3.6)
-    assert got.max_snow_depth is None
+    assert got == pytest.approx(3.6)
 
 
 def test_lookback_hour_included():
     # window starts at hour 2; the hour-1 observation is in range
     rows = [obs("A", 1, wind_fast=40.0), obs("A", 2, wind_fast=10.0)]
     got = intensity(StationIndex(rows), "A", (at(2), at(3)), "wind")
-    assert got.value == 40.0
+    assert got == 40.0
 
 
 def test_no_usable_rows_returns_none():
@@ -334,7 +329,7 @@ def test_samples_are_pure_derivations():
     for s in samples["wind"]["wind:0"]:
         window = (s.window_start, s.window_end)
         again = intensity(StationIndex(weather), "A", window, "wind")
-        assert again.value == s.intensity
+        assert again == s.intensity
         assert count_outages(outages, window, s.zone_id, part["wind"]) \
             == s.outage_count
 

@@ -28,6 +28,7 @@ from gridres.scenario import (
     predict_all,
     predict_zone,
     predictions_csv,
+    predictions_filename,
     shade_for,
 )
 
@@ -214,6 +215,17 @@ def test_choropleth_filename_format():
     assert choropleth_filename(WIND35) == "choropleth_wind_35.geojson"
     assert choropleth_filename(PRECIP25) \
         == "choropleth_precipitation_2.5.geojson"
+
+
+def test_labelled_file_names_carry_the_label_slug():
+    storm = ScenarioSpec(hazard_class="wind", intensity=35.0,
+                         label="  Ice Storm #2 (Feb) ")
+    assert storm.slug == "ice-storm-2-feb"
+    assert choropleth_filename(storm) \
+        == "choropleth_wind_35_ice-storm-2-feb.geojson"
+    assert predictions_filename(storm) == "predictions_wind_35_ice-storm-2-feb.csv"
+    with pytest.raises(ValidationError, match="label"):
+        ScenarioSpec(hazard_class="wind", intensity=35.0, label=" #! ")
 
 
 # ---------------------------------------------------------------------------

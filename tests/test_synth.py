@@ -132,8 +132,8 @@ def test_severe_windows_have_in_range_intensity(bundle):
         got = intensity(weather, station_id, (rec.start, rec.end), hazard_class)
         assert got is not None
         lo, hi = ranges[hazard_class]
-        assert lo <= got.value <= hi
-        assert got.value == round(got.value, 2)
+        assert lo <= got <= hi
+        assert got == round(got, 2)
 
 
 # ---------------------------------------------------------------------------
