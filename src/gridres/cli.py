@@ -34,10 +34,8 @@ records only while that digest matches; a changed file is parsed again.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
-import io
 import json
 import logging
 import math
@@ -53,18 +51,19 @@ from .errors import (
     PipelineError,
     ValidationError,
 )
-from .events import events_csv, extract_events, extract_events_by_zone
+from .events import EVENTS_HEADER, events_csv, extract_events, extract_events_by_zone
 from .fitting import (
     KIND_FRAGILITY,
     KIND_RESTORATION,
     FitError,
+    ModelRecord,
     ModelStore,
-    exponential_record,
     fit_exponential,
     fit_restoration,
-    restoration_record,
 )
 from .ingest import (
+    _parse_float,
+    _reader,
     parse_outages,
     parse_severe,
     parse_stations,
@@ -74,7 +73,7 @@ from .ingest import (
     write_stations_csv,
     write_weather_csv,
 )
-from .linkage import build_fragility_samples, fragility_csv
+from .linkage import FRAGILITY_HEADER, build_fragility_samples, fragility_csv
 from .scenario import (
     ScenarioSpec,
     choropleth_filename,
@@ -205,11 +204,9 @@ def _classes_with(ws: Workspace, template: str) -> list[str]:
 class _ModelKind(NamedTuple):
     name: str
     samples: str                  # sample file: <samples>_<class>.csv
-    columns: tuple[str, str]      # its x and y columns
-    min_samples: int              # fewer samples skip the fit
-    noun: str                     # what the skip warning counts
+    header: list[str]             # its header, as its writer writes it
+    cells: tuple[int, int, int]   # header positions of the zone id, x and y
     fit: Callable                 # (samples, zone_id, class) -> (model, diag)
-    record: Callable
     axes: Callable[[str], tuple[str, str]]  # plot axis labels for a class
 
 
@@ -219,36 +216,44 @@ _HAZARD_AXIS = {HAZARD_WIND: "wind speed (m/s)",
 # Fit functions are looked up at call time, so wrappers installed on this
 # module's names see every call.
 _MODEL_KINDS = (
-    _ModelKind(KIND_FRAGILITY, "fragility", ("intensity", "outage_count"), 3,
-               "fragility sample(s)",
+    _ModelKind(KIND_FRAGILITY, "fragility", FRAGILITY_HEADER, (0, 3, 4),
                lambda samples, zone_id, hazard_class: fit_exponential(
                    samples, zone_id=zone_id, hazard_class=hazard_class),
-               exponential_record,
                lambda hazard_class: (_HAZARD_AXIS[hazard_class], "outages")),
-    _ModelKind(KIND_RESTORATION, "events",
-               ("n_outages", "total_restoration_hours"), 6, "event(s)",
+    _ModelKind(KIND_RESTORATION, "events", EVENTS_HEADER, (1, 4, 5),
                lambda samples, zone_id, hazard_class: fit_restoration(
                    samples, zone_id=zone_id),
-               restoration_record,
                lambda hazard_class: ("outages in event", "restoration hours")),
 )
 
 
 def _read_samples(ws: Workspace, kind: _ModelKind,
                   hazard_class: str) -> dict[str, list[tuple[float, float]]]:
-    """Per-zone (x, y) samples of one model kind; none when its file is absent."""
+    """Per-zone (x, y) samples of one model kind; none when its file is
+    absent. A malformed row is invalid data."""
     relative = f"{kind.samples}_{hazard_class}.csv"
     samples: dict[str, list[tuple[float, float]]] = {}
     if ws.exists(relative):
-        x, y = kind.columns
-        for row in csv.DictReader(io.StringIO(ws.read_text(relative))):
-            samples.setdefault(row["zone_id"], []).append(
-                (float(row[x]), float(row[y])))
+        zone, x, y = kind.cells
+        source = str(ws.path(relative))
+        rows = _reader(ws.read_bytes(relative), kind.header, source)
+        for line_no, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            xy = (_parse_float(row[x]), _parse_float(row[y])) \
+                if len(row) == len(kind.header) else (None,)
+            if None in xy:
+                raise ValidationError(
+                    f"{source} line {line_no}: expected {len(kind.header)} "
+                    f"cells with finite numbers at {kind.header[x]} and "
+                    f"{kind.header[y]}")
+            samples.setdefault(row[zone], []).append(xy)
     return samples
 
 
 def _model_store(ws: Workspace, hazard_class: str) -> ModelStore:
-    return ModelStore.from_json(ws.read_text(f"models_{hazard_class}.json"))
+    relative = f"models_{hazard_class}.json"
+    return ModelStore.from_json(ws.read_text(relative), str(ws.path(relative)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +361,17 @@ def stage_fit(ws: Workspace, cfg: Config):
     for hazard_class, samples in samples_by_class.items():
         zone_ids = sorted(set().union(*samples.values()), key=_zone_sort_key)
         store = ModelStore(hazard_class=hazard_class, zones={})
-        fitted = dict.fromkeys(samples, 0)
         for zone_id in zone_ids:
             records = {}
             for kind in _MODEL_KINDS:
                 zone_samples = samples[kind.name].get(zone_id, [])
-                if len(zone_samples) < kind.min_samples:
-                    log.warning("zone %s has %d %s; skipping %s fit", zone_id,
-                                len(zone_samples), kind.noun, kind.name)
-                    continue
                 try:
                     model, diag = kind.fit(zone_samples, zone_id, hazard_class)
                 except FitError as exc:
-                    log.warning("%s fit failed: %s", kind.name, exc)
+                    log.warning("skipping %s fit: %s", kind.name, exc)
                     continue
                 xs = [x for x, _ in zone_samples]
-                records[kind.name] = kind.record(model, diag, (min(xs), max(xs)))
-                fitted[kind.name] += 1
+                records[kind.name] = ModelRecord.of(model, diag, (min(xs), max(xs)))
                 if not diag.converged:
                     log.warning("%s fit for %s did not converge (kept best of "
                                 "restarts)", kind.name, zone_id)
@@ -380,8 +379,9 @@ def stage_fit(ws: Workspace, cfg: Config):
                 store.zones[zone_id] = records
 
         ws.write_text(f"models_{hazard_class}.json", store.to_json())
-        details.append(f"{hazard_class}: "
-                       + ", ".join(f"{n} {kind}" for kind, n in fitted.items()))
+        details.append(f"{hazard_class}: " + ", ".join(
+            f"{sum(k.name in recs for recs in store.zones.values())} {k.name}"
+            for k in _MODEL_KINDS))
     return "; ".join(details)
 
 
@@ -405,8 +405,9 @@ def stage_predict(ws: Workspace, cfg: Config, scenario: ScenarioSpec):
                  p.predicted_restoration_hours,
                  " (extrapolated)" if p.extrapolated else "")
     hours = [p.predicted_restoration_hours for p in predictions]
-    return (f"{hazard_class}@{scenario.intensity:g}: {len(predictions)} zones, "
-            f"{min(hours):.1f}-{max(hours):.1f} h")
+    label = f" {scenario.label!r}" if scenario.label else ""
+    return (f"{hazard_class}@{scenario.intensity:g}{label}: {len(predictions)} "
+            f"zones, {min(hours):.1f}-{max(hours):.1f} h")
 
 
 def stage_render(ws: Workspace, cfg: Config):
@@ -559,7 +560,7 @@ def run_all(ws: Workspace, cfg: Config, force: bool) -> int:
         rows.append((name, "ok", run_stage(name, ws, cfg, force)))
 
     for scenario in cfg.scenarios:
-        name = f"predict {scenario.hazard_class}@{scenario.intensity:g}"
+        name = f"predict {scenario.stem}"
         _set_stage("predict")
         missing = None
         if not ws.exists(f"models_{scenario.hazard_class}.json"):
@@ -584,9 +585,10 @@ def run_all(ws: Workspace, cfg: Config, force: bool) -> int:
     if ws.exists("truth.json"):
         rows.append(("truth-comparison", "ok", _truth_comparison(ws)))
 
-    print(f"{'stage':<28}{'status':<10}detail")
+    width = max(28, 2 + max(len(name) for name, _, _ in rows))
+    print(f"{'stage':<{width}}{'status':<10}detail")
     for name, status, detail in rows:
-        print(f"{name:<28}{status:<10}{detail}")
+        print(f"{name:<{width}}{status:<10}{detail}")
     return 0
 
 

@@ -14,8 +14,6 @@ start, in hours).
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Any
@@ -23,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import OutageRecord, format_instant
+from .ingest import OutageRecord, csv_bytes, format_instant
 from .zoning import ZonePartition, assign_many
 
 
@@ -99,13 +97,12 @@ def extract_events_by_zone(
             for zone_id, records in by_zone.items()}
 
 
+EVENTS_HEADER = ["event_index", "zone_id", "first_start", "last_restoration",
+                 "n_outages", "total_restoration_hours"]
+
+
 def events_csv(events: list[OutageRestorationEvent]) -> bytes:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["event_index", "zone_id", "first_start", "last_restoration",
-                "n_outages", "total_restoration_hours"])
-    for e in events:
-        w.writerow([e.event_index, e.zone_id, format_instant(e.first_start),
-                    format_instant(e.last_restoration), e.n_outages,
-                    repr(e.total_restoration_hours)])
-    return out.getvalue().encode("utf-8")
+    return csv_bytes(EVENTS_HEADER, lambda w: w.writerows(
+        [e.event_index, e.zone_id, format_instant(e.first_start),
+         format_instant(e.last_restoration), e.n_outages,
+         repr(e.total_restoration_hours)] for e in events))

@@ -23,7 +23,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -367,18 +368,21 @@ KIND_FRAGILITY = "fragility"
 KIND_RESTORATION = "restoration"
 
 
-def _diagnostics_doc(diag: FitDiagnostics) -> dict:
+def diagnostics_doc(diag: FitDiagnostics) -> dict:
+    """The stored diagnostics; an undefined R² is written as null."""
     r2 = diag.r_squared
-    return {
-        "n_samples": diag.n_samples,
-        "sse": diag.sse,
-        "r_squared": None if isinstance(r2, float) and math.isnan(r2) else r2,
-        "iterations": diag.iterations,
-        "converged": diag.converged,
-        "initializer": diag.initializer,
-        "gradient_norm": diag.gradient_norm,
-        "stop_reason": diag.stop_reason,
-    }
+    return {**asdict(diag), "r_squared": None if math.isnan(r2) else r2}
+
+
+# Model class of each stored form; its fields other than the zone and hazard
+# tags are the form's params.
+_FORMS = {FORM_EXPONENTIAL: ExponentialModel,
+          FORM_RESTORATION: SaturatingRestorationModel}
+
+
+def _param_names(form: str) -> list[str]:
+    return [f.name for f in fields(_FORMS[form])
+            if f.name not in ("zone_id", "hazard_class")]
 
 
 @dataclass(frozen=True)
@@ -389,38 +393,19 @@ class ModelRecord:
     diagnostics: dict = field(default_factory=dict)
     fit_domain: tuple[float, float] = (0.0, 0.0)
 
+    @classmethod
+    def of(cls, model: ExponentialModel | SaturatingRestorationModel,
+           diagnostics: FitDiagnostics, fit_domain: tuple[float, float],
+           ) -> "ModelRecord":
+        form = next(f for f, kind in _FORMS.items() if isinstance(model, kind))
+        return cls(form, {name: getattr(model, name) for name in _param_names(form)},
+                   diagnostics_doc(diagnostics), tuple(fit_domain))
+
     def to_model(self, zone_id: str = "", hazard_class: str = ""):
         if self.form == FORM_EXPONENTIAL:
-            return ExponentialModel(a=self.params["a"], b=self.params["b"],
-                                    zone_id=zone_id, hazard_class=hazard_class)
-        if self.form == FORM_RESTORATION:
-            return SaturatingRestorationModel(
-                c=self.params["c"], a1=self.params["a1"], b1=self.params["b1"],
-                a2=self.params["a2"], b2=self.params["b2"], zone_id=zone_id)
-        raise ValidationError(f"unknown model form {self.form!r}")
-
-
-def exponential_record(
-    model: ExponentialModel, diag: FitDiagnostics | None,
-    fit_domain: tuple[float, float],
-) -> ModelRecord:
-    return ModelRecord(
-        form=FORM_EXPONENTIAL,
-        params={"a": model.a, "b": model.b},
-        diagnostics=_diagnostics_doc(diag) if diag else {},
-        fit_domain=(float(fit_domain[0]), float(fit_domain[1])))
-
-
-def restoration_record(
-    model: SaturatingRestorationModel, diag: FitDiagnostics | None,
-    fit_domain: tuple[float, float],
-) -> ModelRecord:
-    return ModelRecord(
-        form=FORM_RESTORATION,
-        params={"c": model.c, "a1": model.a1, "b1": model.b1,
-                "a2": model.a2, "b2": model.b2},
-        diagnostics=_diagnostics_doc(diag) if diag else {},
-        fit_domain=(float(fit_domain[0]), float(fit_domain[1])))
+            return ExponentialModel(**self.params, zone_id=zone_id,
+                                    hazard_class=hazard_class)
+        return SaturatingRestorationModel(**self.params, zone_id=zone_id)
 
 
 @dataclass
@@ -429,56 +414,50 @@ class ModelStore:
     hazard_class: str
     zones: dict[str, dict[str, ModelRecord]]
 
-    def require(self, zone_id: str, kind: str) -> ModelRecord:
-        try:
-            return self.zones[zone_id][kind]
-        except KeyError:
-            raise ValidationError(
-                f"model store for {self.hazard_class!r} has no {kind} model "
-                f"for zone {zone_id!r}") from None
-
     def to_json(self) -> str:
-        doc = {
-            "hazard_class": self.hazard_class,
-            "zones": {
-                zone_id: {
-                    kind: {
-                        "form": rec.form,
-                        "params": rec.params,
-                        "diagnostics": rec.diagnostics,
-                        "fit_domain": list(rec.fit_domain),
-                    }
-                    for kind, rec in kinds.items()
-                }
-                for zone_id, kinds in self.zones.items()
-            },
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "ModelStore":
+    def from_json(cls, text: str, source: str = "model store") -> "ModelStore":
+        """Parse a stored document. Objects must sit where objects belong,
+        and each entry must hold exactly its form's params, all finite
+        numbers; anything else is a ValidationError naming `source`."""
+        def bad(what: str) -> ValidationError:
+            return ValidationError(f"{source}: {what}")
+
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ValidationError(f"model store is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or "hazard_class" not in doc \
-                or "zones" not in doc:
-            raise ValidationError("model store must carry hazard_class and zones")
+            raise bad(f"not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict) or not isinstance(doc.get("hazard_class"), str) \
+                or not isinstance(doc.get("zones"), dict):
+            raise bad("must carry a hazard_class string and a zones object")
         zones: dict[str, dict[str, ModelRecord]] = {}
         for zone_id, kinds in doc["zones"].items():
+            if not isinstance(kinds, dict):
+                raise bad(f"zone {zone_id!r} is not an object")
             zones[zone_id] = {}
             for kind, rec in kinds.items():
+                where = f"zone {zone_id!r} {kind} entry"
                 if kind not in (KIND_FRAGILITY, KIND_RESTORATION):
-                    raise ValidationError(
-                        f"model store zone {zone_id!r} has unknown entry {kind!r}")
-                if rec.get("form") not in (FORM_EXPONENTIAL, FORM_RESTORATION):
-                    raise ValidationError(
-                        f"model store zone {zone_id!r} {kind} entry has "
-                        f"unknown form {rec.get('form')!r}")
+                    raise bad(f"zone {zone_id!r} has unknown entry {kind!r}")
+                if not isinstance(rec, dict) or rec.get("form") not in _FORMS:
+                    raise bad(f"{where} is not an object with a known form")
+                names = _param_names(rec["form"])
+                params = rec.get("params")
+                if not isinstance(params, dict) or sorted(params) != sorted(names):
+                    raise bad(f"{where} needs exactly the params {', '.join(names)}")
+                domain = rec.get("fit_domain", [0.0, 0.0])
+                diagnostics = rec.get("diagnostics", {})
+                if not isinstance(domain, list) or len(domain) != 2 \
+                        or not isinstance(diagnostics, dict):
+                    raise bad(f"{where} needs a fit_domain pair and a "
+                              f"diagnostics object")
+                # JSON true and false are not numbers
+                if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                           for v in [*params.values(), *domain]):
+                    raise bad(f"{where} holds a value that is not a finite number")
                 zones[zone_id][kind] = ModelRecord(
-                    form=rec["form"],
-                    params={k: float(v) for k, v in rec["params"].items()},
-                    diagnostics=rec.get("diagnostics", {}),
-                    fit_domain=tuple(rec.get("fit_domain", (0.0, 0.0))),
-                )
+                    rec["form"], {k: float(v) for k, v in params.items()},
+                    diagnostics, (float(domain[0]), float(domain[1])))
         return cls(hazard_class=doc["hazard_class"], zones=zones)

@@ -43,7 +43,7 @@ import io
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, NamedTuple
 
@@ -151,15 +151,7 @@ class CleaningReport:
                 f"drops={total_drops} total={self.total_rows}")
 
     def to_json(self) -> str:
-        doc = {
-            "total_rows": self.total_rows,
-            "kept": self.kept,
-            "dropped_missing_field": self.dropped_missing_field,
-            "dropped_inconsistent_time": self.dropped_inconsistent_time,
-            "dropped_out_of_bounds": self.dropped_out_of_bounds,
-            "samples": self.samples,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +211,10 @@ def _row_id(row: list[str], line_no: int) -> str:
     return row[0].strip() or f"row{line_no}"
 
 
-def _reader(csv_bytes: bytes, expected: list[str], filename: str) -> csv.reader:
+def _reader(data: bytes, expected: list[str], filename: str) -> csv.reader:
     """CSV rows after a header that must match `expected`."""
     try:
-        rows = csv.reader(io.StringIO(csv_bytes.decode("utf-8")))
+        rows = csv.reader(io.StringIO(data.decode("utf-8")))
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{filename}: not UTF-8 text: {exc.reason} at byte "
                           f"{exc.start}") from None
@@ -245,14 +237,14 @@ def _reader(csv_bytes: bytes, expected: list[str], filename: str) -> csv.reader:
 # ---------------------------------------------------------------------------
 
 def parse_outages(
-    csv_bytes: bytes,
+    data: bytes,
     max_outage_days: float = DEFAULT_MAX_OUTAGE_DAYS,
     max_customers: int = DEFAULT_MAX_CUSTOMERS,
     source: str = "outages.csv",
 ) -> tuple[list[OutageRecord], CleaningReport]:
     """Parse outages.csv, returning kept records and the cleaning tally.
     `source` names the parsed file in errors."""
-    rows = _reader(csv_bytes, OUTAGES_HEADER, source)
+    rows = _reader(data, OUTAGES_HEADER, source)
 
     report = CleaningReport()
     kept: list[OutageRecord] = []
@@ -296,7 +288,7 @@ def parse_outages(
     return kept, report
 
 
-def _csv_bytes(header: list[str], write_rows: Callable[[csv.writer], None]) -> bytes:
+def csv_bytes(header: list[str], write_rows: Callable[[csv.writer], None]) -> bytes:
     """The header, then what `write_rows(writer)` writes, as CSV with "\n"
     line ends. csv.writer leaves a cell holding a bare "\r" unquoted, which
     no reader parses back, so a file that holds a "\r" is written again
@@ -322,7 +314,7 @@ def write_outages_csv(records: list[OutageRecord]) -> bytes:
             w.writerow([r.outage_id, r.component_id, repr(r.latitude), repr(r.longitude),
                         format_instant(r.start), format_instant(r.end),
                         restore, r.customers, r.cause_code])
-    return _csv_bytes(OUTAGES_HEADER, write_rows)
+    return csv_bytes(OUTAGES_HEADER, write_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +322,7 @@ def write_outages_csv(records: list[OutageRecord]) -> bytes:
 # ---------------------------------------------------------------------------
 
 def parse_weather(
-    csv_bytes: bytes,
+    data: bytes,
     source: str = "weather.csv",
 ) -> tuple[list[WeatherObservation], CleaningReport]:
     """Parse weather.csv: validate, then collapse duplicate station-hours.
@@ -338,7 +330,7 @@ def parse_weather(
     Output is sorted by (station_id, timestamp). kept counts the surviving
     observations. `source` names the parsed file in errors.
     """
-    rows = _reader(csv_bytes, WEATHER_HEADER, source)
+    rows = _reader(data, WEATHER_HEADER, source)
 
     report = CleaningReport()
     # (station_id, timestamp) -> (obs, number of present measurements)
@@ -408,17 +400,17 @@ def write_weather_csv(observations: list[WeatherObservation]) -> bytes:
             w.writerow([o.station_id, stamp,
                         cell(o.wind_avg), cell(o.wind_fastest_2min),
                         cell(o.precip), cell(o.snowfall), cell(o.snow_depth)])
-    return _csv_bytes(WEATHER_HEADER, write_rows)
+    return csv_bytes(WEATHER_HEADER, write_rows)
 
 
 # ---------------------------------------------------------------------------
 # Stations
 # ---------------------------------------------------------------------------
 
-def parse_stations(csv_bytes: bytes, source: str = "stations.csv") -> list[Station]:
+def parse_stations(data: bytes, source: str = "stations.csv") -> list[Station]:
     """Parse stations.csv; duplicate station ids are fatal. `source` names
     the parsed file in errors."""
-    rows = _reader(csv_bytes, STATIONS_HEADER, source)
+    rows = _reader(data, STATIONS_HEADER, source)
 
     stations: list[Station] = []
     seen: set[str] = set()
@@ -454,7 +446,7 @@ def parse_stations(csv_bytes: bytes, source: str = "stations.csv") -> list[Stati
 
 
 def write_stations_csv(stations: list[Station]) -> bytes:
-    return _csv_bytes(STATIONS_HEADER, lambda w: w.writerows(
+    return csv_bytes(STATIONS_HEADER, lambda w: w.writerows(
         [s.station_id, repr(s.latitude), repr(s.longitude),
          ";".join(sorted(s.capabilities))] for s in stations))
 
@@ -464,7 +456,7 @@ def write_stations_csv(stations: list[Station]) -> bytes:
 # ---------------------------------------------------------------------------
 
 def parse_severe(
-    csv_bytes: bytes,
+    data: bytes,
     source: str = "severe_events.csv",
 ) -> tuple[list[SevereWeatherRecord], CleaningReport]:
     """Parse severe_events.csv; output sorted by start instant.
@@ -472,7 +464,7 @@ def parse_severe(
     Unknown event_type labels are kept: hazard classification happens
     downstream. `source` names the parsed file in errors.
     """
-    rows = _reader(csv_bytes, SEVERE_HEADER, source)
+    rows = _reader(data, SEVERE_HEADER, source)
 
     report = CleaningReport()
     kept: list[SevereWeatherRecord] = []
@@ -508,6 +500,6 @@ def parse_severe(
 
 
 def write_severe_csv(records: list[SevereWeatherRecord]) -> bytes:
-    return _csv_bytes(SEVERE_HEADER, lambda w: w.writerows(
+    return csv_bytes(SEVERE_HEADER, lambda w: w.writerows(
         [r.event_id, r.event_type, format_instant(r.start), format_instant(r.end),
          repr(r.latitude), repr(r.longitude), r.description] for r in records))

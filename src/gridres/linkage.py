@@ -26,8 +26,6 @@ without them fragility curves bow upward at low intensity.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -35,7 +33,8 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .ingest import OutageRecord, SevereWeatherRecord, WeatherObservation
+from .ingest import (OutageRecord, SevereWeatherRecord, WeatherObservation,
+                     csv_bytes, format_instant)
 from .events import union_intervals
 from .zoning import HAZARD_PRECIPITATION, HAZARD_WIND, ZonePartition, assign_many
 
@@ -239,16 +238,12 @@ def build_fragility_samples(
     return result
 
 
-def fragility_csv(samples_by_zone: dict[str, list[FragilitySample]]) -> bytes:
-    from .ingest import format_instant
+FRAGILITY_HEADER = ["zone_id", "window_start", "window_end", "intensity",
+                    "outage_count", "source_event_ids"]
 
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["zone_id", "window_start", "window_end", "intensity",
-                "outage_count", "source_event_ids"])
-    for zone_id, samples in samples_by_zone.items():
-        for s in samples:
-            w.writerow([zone_id, format_instant(s.window_start),
-                        format_instant(s.window_end), repr(s.intensity),
-                        s.outage_count, ";".join(s.source_event_ids)])
-    return out.getvalue().encode("utf-8")
+
+def fragility_csv(samples_by_zone: dict[str, list[FragilitySample]]) -> bytes:
+    return csv_bytes(FRAGILITY_HEADER, lambda w: w.writerows(
+        [zone_id, format_instant(s.window_start), format_instant(s.window_end),
+         repr(s.intensity), s.outage_count, ";".join(s.source_event_ids)]
+        for zone_id, samples in samples_by_zone.items() for s in samples))

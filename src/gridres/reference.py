@@ -24,14 +24,12 @@ reference models.
 from __future__ import annotations
 
 from .fitting import (
+    FORM_EXPONENTIAL,
+    FORM_RESTORATION,
     KIND_FRAGILITY,
     KIND_RESTORATION,
-    ExponentialModel,
     ModelRecord,
     ModelStore,
-    SaturatingRestorationModel,
-    exponential_record,
-    restoration_record,
 )
 from .ingest import Station, write_stations_csv
 from .zoning import (
@@ -83,15 +81,13 @@ _PRECIP_STATIONS = [
 
 
 def _restoration_rec() -> ModelRecord:
-    c, a1, b1, a2, b2 = RESTORATION
-    model = SaturatingRestorationModel(c=c, a1=a1, b1=b1, a2=a2, b2=b2)
-    rec = restoration_record(model, None, RESTORATION_DOMAIN)
-    return ModelRecord(rec.form, rec.params, dict(_PUBLISHED), rec.fit_domain)
+    params = dict(zip(("c", "a1", "b1", "a2", "b2"), RESTORATION))
+    return ModelRecord(FORM_RESTORATION, params, dict(_PUBLISHED),
+                       RESTORATION_DOMAIN)
 
 
 def _fragility_rec(a: float, b: float, domain: tuple[float, float]) -> ModelRecord:
-    rec = exponential_record(ExponentialModel(a=a, b=b), None, domain)
-    return ModelRecord(rec.form, rec.params, dict(_PUBLISHED), rec.fit_domain)
+    return ModelRecord(FORM_EXPONENTIAL, {"a": a, "b": b}, dict(_PUBLISHED), domain)
 
 
 def reference_wind_store() -> ModelStore:

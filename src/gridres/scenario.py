@@ -13,8 +13,6 @@ plain string assembly so their bytes are stable for golden-file testing.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import re
@@ -29,6 +27,7 @@ from .fitting import (
     SaturatingRestorationModel,
     evaluate,
 )
+from .ingest import csv_bytes
 from .zoning import ZonePartition
 
 
@@ -127,8 +126,8 @@ def predict_all(
 
     predictions = []
     for zone in partition.zones:
-        frag_rec = store.require(zone.zone_id, KIND_FRAGILITY)
-        rest_rec = store.require(zone.zone_id, KIND_RESTORATION)
+        frag_rec = store.zones[zone.zone_id][KIND_FRAGILITY]
+        rest_rec = store.zones[zone.zone_id][KIND_RESTORATION]
         predictions.append(predict_zone(
             frag_rec.to_model(zone.zone_id, partition.hazard_class),
             rest_rec.to_model(zone.zone_id),
@@ -140,16 +139,13 @@ def predict_all(
 
 
 def predictions_csv(scenario: ScenarioSpec, predictions: list[ZonePrediction]) -> bytes:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["zone_id", "intensity", "predicted_outages",
-                "predicted_restoration_hours", "extrapolated"])
-    for p in predictions:
-        w.writerow([p.zone_id, repr(float(scenario.intensity)),
-                    repr(p.predicted_outages),
-                    repr(p.predicted_restoration_hours),
-                    "true" if p.extrapolated else "false"])
-    return out.getvalue().encode("utf-8")
+    return csv_bytes(
+        ["zone_id", "intensity", "predicted_outages",
+         "predicted_restoration_hours", "extrapolated"],
+        lambda w: w.writerows(
+            [p.zone_id, repr(float(scenario.intensity)), repr(p.predicted_outages),
+             repr(p.predicted_restoration_hours),
+             "true" if p.extrapolated else "false"] for p in predictions))
 
 
 # ---------------------------------------------------------------------------

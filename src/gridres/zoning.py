@@ -65,7 +65,6 @@ class ZonePartition:
     hazard_class: str
     zones: tuple[WeatherZone, ...]
     boundary: tuple[tuple[float, float], ...]
-    stations: tuple[Station, ...]
     projection: Projection
     # projected station coordinates, aligned with zones
     sites: tuple[tuple[float, float], ...]
@@ -240,7 +239,6 @@ def build_partition(
         hazard_class=hazard_class,
         zones=tuple(zones),
         boundary=_close_ccw(boundary_open),
-        stations=tuple(qualifying),
         projection=proj,
         sites=tuple(sites),
     )

@@ -411,6 +411,77 @@ def test_config_directory_exits_3(private_ws, tmp_path, capsys):
     assert str(tmp_path) in err
 
 
+def _wind_fragility(doc):
+    return doc["zones"]["wind:0"]["fragility"]
+
+
+# Hand edits of models_wind.json: each leaves valid JSON of the wrong shape.
+@pytest.mark.parametrize("edit", [
+    lambda doc: _wind_fragility(doc)["params"].update(a="abc"),
+    lambda doc: _wind_fragility(doc).pop("params"),
+    lambda doc: doc.update(zones=list(doc["zones"].values())),
+    lambda doc: _wind_fragility(doc)["params"].update(a=float("nan")),
+    lambda doc: _wind_fragility(doc)["params"].update(c=1.0),
+    lambda doc: _wind_fragility(doc).update(fit_domain=[0.0, True]),
+], ids=["string-param", "missing-params", "zones-list", "nan-param",
+        "extra-param", "bool-domain"])
+def test_malformed_model_store_exits_3(private_ws, capsys, edit):
+    store = private_ws / "models_wind.json"
+    doc = json.loads(store.read_text())
+    edit(doc)
+    store.write_text(json.dumps(doc))
+    assert main(PREDICT_WIND + ["20", "--workspace", str(private_ws)]) == 3
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert str(store) in err
+
+
+def _csv_rows(path):
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _drop_column(path, column):
+    rows = _csv_rows(path)
+    i = rows[0].index(column)
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(r[:i] + r[i + 1:] for r in rows)
+
+
+@pytest.mark.parametrize("sample_file, edit", [
+    ("events_wind.csv", lambda p: _edit_first_row(p, "n_outages", "many")),
+    ("events_wind.csv", lambda p: _edit_first_row(p, "n_outages", "nan")),
+    ("events_wind.csv", lambda p: _drop_column(p, "total_restoration_hours")),
+    ("fragility_wind.csv", lambda p: _edit_first_row(p, "intensity", "")),
+    ("fragility_wind.csv", lambda p: _drop_column(p, "outage_count")),
+], ids=["events-word", "events-nan", "events-missing-column",
+        "fragility-empty", "fragility-missing-column"])
+def test_malformed_sample_file_exits_3(private_ws, capsys, sample_file, edit):
+    edit(private_ws / sample_file)
+    for command in ("fit", "render"):
+        assert main([command, "--workspace", str(private_ws)]) == 3
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert sample_file in err
+
+
+def test_carriage_return_in_a_severe_event_id_survives_the_pipeline(private_ws):
+    """A "\\r" inside a severe event id reaches fragility_*.csv through the
+    linked windows; every stage that writes or reads it must agree."""
+    severe = private_ws / "inputs" / "severe_events.csv"
+    rows = _csv_rows(severe)
+    for row in rows[1:]:
+        row[0] = row[0][:2] + "\r" + row[0][2:]
+    with severe.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
+
+    assert main(["run-all", "--workspace", str(private_ws)]) == 0
+    assert main(["fit", "--force", "--workspace", str(private_ws)]) == 0
+    with (private_ws / "fragility_wind.csv").open(newline="") as fh:
+        linked = [row["source_event_ids"] for row in csv.DictReader(fh)]
+    assert linked and all("\r" in ids for ids in linked)
+
+
 # ---------------------------------------------------------------------------
 # Clean-data reload
 # ---------------------------------------------------------------------------
@@ -523,6 +594,29 @@ def test_run_all_summary_and_truth_comparison(tiny_ws, capsys):
     for zone_doc in doc["zones"].values():
         assert zone_doc["fragility_b"]["rel_error"] >= 0.0
         assert zone_doc["restoration_c"]["rel_error"] >= 0.0
+
+
+def test_run_all_rows_name_each_scenario_by_its_stem(private_ws, tmp_path,
+                                                    capsys):
+    long_label = "a long design storm label for the summary"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenarios": [
+        WIND_20, dict(WIND_20, label="design storm"),
+        dict(WIND_20, label=long_label)]}))
+    assert main(["run-all", "--workspace", str(private_ws),
+                 "--config", str(cfg)]) == 0
+    header, *lines = capsys.readouterr().out.strip().split("\n")
+    width = header.index("status")
+    names = [line[:width].rstrip() for line in lines]
+    assert all(len(name) + 2 <= width for name in names)
+    predict = {name: line[width:].split(None, 1)
+               for name, line in zip(names, lines) if name.startswith("predict")}
+    assert list(predict) == ["predict wind_20", "predict wind_20_design-storm",
+                             "predict wind_20_a-long-design-storm-label-for-the-summary"]
+    assert all(status == "ok" for status, _ in predict.values())
+    details = [detail for _, detail in predict.values()]
+    assert len(set(details)) == 3
+    assert "'design storm'" in details[1] and repr(long_label) in details[2]
 
 
 def test_empty_severe_completes_with_scenario_skip(tmp_path, tiny_bundle,

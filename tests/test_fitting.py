@@ -9,15 +9,14 @@ import pytest
 from gridres.errors import EvaluationError, FitError, ValidationError
 from gridres.fitting import (
     ExponentialModel,
+    ModelRecord,
     ModelStore,
     SaturatingRestorationModel,
     evaluate,
-    exponential_record,
     exponential_system,
     fit_exponential,
     fit_restoration,
     levenberg_marquardt,
-    restoration_record,
     restoration_system,
 )
 
@@ -312,8 +311,8 @@ def store_with_one_zone():
     rest, rd = fit_restoration(rest_samples(*TRUE_REST, range(1, 200, 2)),
                                zone_id="wind:0")
     return ModelStore(hazard_class="wind", zones={"wind:0": {
-        "fragility": exponential_record(frag, fd, (0.0, 38.0)),
-        "restoration": restoration_record(rest, rd, (1.0, 199.0)),
+        "fragility": ModelRecord.of(frag, fd, (0.0, 38.0)),
+        "restoration": ModelRecord.of(rest, rd, (1.0, 199.0)),
     }})
 
 
@@ -334,12 +333,6 @@ def test_store_json_is_deterministic_and_parseable():
     assert doc["hazard_class"] == "wind"
     assert set(doc["zones"]["wind:0"]) == {"fragility", "restoration"}
     assert store.to_json() == store.to_json()
-
-
-def test_store_require_missing_zone():
-    store = store_with_one_zone()
-    with pytest.raises(ValidationError, match="wind:9"):
-        store.require("wind:9", "fragility")
 
 
 def test_store_from_json_rejects_bad_documents():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridres import ingest
 from gridres.errors import SchemaError
 from gridres.ingest import (
     DEFAULT_MAX_OUTAGE_DAYS,
@@ -423,6 +424,21 @@ def test_clean_stations_round_trip(cells):
     assert again == stations
     assert write_stations_csv(again) == written
 
+
+
+# Cells of UTF-8 text, as every parsed cell is: no lone surrogates.
+_cells = st.text(st.one_of(st.sampled_from('\r\n",'), st.characters(codec="utf-8")),
+                 max_size=6)
+_csv_rows = st.lists(_cells, min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_rows, st.lists(_csv_rows, max_size=6))
+def test_csv_bytes_round_trips_any_cells(header, rows):
+    """Every file the pipeline writes goes through csv_bytes, so a reader
+    must get back exactly the cells written, a bare "\r" included."""
+    written = ingest.csv_bytes(header, lambda w: w.writerows(rows))
+    assert list(csv.reader(io.StringIO(written.decode("utf-8")))) == [header, *rows]
 
 def test_parsing_is_deterministic():
     data = csv_bytes(OUTAGES_HEADER, [

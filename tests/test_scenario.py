@@ -11,8 +11,6 @@ from gridres.fitting import (
     ModelStore,
     SaturatingRestorationModel,
     evaluate,
-    exponential_record,
-    restoration_record,
 )
 from gridres.reference import (
     RESTORATION,
@@ -38,8 +36,8 @@ PRECIP25 = ScenarioSpec(hazard_class="precipitation", intensity=2.5)
 
 def zone_pred(store, zone_id, intensity):
     """predict_zone wired up from store records, as predict_all does it."""
-    frag = store.require(zone_id, "fragility")
-    rest = store.require(zone_id, "restoration")
+    frag = store.zones[zone_id]["fragility"]
+    rest = store.zones[zone_id]["restoration"]
     return predict_zone(frag.to_model(zone_id, store.hazard_class),
                         rest.to_model(zone_id), intensity,
                         fragility_domain=frag.fit_domain,
