@@ -49,7 +49,10 @@ from .config import Config, canonical_hazard, load_config
 from .errors import (
     MissingInputError,
     PipelineError,
+    UnservedScenario,
     ValidationError,
+    is_finite_number,
+    json_object,
 )
 from .events import EVENTS_HEADER, events_csv, extract_events, extract_events_by_zone
 from .fitting import (
@@ -175,8 +178,8 @@ def _clean_outages(ws: Workspace) -> list:
 def _load_partitions(ws: Workspace, cfg: Config) -> tuple[list, dict]:
     """The boundary ring, and a partition per class with capable stations."""
     stations = _parsed(ws, CLEAN["stations"], parse_stations)
-    boundary = load_boundary_geojson(
-        ws.read_text(cfg.boundary_path or DEFAULT_BOUNDARY))
+    relative = cfg.boundary_path or DEFAULT_BOUNDARY
+    boundary = load_boundary_geojson(ws.read_text(relative), str(ws.path(relative)))
     partitions = {}
     for hazard_class in HAZARD_CLASSES:
         if any(hazard_class in s.capabilities for s in stations):
@@ -253,7 +256,11 @@ def _read_samples(ws: Workspace, kind: _ModelKind,
 
 def _model_store(ws: Workspace, hazard_class: str) -> ModelStore:
     relative = f"models_{hazard_class}.json"
-    return ModelStore.from_json(ws.read_text(relative), str(ws.path(relative)))
+    source = str(ws.path(relative))
+    store = ModelStore.from_json(ws.read_text(relative), source)
+    if store.hazard_class != hazard_class:
+        raise ValidationError(f"{source}: holds {store.hazard_class!r} models")
+    return store
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +394,12 @@ def stage_fit(ws: Workspace, cfg: Config):
 
 def stage_predict(ws: Workspace, cfg: Config, scenario: ScenarioSpec):
     hazard_class = scenario.hazard_class
-    store = _model_store(ws, hazard_class)
     _, partitions = _load_partitions(ws, cfg)
     if hazard_class not in partitions:
-        raise ValidationError(
+        raise UnservedScenario(
             f"no {hazard_class}-capable stations; cannot build the partition")
     partition = partitions[hazard_class]
+    store = _model_store(ws, hazard_class)
 
     predictions = predict_all(store, partition, scenario)
     ws.write_bytes(predictions_filename(scenario),
@@ -523,13 +530,23 @@ _TRUTH_PARAMS = {KIND_FRAGILITY: "b", KIND_RESTORATION: "c"}
 
 
 def _truth_comparison(ws: Workspace) -> str:
-    truth = json.loads(ws.read_text("truth.json"))
+    source = str(ws.path("truth.json"))
+    truth = json_object(ws.read_text("truth.json"), source).get("zones")
+    if not isinstance(truth, dict) or not all(
+            isinstance(zone, dict) and isinstance(zone.get("hazard_class"), str)
+            and all(isinstance(zone.get(k), dict) and zone[k].get(p) != 0
+                    and is_finite_number(zone[k].get(p))
+                    for k, p in _TRUTH_PARAMS.items())
+            for zone in truth.values()):
+        raise ValidationError(
+            f"{source}: each zone needs a hazard_class and a nonzero number at "
+            + ", ".join(map(".".join, _TRUTH_PARAMS.items())))
     stores = {c: _model_store(ws, c) for c in HAZARD_CLASSES
               if ws.exists(f"models_{c}.json")}
 
     zones_doc = {}
     errors: dict[str, list[float]] = {kind: [] for kind in _TRUTH_PARAMS}
-    for zone_id, zone_truth in sorted(truth["zones"].items()):
+    for zone_id, zone_truth in sorted(truth.items()):
         store = stores.get(zone_truth["hazard_class"])
         kinds = store.zones.get(zone_id, {}) if store else {}
         entry: dict = {}
@@ -561,25 +578,11 @@ def run_all(ws: Workspace, cfg: Config, force: bool) -> int:
 
     for scenario in cfg.scenarios:
         name = f"predict {scenario.stem}"
-        _set_stage("predict")
-        missing = None
-        if not ws.exists(f"models_{scenario.hazard_class}.json"):
-            missing = f"no models for {scenario.hazard_class}"
-        else:
-            store = _model_store(ws, scenario.hazard_class)
-            incomplete = [
-                zone_id for zone_id, kinds in store.zones.items()
-                if KIND_FRAGILITY not in kinds or KIND_RESTORATION not in kinds]
-            if not store.zones:
-                missing = "model store is empty"
-            elif incomplete:
-                missing = ("incomplete models for "
-                           + ", ".join(sorted(incomplete, key=_zone_sort_key)))
-        if missing:
-            log.warning("skipping scenario %s: %s", name, missing)
-            rows.append((name, "skipped", missing))
-            continue
-        rows.append((name, "ok", run_stage("predict", ws, cfg, force, scenario)))
+        try:
+            rows.append((name, "ok", run_stage("predict", ws, cfg, force, scenario)))
+        except UnservedScenario as exc:
+            log.warning("skipping scenario %s: %s", name, exc)
+            rows.append((name, "skipped", str(exc)))
 
     _set_stage("run-all")
     if ws.exists("truth.json"):

@@ -8,13 +8,10 @@ Environment variables deliberately override nothing.
 
 from __future__ import annotations
 
-import json
-import math
-import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import MissingInputError, ValidationError, decoded, is_finite_number, json_object
 from .ingest import DEFAULT_MAX_CUSTOMERS, DEFAULT_MAX_OUTAGE_DAYS
 from .linkage import (
     DEFAULT_HAZARD_MAPPING,
@@ -56,22 +53,15 @@ _SCENARIO_KEYS = {"hazard", "intensity", "label"}
 def _number(value, name: str, integral: bool = False) -> float | int:
     """A finite JSON number as float, or as int for a whole-number field;
     bools, strings and fractions for whole-number fields are rejected."""
-    number = math.nan
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        number = float(value) if abs(value) <= sys.float_info.max else math.inf
-    if not math.isfinite(number) or integral and not number.is_integer():
+    if not is_finite_number(value) or integral and not float(value).is_integer():
         kind = "a finite whole number" if integral else "a finite number"
         raise ValidationError(f"{name} must be {kind}, got {value!r}")
-    return int(value) if integral else number
+    return int(value) if integral else float(value)
 
 
-def parse_config(text: str) -> Config:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("config must be a JSON object")
+def parse_config(text: str, source: str = "config") -> Config:
+    """The Config a JSON document sets; errors name `source`."""
+    doc = json_object(text, source)
 
     unknown = sorted(set(doc) - _TOP_KEYS)
     if unknown:
@@ -156,14 +146,7 @@ def load_config(path: str | Path | None) -> Config:
         return Config()
     path = Path(path)
     if not path.exists():
-        from .errors import MissingInputError
         raise MissingInputError(f"config file not found: {path}")
     if path.is_dir():
         raise ValidationError(f"config file {path} is a directory")
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(
-            f"config file {path} is not UTF-8 text: {exc.reason} at byte "
-            f"{exc.start}") from None
-    return parse_config(text)
+    return parse_config(decoded(path.read_bytes(), str(path)), str(path))

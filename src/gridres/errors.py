@@ -1,8 +1,12 @@
-"""Exception hierarchy shared across the pipeline.
+"""Exception hierarchy shared across the pipeline, and the one decoder and
+JSON loader of its inputs, whose errors name the input.
 
 The CLI maps these onto exit codes: missing inputs exit 2, validation
 failures exit 3, anything else exit 1.
 """
+
+import json
+import sys
 
 
 class PipelineError(Exception):
@@ -28,3 +32,33 @@ class FitError(ValidationError):
 class EvaluationError(ValidationError):
     """Model evaluation produced a non-finite value, as for an intensity far
     outside any fitted range."""
+
+
+class UnservedScenario(ValidationError):
+    """No models or stations serve a scenario; run-all skips it."""
+
+
+def decoded(data: bytes, source: str) -> str:
+    """`data` as UTF-8 text."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{source}: not UTF-8 text: {exc.reason} at byte "
+                              f"{exc.start}") from None
+
+
+def json_object(text: str, source: str) -> dict:
+    """The JSON object `text` holds; any other top-level value is invalid."""
+    try:
+        doc = json.loads(text)
+    # ValueError also covers too long integers; RecursionError, deep nesting
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{source}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{source}: must be a JSON object")
+    return doc
+
+
+def is_finite_number(value) -> bool:
+    """A JSON number within the float range; true and false are not numbers."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max

@@ -23,13 +23,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, FitError, ValidationError
+from .errors import (EvaluationError, FitError, ValidationError, is_finite_number,
+                     json_object)
 
 log = logging.getLogger(__name__)
 
@@ -344,20 +344,17 @@ def evaluate(model: ExponentialModel | SaturatingRestorationModel, x: float) -> 
     x = float(x)
     if x < 0.0:
         raise ValidationError(f"model evaluation needs x >= 0, got {x}")
-    if isinstance(model, ExponentialModel):
-        try:
-            value = model.a * math.exp(model.b * x)
-        except OverflowError:
-            raise EvaluationError(
-                f"fragility model overflowed at x = {x}") from None
-        if not math.isfinite(value):
-            raise EvaluationError(f"fragility model overflowed at x = {x}")
-        return value
-    value = (model.c - model.a1 * math.exp(-model.b1 * x)
-             - model.a2 * math.exp(-model.b2 * x))
+    fragility = isinstance(model, ExponentialModel)
+    try:
+        value = model.a * math.exp(model.b * x) if fragility else (
+            model.c - model.a1 * math.exp(-model.b1 * x)
+            - model.a2 * math.exp(-model.b2 * x))
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
-        raise EvaluationError(f"restoration model is non-finite at x = {x}")
-    return max(value, 0.0)
+        raise EvaluationError(f"fragility model overflowed at x = {x}" if fragility
+                              else f"restoration model is non-finite at x = {x}")
+    return value if fragility else max(value, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +422,8 @@ class ModelStore:
         def bad(what: str) -> ValidationError:
             return ValidationError(f"{source}: {what}")
 
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise bad(f"not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or not isinstance(doc.get("hazard_class"), str) \
+        doc = json_object(text, source)
+        if not isinstance(doc.get("hazard_class"), str) \
                 or not isinstance(doc.get("zones"), dict):
             raise bad("must carry a hazard_class string and a zones object")
         zones: dict[str, dict[str, ModelRecord]] = {}
@@ -453,9 +447,7 @@ class ModelStore:
                         or not isinstance(diagnostics, dict):
                     raise bad(f"{where} needs a fit_domain pair and a "
                               f"diagnostics object")
-                # JSON true and false are not numbers
-                if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
-                           for v in [*params.values(), *domain]):
+                if not all(map(is_finite_number, [*params.values(), *domain])):
                     raise bad(f"{where} holds a value that is not a finite number")
                 zones[zone_id][kind] = ModelRecord(
                     rec["form"], {k: float(v) for k, v in params.items()},

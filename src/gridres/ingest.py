@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, NamedTuple
 
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, decoded
 
 log = logging.getLogger(__name__)
 
@@ -64,9 +64,11 @@ SEVERE_HEADER = [
     "event_id", "event_type", "start", "end", "latitude", "longitude", "description",
 ]
 
-CAPABILITY_WIND = "wind"
-CAPABILITY_PRECIPITATION = "precipitation"
-KNOWN_CAPABILITIES = {CAPABILITY_WIND, CAPABILITY_PRECIPITATION}
+# The hazard classes, which are the station capabilities; zones, samples
+# and models are kept per class.
+HAZARD_WIND = "wind"
+HAZARD_PRECIPITATION = "precipitation"
+HAZARD_CLASSES = (HAZARD_WIND, HAZARD_PRECIPITATION)
 
 DEFAULT_MAX_OUTAGE_DAYS = 30.0
 DEFAULT_MAX_CUSTOMERS = 10_000_000
@@ -213,11 +215,7 @@ def _row_id(row: list[str], line_no: int) -> str:
 
 def _reader(data: bytes, expected: list[str], filename: str) -> csv.reader:
     """CSV rows after a header that must match `expected`."""
-    try:
-        rows = csv.reader(io.StringIO(data.decode("utf-8")))
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{filename}: not UTF-8 text: {exc.reason} at byte "
-                          f"{exc.start}") from None
+    rows = csv.reader(io.StringIO(decoded(data, filename)))
     header = next(rows, None)
     if header is None:
         raise SchemaError(f"{filename}: file is empty, expected header {','.join(expected)}")
@@ -430,7 +428,7 @@ def parse_stations(data: bytes, source: str = "stations.csv") -> list[Station]:
         if station_id in seen:
             raise SchemaError(f"{source}: duplicate station_id {station_id!r}")
         seen.add(station_id)
-        unknown = [c for c in caps_raw if c not in KNOWN_CAPABILITIES]
+        unknown = [c for c in caps_raw if c not in HAZARD_CLASSES]
         if unknown:
             raise SchemaError(
                 f"{source} line {line_no}: unknown capability {unknown[0]!r}")
@@ -439,7 +437,7 @@ def parse_stations(data: bytes, source: str = "stations.csv") -> list[Station]:
                 f"{source} line {line_no}: station {station_id!r} has no capabilities")
         stations.append(Station(station_id, lat, lon, frozenset(caps_raw)))
 
-    for capability in sorted(KNOWN_CAPABILITIES):
+    for capability in sorted(HAZARD_CLASSES):
         if not any(capability in s.capabilities for s in stations):
             log.warning("%s: no station with capability %r", source, capability)
     return stations

@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import UnservedScenario, ValidationError
 from .fitting import (
     KIND_FRAGILITY,
     KIND_RESTORATION,
@@ -28,7 +28,7 @@ from .fitting import (
     evaluate,
 )
 from .ingest import csv_bytes
-from .zoning import ZonePartition
+from .zoning import ZonePartition, polygon_feature
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,7 @@ def predict_all(
             if kind not in store.zones.get(zone.zone_id, {}):
                 missing.append(f"{zone.zone_id} ({kind})")
     if missing:
-        raise ValidationError(
-            "model store is missing: " + ", ".join(missing))
+        raise UnservedScenario("model store is missing: " + ", ".join(missing))
 
     predictions = []
     for zone in partition.zones:
@@ -179,20 +178,13 @@ def emit_choropleth(
     features = []
     for zone in partition.zones:
         pred = by_zone[zone.zone_id]
-        features.append({
-            "type": "Feature",
-            "properties": {
-                "zone_id": zone.zone_id,
-                "predicted_outages": pred.predicted_outages,
-                "predicted_restoration_hours": pred.predicted_restoration_hours,
-                "extrapolated": pred.extrapolated,
-                "shade": shade_for(pred.predicted_restoration_hours, h_min, h_max),
-            },
-            "geometry": {
-                "type": "Polygon",
-                "coordinates": [[[lon, lat] for lon, lat in zone.polygon]],
-            },
-        })
+        features.append(polygon_feature(zone.polygon, {
+            "zone_id": zone.zone_id,
+            "predicted_outages": pred.predicted_outages,
+            "predicted_restoration_hours": pred.predicted_restoration_hours,
+            "extrapolated": pred.extrapolated,
+            "shade": shade_for(pred.predicted_restoration_hours, h_min, h_max),
+        }))
     doc = {
         "type": "FeatureCollection",
         "features": features,

@@ -37,7 +37,10 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import ValidationError
+from .fitting import SaturatingRestorationModel, evaluate
 from .ingest import (
+    OUTAGES_HEADER,
+    WEATHER_HEADER,
     SevereWeatherRecord,
     Station,
     write_severe_csv,
@@ -116,8 +119,7 @@ class SynthSpec:
 
 
 def _restoration_value(params: tuple[float, ...], n: float) -> float:
-    c, a1, b1, a2, b2 = params
-    return c - a1 * math.exp(-b1 * n) - a2 * math.exp(-b2 * n)
+    return evaluate(SaturatingRestorationModel(*params), n)
 
 
 def _default_fragility(index: int, hazard_class: str,
@@ -457,8 +459,7 @@ def generate(spec: SynthSpec) -> dict[str, bytes]:
     # hourly weather: background noise plus injected intensities
     hour_epochs = HORIZON_START + np.arange(n_hours, dtype=np.int64) * 3600
     hour_strs = _format_epochs(hour_epochs)
-    weather_lines = ["station_id,timestamp,wind_avg_ms,wind_fastest_2min_ms,"
-                     "precip_in,snowfall_in,snow_depth_in"]
+    weather_lines = [",".join(WEATHER_HEADER)]
     for station in world.stations:
         avg = np.round(rng.uniform(*BG_WIND_AVG, n_hours), 2)
         gust = np.round(avg * rng.uniform(*BG_WIND_GUST_FACTOR, n_hours), 2)
@@ -478,8 +479,7 @@ def generate(spec: SynthSpec) -> dict[str, bytes]:
                 f"{precip_s[i]},0.0,0.0")
     weather_csv = ("\n".join(weather_lines) + "\n").encode("utf-8")
 
-    out_lines = ["outage_id,component_id,latitude,longitude,start,end,"
-                 "restore_minutes,customers,cause_code"]
+    out_lines = [",".join(OUTAGES_HEADER)]
     out_lines += [",".join(row) for row in outage_rows]
     outages_csv = ("\n".join(out_lines) + "\n").encode("utf-8")
 

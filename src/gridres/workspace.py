@@ -33,7 +33,7 @@ import os
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import MissingInputError, ValidationError
+from .errors import MissingInputError, ValidationError, decoded, json_object
 
 MANIFEST_NAME = "manifest.json"
 
@@ -94,11 +94,7 @@ class Workspace:
         return data
 
     def read_text(self, relative: str) -> str:
-        try:
-            return self.read_bytes(relative).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{self.path(relative)}: not UTF-8 text: "
-                                  f"{exc.reason} at byte {exc.start}") from None
+        return decoded(self.read_bytes(relative), str(self.path(relative)))
 
     def write_bytes(self, relative: str, data: bytes) -> None:
         """Atomic write: temp file in the same directory, then rename."""
@@ -120,11 +116,13 @@ class Workspace:
             return {"tool_version": _tool_version(), "stages": {}}
         if not p.is_file():
             raise ValidationError(f"{p}: manifest is not a regular file")
-        try:
-            doc = json.loads(p.read_text(encoding="utf-8"))
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ValidationError(f"{p}: manifest is not valid JSON: {exc}") from exc
-        doc.setdefault("stages", {})
+        doc = json_object(decoded(p.read_bytes(), str(p)), str(p))
+        stages = doc.setdefault("stages", {})
+        if not isinstance(stages, dict) or not all(
+                isinstance(r, dict) and isinstance(r.get("inputs", {}), dict)
+                and isinstance(r.get("outputs", {}), dict) for r in stages.values()):
+            raise ValidationError(f"{p}: stages must map each stage to an object "
+                                  f"with object inputs and outputs")
         return doc
 
     def save_manifest(self, manifest: dict) -> None:

@@ -23,12 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .ingest import Station
-
-HAZARD_WIND = "wind"
-HAZARD_PRECIPITATION = "precipitation"
-HAZARD_CLASSES = (HAZARD_WIND, HAZARD_PRECIPITATION)
+from .errors import ValidationError, is_finite_number, json_object
+from .ingest import HAZARD_CLASSES, Station
+from .ingest import HAZARD_PRECIPITATION, HAZARD_WIND  # noqa: F401 (re-exported)
 
 # two points closer than this (projected degrees) are the same site
 COINCIDENT_TOL = 1e-12
@@ -323,69 +320,62 @@ def density_grid_meta_json(grid: DensityGrid) -> str:
 # GeoJSON
 # ---------------------------------------------------------------------------
 
-def load_boundary_geojson(text: str) -> list[tuple[float, float]]:
-    """Extract the one Polygon exterior ring from a GeoJSON document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"boundary GeoJSON is not valid JSON: {exc}") from exc
+def load_boundary_geojson(text: str, source: str = "boundary GeoJSON",
+                          ) -> list[tuple[float, float]]:
+    """Extract the one Polygon exterior ring from a GeoJSON document. A
+    position's values past longitude and latitude (an altitude) are
+    ignored; errors name `source`."""
+    def bad(what: str) -> ValidationError:
+        return ValidationError(f"{source}: {what}")
 
-    def rings(node: dict) -> list:
-        """The exterior ring of every polygon under `node`."""
-        kind = node.get("type")
-        if kind == "FeatureCollection":
-            return [ring for feature in node.get("features", [])
-                    for ring in rings(feature)]
-        if kind == "Feature":
-            geom = node.get("geometry")
-            return rings(geom) if geom else []
-        if kind == "Polygon":
-            coords = node.get("coordinates")
-            return [coords[0]] if coords else []
-        if kind == "MultiPolygon":
-            return [poly[0] for poly in node.get("coordinates") or [] if poly]
-        return []
+    def array(value, what: str) -> list:
+        if not isinstance(value, list):
+            raise bad(f"{what} must be an array")
+        return value
 
-    found = rings(doc)
+    doc = json_object(text, source)
+    found = []  # the exterior ring of every polygon
+    for node in array(doc.get("features", []), "features") \
+            if doc.get("type") == "FeatureCollection" else [doc]:
+        if isinstance(node, dict) and node.get("type") == "Feature":
+            node = node.get("geometry") or {}  # null geometry: none
+        if not isinstance(node, dict):
+            raise bad("each feature and geometry must be an object")
+        if node.get("type") in ("Polygon", "MultiPolygon"):
+            coordinates = array(node.get("coordinates") or [], "coordinates")
+            polygons = [coordinates] if node["type"] == "Polygon" else coordinates
+            found += [array(poly, "coordinates")[0] for poly in polygons
+                      if array(poly, "coordinates")]
+
     if not found:
-        raise ValidationError("boundary GeoJSON contains no Polygon geometry")
+        raise bad("contains no Polygon geometry")
     if len(found) > 1:
-        raise ValidationError(
-            f"boundary GeoJSON has {len(found)} polygons; only a single "
-            f"polygon is supported")
-    ring = found[0]
-    if len(ring) < 4:
-        raise ValidationError("boundary ring needs at least 3 distinct vertices")
-    return [(float(lon), float(lat)) for lon, lat in ring]
+        raise bad(f"has {len(found)} polygons; only a single polygon is supported")
+    ring = array(found[0], "the ring")
+    if len(ring) < 4 or not all(isinstance(p, list) and len(p) >= 2
+                                and all(map(is_finite_number, p)) for p in ring):
+        raise bad("the ring needs at least 4 positions (3 distinct vertices), each "
+                  "an array of at least two finite numbers")
+    return [(float(p[0]), float(p[1])) for p in ring]
+
+
+def polygon_feature(ring, properties: dict) -> dict:
+    """A GeoJSON Feature of one Polygon whose exterior is `ring`."""
+    return {"type": "Feature", "properties": properties,
+            "geometry": {"type": "Polygon",
+                         "coordinates": [[[lon, lat] for lon, lat in ring]]}}
 
 
 def boundary_to_geojson(ring: list[tuple[float, float]]) -> str:
-    closed = list(_close_ccw(list(ring)))
-    doc = {
-        "type": "Feature",
-        "properties": {"role": "service_boundary"},
-        "geometry": {
-            "type": "Polygon",
-            "coordinates": [[[lon, lat] for lon, lat in closed]],
-        },
-    }
+    doc = polygon_feature(_close_ccw(list(ring)), {"role": "service_boundary"})
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def partition_to_geojson(partition: ZonePartition) -> str:
-    features = []
-    for zone in partition.zones:
-        features.append({
-            "type": "Feature",
-            "properties": {
-                "zone_id": zone.zone_id,
-                "station_id": zone.station_id,
-                "hazard_class": zone.hazard_class,
-            },
-            "geometry": {
-                "type": "Polygon",
-                "coordinates": [[[lon, lat] for lon, lat in zone.polygon]],
-            },
-        })
+    features = [polygon_feature(zone.polygon, {
+        "zone_id": zone.zone_id,
+        "station_id": zone.station_id,
+        "hazard_class": zone.hazard_class,
+    }) for zone in partition.zones]
     doc = {"type": "FeatureCollection", "features": features}
     return json.dumps(doc, sort_keys=True) + "\n"

@@ -8,10 +8,13 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gridres.cli as cli
 from gridres.cli import main
-from gridres.config import Config, parse_config
+from gridres.config import Config, canonical_hazard, parse_config
+from gridres.errors import FitError
 
 from conftest import TINY_SPEC
 
@@ -338,6 +341,11 @@ def test_bad_config_exit_3(tiny_ws, tmp_path):
 PREDICT_WIND = ["predict", "--hazard", "wind", "--intensity"]
 
 
+def _polygon(coordinates) -> bytes:
+    """A boundary.geojson holding one Polygon with these coordinates."""
+    return json.dumps({"type": "Polygon", "coordinates": coordinates}).encode()
+
+
 # (command, config document or raw config bytes, replaced input file, text
 # the error line must contain)
 @pytest.mark.parametrize("command, config, input_file, needle", [
@@ -361,11 +369,34 @@ PREDICT_WIND = ["predict", "--hazard", "wind", "--intensity"]
      "inputs/boundary.geojson"),
     (["extract-events"], None, ("clean_outages.csv", b"outage_id\xff,\n"),
      "clean_outages.csv"),
+    (["zones"], None, ("inputs/boundary.geojson", b"[]"),
+     "inputs/boundary.geojson"),
+    (["zones"], None, ("inputs/boundary.geojson",
+                       _polygon([[[0, 0], ["1", 0], [1, 1], [0, 0]]])),
+     "inputs/boundary.geojson"),
+    (["zones"], None, ("inputs/boundary.geojson", _polygon(5)),
+     "inputs/boundary.geojson"),
+    (["zones"], None, ("inputs/boundary.geojson",
+                       _polygon([[[0, 0], [1], [1, 1], [0, 0]]])),
+     "inputs/boundary.geojson"),
+    (["zones"], None, ("manifest.json", b"[]"), "manifest.json"),
+    (["zones"], None, ("manifest.json", b'{"stages": []}'), "manifest.json"),
+    (["zones"], None, ("manifest.json", b'{"stages": {"zones": 1}}'),
+     "manifest.json"),
+    (["run-all"], None, ("truth.json", b"{"), "truth.json"),
+    (["run-all"], None, ("truth.json", b"{}"), "truth.json"),
+    (["run-all"], None, ("truth.json", json.dumps({"zones": {"wind:0": {
+        "hazard_class": "wind", "fragility": {"b": 0}, "restoration": {"c": 1},
+    }}}).encode()), "truth.json"),
 ], ids=["customers-string", "customers-bool", "cell-size-list",
         "cell-size-nan", "solver-unknown-key", "mapping-list",
         "scenario-intensity-string", "config-not-utf8", "intensity-nan",
         "intensity-inf", "intensity-overflow", "outages-not-utf8",
-        "severe-not-utf8", "boundary-not-utf8", "clean-outages-not-utf8"])
+        "severe-not-utf8", "boundary-not-utf8", "clean-outages-not-utf8",
+        "boundary-list", "boundary-coordinate-string", "boundary-coordinates-number",
+        "boundary-short-position", "manifest-list", "manifest-stages-list",
+        "manifest-stage-number", "truth-not-json", "truth-no-zones",
+        "truth-zero-value"])
 def test_malformed_input_exits_3(private_ws, tmp_path, capsys, command,
                                  config, input_file, needle):
     argv = command + ["--workspace", str(private_ws)]
@@ -391,6 +422,19 @@ def test_directory_in_place_of_an_input_exits_2(private_ws, capsys):
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert "missing input" in err and "boundary.geojson" in err
+
+
+def test_boundary_altitudes_are_ignored(private_ws):
+    zones = {c: (private_ws / f"zones_{c}.geojson").read_bytes()
+             for c in ("wind", "precipitation")}
+    boundary = private_ws / "inputs" / "boundary.geojson"
+    doc = json.loads(boundary.read_text())
+    rings = doc["geometry"]["coordinates"]
+    doc["geometry"]["coordinates"] = [[[*p, 250.0] for p in ring] for ring in rings]
+    boundary.write_text(json.dumps(doc))
+    assert main(["zones", "--workspace", str(private_ws)]) == 0
+    assert zones == {c: (private_ws / f"zones_{c}.geojson").read_bytes()
+                     for c in zones}
 
 
 def test_directory_at_manifest_exits_3(private_ws, capsys):
@@ -423,8 +467,9 @@ def _wind_fragility(doc):
     lambda doc: _wind_fragility(doc)["params"].update(a=float("nan")),
     lambda doc: _wind_fragility(doc)["params"].update(c=1.0),
     lambda doc: _wind_fragility(doc).update(fit_domain=[0.0, True]),
+    lambda doc: doc.update(hazard_class="precipitation"),
 ], ids=["string-param", "missing-params", "zones-list", "nan-param",
-        "extra-param", "bool-domain"])
+        "extra-param", "bool-domain", "other-class"])
 def test_malformed_model_store_exits_3(private_ws, capsys, edit):
     store = private_ws / "models_wind.json"
     doc = json.loads(store.read_text())
@@ -434,6 +479,51 @@ def test_malformed_model_store_exits_3(private_ws, capsys, edit):
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert str(store) in err
+
+
+# Keys the documents below use, so drawn objects reach past the top level.
+_JSON_KEYS = st.sampled_from([
+    "type", "features", "geometry", "coordinates", "stages", "inputs",
+    "outputs", "zones", "hazard_class", "fragility", "restoration", "form",
+    "params", "fit_domain", "diagnostics", "a", "b", "c", "scenarios",
+    "hazard", "intensity", "boundary_path"]) | st.text(max_size=5)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1000, 1000)
+    | st.floats(-1000.0, 1000.0) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    max_leaves=12)
+
+# document -> (its path, the command that reads it); the config's path is
+# passed with --config
+_DRAWN_DOCUMENTS = {
+    "config": ("cfg.json", PREDICT_WIND + ["20"]),
+    "boundary": ("inputs/boundary.geojson", PREDICT_WIND + ["20"]),
+    "models": ("models_wind.json", PREDICT_WIND + ["20"]),
+    "manifest": ("manifest.json", PREDICT_WIND + ["20"]),
+    "truth": ("truth.json", ["run-all"]),
+}
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(document=st.sampled_from(sorted(_DRAWN_DOCUMENTS)), value=_JSON_VALUES)
+def test_drawn_json_document_exits_0_2_or_3(private_ws, capsys, document, value):
+    relative, command = _DRAWN_DOCUMENTS[document]
+    argv = command + ["--workspace", str(private_ws)]
+    if document == "config":
+        argv += ["--config", str(private_ws / relative)]
+    # Put back what a run may change, so every example starts alike.
+    kept = {p: p.read_bytes() for p in (private_ws / relative,
+                                        private_ws / "manifest.json") if p.exists()}
+    (private_ws / relative).write_text(json.dumps(value))
+    try:
+        assert main(argv) in (0, 2, 3)
+    finally:
+        (private_ws / relative).unlink()
+        for path, data in kept.items():
+            path.write_bytes(data)
+    assert "internal error" not in capsys.readouterr().err
 
 
 def _csv_rows(path):
@@ -640,6 +730,49 @@ def test_empty_severe_completes_with_scenario_skip(tmp_path, tiny_bundle,
         assert "restoration" in kinds
         assert "fragility" not in kinds
     assert not (tmp_path / "choropleth_wind_20.geojson").exists()
+
+
+def _fail_both_fits_in_wind_zone_0(ws, monkeypatch):
+    def failing(fit):
+        def wrapped(samples, **kwargs):
+            if kwargs["zone_id"] == "wind:0":
+                raise FitError("no usable samples")
+            return fit(samples, **kwargs)
+        return wrapped
+
+    for name in ("fit_exponential", "fit_restoration"):
+        monkeypatch.setattr(cli, name, failing(getattr(cli, name)))
+    (ws / "models_wind.json").unlink()  # so fit reruns
+    return "wind", "20"
+
+
+def _drop_precipitation_stations(ws, monkeypatch):
+    # models_precipitation.json stays behind from the earlier run
+    stations = ws / "inputs" / "stations.csv"
+    lines = stations.read_text().splitlines(keepends=True)
+    stations.write_text("".join(line for line in lines
+                                if "precipitation" not in line))
+    return "precip", "2.5"
+
+
+@pytest.mark.parametrize("setup", [_fail_both_fits_in_wind_zone_0,
+                                   _drop_precipitation_stations],
+                         ids=["zone-without-fits", "class-without-stations"])
+def test_unserved_scenario_is_skipped_by_run_all_and_fails_predict(
+        private_ws, tmp_path, capsys, monkeypatch, setup):
+    hazard, intensity = setup(private_ws, monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenarios": [{"hazard": hazard,
+                                              "intensity": float(intensity)}]}))
+    assert main(["run-all", "--workspace", str(private_ws),
+                 "--config", str(cfg)]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")
+    assert [row.split()[:3] for row in rows if row.startswith("predict")] \
+        == [["predict", f"{canonical_hazard(hazard)}_{intensity}", "skipped"]]
+
+    assert main(["predict", "--hazard", hazard, "--intensity", intensity,
+                 "--workspace", str(private_ws)]) == 3
+    assert "internal error" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

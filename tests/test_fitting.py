@@ -296,6 +296,12 @@ def test_evaluate_overflow_names_input():
         evaluate(model, 1000.0)
 
 
+def test_restoration_overflow_is_an_evaluation_error():
+    model = SaturatingRestorationModel(c=1.0, a1=1.0, b1=-10.0, a2=0.0, b2=1.0)
+    with pytest.raises(EvaluationError, match="1000"):
+        evaluate(model, 1000.0)
+
+
 def test_restoration_evaluation_clamped_nonnegative():
     model = SaturatingRestorationModel(c=1.0, a1=5.0, b1=0.001, a2=0.0, b2=1.0)
     assert evaluate(model, 0.0) == 0.0
