@@ -23,12 +23,14 @@ records the body's `duration_s`, which is never compared. Exit codes:
 0 success, 1 internal error, 2 missing input, 3 validation failure. Log
 lines go to stderr as LEVEL<TAB>stage<TAB>message.
 
-A command parses each file content once: parsed records are memoized in
-`Workspace.parsed` by file and sha256. When ingest runs inside a command
-(as in run-all), it hands the records it writes to that memo under the
-digest of the written bytes. Later stages still read each clean file, so
-the manifest records its on-disk digest, and they reuse the handed-over
-records only while that digest matches; a changed file is parsed again.
+A command parses each file content once: what a parser returns (column
+tables for outages and weather, records for severe events and stations)
+is memoized in `Workspace.parsed` by file and sha256. When ingest runs
+inside a command (as in run-all), it hands the tables and records it
+writes to that memo under the digest of the written bytes. Later stages
+still read each clean file, so the manifest records its on-disk digest,
+and they reuse what was handed over only while that digest matches; a
+changed file goes through the same parser as ingest's input.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .config import Config, canonical_hazard, load_config
 from .errors import (
@@ -65,6 +67,7 @@ from .fitting import (
     fit_restoration,
 )
 from .ingest import (
+    OutageTable,
     _parse_float,
     _reader,
     parse_outages,
@@ -138,7 +141,7 @@ def _set_stage(name: str) -> None:
     _current_stage = name
 
 
-def _parsed(ws: Workspace, relative: str, parse: Callable[[bytes, str], list]):
+def _parsed(ws: Workspace, relative: str, parse: Callable[[bytes, str], Any]):
     """parse(file bytes, relative), once per content; each call still reads
     (records) the file."""
     data = ws.read_bytes(relative)
@@ -149,17 +152,18 @@ def _parsed(ws: Workspace, relative: str, parse: Callable[[bytes, str], list]):
     return ws.parsed[memo]
 
 
-def _write_clean(ws: Workspace, name: str, records: list, write: Callable) -> None:
-    """Write one clean file, and hand its records to later stages of this
-    command as the parse of exactly the bytes written."""
-    ws.write_bytes(CLEAN[name], write(records))
-    ws.parsed[(ws.key(CLEAN[name]), ws.writes[CLEAN[name]])] = records
+def _write_clean(ws: Workspace, name: str, rows, write: Callable) -> None:
+    """Write one clean file, and hand its rows (a table or records) to
+    later stages of this command as the parse of exactly the bytes
+    written."""
+    ws.write_bytes(CLEAN[name], write(rows))
+    ws.parsed[(ws.key(CLEAN[name]), ws.writes[CLEAN[name]])] = rows
 
 
-def _clean_records(ws: Workspace, name: str, parse: Callable) -> list:
-    """The records of one clean file. Ingest wrote only rows that pass
-    every rule, so a row that fails one now is invalid data."""
-    def checked(data: bytes, source: str) -> list:
+def _clean_records(ws: Workspace, name: str, parse: Callable):
+    """The rows of one clean file. Ingest wrote only rows that pass every
+    rule, so a row that fails one now is invalid data."""
+    def checked(data: bytes, source: str):
         records, report = parse(data, source)
         if report.kept != report.total_rows:
             raise ValidationError(
@@ -169,7 +173,7 @@ def _clean_records(ws: Workspace, name: str, parse: Callable) -> list:
     return _parsed(ws, CLEAN[name], checked)
 
 
-def _clean_outages(ws: Workspace) -> list:
+def _clean_outages(ws: Workspace) -> OutageTable:
     # Uncapped: ingest already applied the configured caps.
     return _clean_records(ws, "outages", lambda data, source: parse_outages(
         data, max_outage_days=math.inf, max_customers=math.inf, source=source))
@@ -302,19 +306,17 @@ def stage_ingest(ws: Workspace, cfg: Config):
 
 def stage_zones(ws: Workspace, cfg: Config):
     boundary, partitions = _load_partitions(ws, cfg)
-    outage_records = _clean_outages(ws)
+    outages = _clean_outages(ws)
+    lons = [lon for lon, _ in boundary]
+    lats = [lat for _, lat in boundary]
+    grid = density_grid(outages.longitude, outages.latitude,
+                        (min(lons), min(lats), max(lons), max(lats)),
+                        cfg.density_cell_size)
     counts = []
     for hazard_class, partition in partitions.items():
         ws.write_text(f"zones_{hazard_class}.geojson",
                       partition_to_geojson(partition))
         counts.append(f"{len(partition.zones)} {hazard_class}")
-
-    lons = [lon for lon, _ in boundary]
-    lats = [lat for _, lat in boundary]
-    grid = density_grid(
-        [(r.longitude, r.latitude) for r in outage_records],
-        (min(lons), min(lats), max(lons), max(lats)),
-        cfg.density_cell_size)
     ws.write_bytes("density.csv", density_grid_csv(grid))
     ws.write_text("density.json", density_grid_meta_json(grid))
     return " + ".join(counts) + " zones" if counts else "no partitions"

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Any
 
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import OutageRecord, csv_bytes, format_instant
+from .ingest import OutageTable, csv_bytes, format_instant, utc_datetimes
 from .zoning import ZonePartition, assign_many
 
 
@@ -35,66 +34,58 @@ class OutageRestorationEvent:
     zone_id: str = ""
 
 
-def union_intervals(spans: list[tuple[Any, Any]]) -> list[tuple[int, int, Any]]:
+def union_intervals(start: np.ndarray, end: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group (start, end) spans, sorted by start, into maximal unions.
 
-    A span joins the current group when its start is at or before the
-    largest end in the group, so touching spans fuse. Returns one
-    (first, stop, end) per group in order: spans[first:stop] are its
-    members and end is their largest end.
+    Span i joins the current group when its start is at or before the
+    largest end among spans 0..i-1, so touching spans fuse. Returns arrays
+    (first, stop, end) with one entry per group in order: spans
+    first:stop are its members and end is their largest end.
     """
-    groups: list[tuple[int, int, Any]] = []
-    first, group_end = 0, None
-    for i, (start, end) in enumerate(spans):
-        if i and start > group_end:
-            groups.append((first, i, group_end))
-            first, group_end = i, end
-        elif i == 0 or end > group_end:
-            group_end = end
-    if spans:
-        groups.append((first, len(spans), group_end))
-    return groups
+    latest = np.maximum.accumulate(end) if len(end) else end
+    cuts = np.flatnonzero(start[1:] > latest[:-1]) + 1
+    first, stop = (np.r_[0, cuts], np.r_[cuts, len(start)]) if len(start) else (cuts, cuts)
+    return first, stop, latest[stop - 1]
 
 
-def extract_events(outages: list[OutageRecord], zone_id: str = "") -> list[OutageRestorationEvent]:
+def extract_events(outages: OutageTable, zone_id: str = "") -> list[OutageRestorationEvent]:
     """Union the outage intervals into events. Returns events in
-    chronological order, indexed from 0."""
-    for rec in outages:
-        if rec.start >= rec.end:
-            raise ValidationError(
-                f"outage {rec.outage_id!r} has start >= end; run ingest cleaning first")
+    chronological order, indexed from 0.
 
-    ordered = sorted(outages, key=lambda r: r.start)
-    events: list[OutageRestorationEvent] = []
-    for first, stop, last in union_intervals([(r.start, r.end) for r in ordered]):
-        first_start = ordered[first].start
-        events.append(OutageRestorationEvent(
-            event_index=len(events),
-            first_start=first_start,
-            last_restoration=last,
-            n_outages=stop - first,
-            total_restoration_hours=(last - first_start).total_seconds() / 3600.0,
-            zone_id=zone_id,
-        ))
-    return events
+    Outages are taken in start order (a stable sort, so ties keep table
+    order) and grouped by union_intervals. Instants may have any
+    datetime64 unit.
+    """
+    invalid = np.flatnonzero(outages.start >= outages.end)
+    if invalid.size:
+        raise ValidationError(
+            f"outage {outages.outage_id[invalid[0]]!r} has start >= end; "
+            f"run ingest cleaning first")
+
+    order = np.argsort(outages.start, kind="stable")
+    start = outages.start[order]
+    first, stop, last = union_intervals(start, outages.end[order])
+    first_start = start[first]
+    hours = ((last - first_start) / np.timedelta64(1, "s") / 3600.0).tolist()
+    return [OutageRestorationEvent(index, *event, zone_id=zone_id)
+            for index, event in enumerate(zip(
+                utc_datetimes(first_start), utc_datetimes(last),
+                (stop - first).tolist(), hours))]
 
 
 def extract_events_by_zone(
-    outages: list[OutageRecord], partition: ZonePartition,
+    outages: OutageTable, partition: ZonePartition,
 ) -> dict[str, list[OutageRestorationEvent]]:
     """Assign outages to zones, then extract each zone's events on its own.
 
     Every zone of the partition appears in the result, possibly with an
     empty list. Simultaneous bursts in different zones stay separate events.
     """
-    by_zone: dict[str, list[OutageRecord]] = \
-        {z.zone_id: [] for z in partition.zones}
-    lons = np.array([r.longitude for r in outages])
-    lats = np.array([r.latitude for r in outages])
-    for rec, i in zip(outages, assign_many(partition, lons, lats)):
-        by_zone[partition.zones[i].zone_id].append(rec)
-    return {zone_id: extract_events(records, zone_id=zone_id)
-            for zone_id, records in by_zone.items()}
+    zone = assign_many(partition, outages.longitude, outages.latitude)
+    return {z.zone_id: extract_events(outages.take(np.flatnonzero(zone == i)),
+                                      zone_id=z.zone_id)
+            for i, z in enumerate(partition.zones)}
 
 
 EVENTS_HEADER = ["event_index", "zone_id", "first_start", "last_restoration",

@@ -32,6 +32,12 @@ Cleaning conventions:
     dropped_inconsistent_time since they are competing claims about the
     same station-hour.
 
+Outages and weather, hundreds of thousands of rows each, are parsed, cleaned
+and written one column at a time, in chunks of rows: each rule is a boolean
+mask over a chunk, and the kept rows become a column table (OutageTable,
+WeatherTable). Stations and severe records, a few hundred rows, stay
+records.
+
 Parsing is a pure function of the input bytes, so the four files may be
 parsed concurrently.
 """
@@ -43,11 +49,14 @@ import io
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
-from typing import Callable, NamedTuple
+from itertools import chain, compress, islice
+from typing import Callable, Iterator, NamedTuple
 
-from .errors import SchemaError, decoded
+import numpy as np
+
+from .errors import SchemaError, ValidationError, decoded
 
 log = logging.getLogger(__name__)
 
@@ -76,34 +85,59 @@ DEFAULT_MAX_CUSTOMERS = 10_000_000
 # restore_minutes may round up past the true duration by this much
 RESTORE_ROUNDING_SLACK_MIN = 1.0
 
+# Rows parsed, or written, per chunk: bounds the per-row lists alive at once.
+CHUNK_ROWS = 4096
+
 
 # ---------------------------------------------------------------------------
-# Domain types. A file holds hundreds of thousands of outage and weather
-# rows, so their records are plain named tuples, not dataclasses.
+# Domain types. Outages and weather are column tables: text columns are
+# lists of str, the others numpy arrays, row i of every column is one row.
 # ---------------------------------------------------------------------------
 
-class OutageRecord(NamedTuple):
-    """One component outage from the outage management system."""
-    outage_id: str
-    component_id: str
-    latitude: float
-    longitude: float
-    start: datetime
-    end: datetime
-    restore_minutes: float
-    customers: int
-    cause_code: str
+class _Table:
+    """Column table base: len() is the row count."""
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def take(self, rows: slice | np.ndarray):
+        """The table of a slice of rows, or of an array of row numbers in
+        that order."""
+        def part(column):
+            if isinstance(column, np.ndarray) or isinstance(rows, slice):
+                return column[rows]
+            return list(map(column.__getitem__, rows.tolist()))
+        return type(self)(*(part(getattr(self, f.name)) for f in fields(self)))
 
 
-class WeatherObservation(NamedTuple):
-    """One hourly station report; None marks an absent measurement."""
-    station_id: str
-    timestamp: datetime
-    wind_avg: float | None
-    wind_fastest_2min: float | None
-    precip: float | None
-    snowfall: float | None
-    snow_depth: float | None
+@dataclass(frozen=True, eq=False)
+class OutageTable(_Table):
+    """Component outages from the outage management system. Instants are
+    datetime64 (whole seconds from the parser). customers holds whole
+    numbers as float64, int(float(cell)) as a float, so a count past 2**63
+    does not wrap."""
+    outage_id: list[str]
+    component_id: list[str]
+    latitude: np.ndarray
+    longitude: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    restore_minutes: np.ndarray
+    customers: np.ndarray
+    cause_code: list[str]
+
+
+@dataclass(frozen=True, eq=False)
+class WeatherTable(_Table):
+    """Hourly station reports. NaN marks an absent measurement (a present
+    one is always finite), so np.isnan is the absence mask."""
+    station_id: list[str]
+    timestamp: np.ndarray
+    wind_avg: np.ndarray
+    wind_fastest_2min: np.ndarray
+    precip: np.ndarray
+    snowfall: np.ndarray
+    snow_depth: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -126,6 +160,11 @@ class SevereWeatherRecord(NamedTuple):
     description: str
 
 
+# The rules in the order they are checked; a chunk's rule codes number them
+# from 1, and 0 keeps the row.
+RULES = ("missing_field", "inconsistent_time", "out_of_bounds")
+
+
 @dataclass
 class CleaningReport:
     """Row accounting for one parsed file: kept + all drop buckets = total."""
@@ -135,14 +174,17 @@ class CleaningReport:
     dropped_inconsistent_time: int = 0
     dropped_out_of_bounds: int = 0
     samples: dict[str, list[str]] = field(default_factory=lambda: {
-        "missing_field": [], "inconsistent_time": [], "out_of_bounds": [],
-    })
+        rule: [] for rule in RULES})
 
     def drop(self, rule: str, row_id: str) -> None:
-        setattr(self, f"dropped_{rule}", getattr(self, f"dropped_{rule}") + 1)
+        self.drop_rows(rule, [row_id], str)
+
+    def drop_rows(self, rule: str, rows: list, row_id: Callable[..., str]) -> None:
+        """Tally `rows`, given in row order, under `rule`; the first ten
+        dropped under a rule, as `row_id(row)`, are its samples."""
+        setattr(self, f"dropped_{rule}", getattr(self, f"dropped_{rule}") + len(rows))
         bucket = self.samples[rule]
-        if len(bucket) < 10:
-            bucket.append(row_id)
+        bucket += map(row_id, rows[:10 - len(bucket)])
 
     def check(self) -> None:
         total_drops = (self.dropped_missing_field + self.dropped_inconsistent_time
@@ -162,7 +204,7 @@ class CleaningReport:
 
 def parse_instant(text: str) -> datetime | None:
     """Parse an ISO-8601 UTC instant, truncated to whole seconds; returns
-    None when unparseable."""
+    None when unparseable or outside the years 1-9999 once in UTC."""
     text = text.strip()
     if not text:
         return None
@@ -170,12 +212,12 @@ def parse_instant(text: str) -> datetime | None:
         text = text[:-1] + "+00:00"
     try:
         dt = datetime.fromisoformat(text)
-    except ValueError:
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        elif dt.tzinfo is not timezone.utc:
+            dt = dt.astimezone(timezone.utc)
+    except (ValueError, OverflowError):
         return None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    elif dt.tzinfo is not timezone.utc:
-        dt = dt.astimezone(timezone.utc)
     # Clean files hold whole seconds, so every rule sees what gets written.
     return dt.replace(microsecond=0) if dt.microsecond else dt
 
@@ -187,6 +229,19 @@ def format_instant(dt: datetime) -> str:
     return dt.isoformat(timespec="seconds")[:19] + "Z"
 
 
+def datetime64(dt: datetime) -> np.datetime64:
+    """An aware or UTC-naive instant as a datetime64 in microseconds."""
+    if dt.tzinfo is not None:
+        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+    return np.datetime64(dt, "us")
+
+
+def utc_datetimes(values: np.ndarray) -> list[datetime]:
+    """datetime64 values as aware UTC datetimes, to the microsecond."""
+    return [dt.replace(tzinfo=timezone.utc)
+            for dt in values.astype("datetime64[us]").tolist()]
+
+
 def _parse_float(text: str) -> float | None:
     try:
         value = float(text)
@@ -195,39 +250,195 @@ def _parse_float(text: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
-# An unparseable measurement cell, as opposed to an empty (absent) one.
-_GARBAGE = object()
-
-
-def _parse_optional_float(text: str) -> float | None | object:
-    """Returns the number, None for an empty cell, and _GARBAGE otherwise."""
-    text = text.strip()
-    if not text:
-        return None
-    value = _parse_float(text)
-    return _GARBAGE if value is None else value
-
-
 def _row_id(row: list[str], line_no: int) -> str:
     """The id a dropped row is reported under: its first cell, else its line."""
     return row[0].strip() or f"row{line_no}"
 
 
-def _reader(data: bytes, expected: list[str], filename: str) -> csv.reader:
-    """CSV rows after a header that must match `expected`."""
-    rows = csv.reader(io.StringIO(decoded(data, filename)))
-    header = next(rows, None)
-    if header is None:
-        raise SchemaError(f"{filename}: file is empty, expected header {','.join(expected)}")
-    got = [c.strip() for c in header]
-    if got != expected:
-        missing = [c for c in expected if c not in got]
-        if missing:
-            raise SchemaError(f"{filename}: header is missing column(s) {', '.join(missing)}")
-        raise SchemaError(
-            f"{filename}: header {','.join(got)} does not match expected order "
-            f"{','.join(expected)}")
-    return rows
+def _reader(data: bytes, expected: list[str], filename: str) -> Iterator[list[str]]:
+    """CSV rows after a header that must match `expected`. A row the csv
+    module cannot read is invalid data, named by file and line."""
+    # Decoded as read, with no copy of the whole text.
+    rows = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                       newline="\n"))
+    try:
+        header = next(rows, None)
+        if header is None:
+            raise SchemaError(f"{filename}: file is empty, expected header "
+                              f"{','.join(expected)}")
+        got = [c.strip() for c in header]
+        if got != expected:
+            missing = [c for c in expected if c not in got]
+            if missing:
+                raise SchemaError(
+                    f"{filename}: header is missing column(s) {', '.join(missing)}")
+            raise SchemaError(
+                f"{filename}: header {','.join(got)} does not match expected order "
+                f"{','.join(expected)}")
+        yield from rows
+    except UnicodeDecodeError:
+        decoded(data, filename)  # raises the error naming the first bad byte
+        raise
+    except csv.Error as exc:
+        raise ValidationError(f"{filename} line {rows.line_num}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# Column parsing: rows in chunks, cells a column at a time
+# ---------------------------------------------------------------------------
+
+def _chunks(data: bytes, header: list[str], source: str):
+    """The rows after the header, CHUNK_ROWS at a time. Yields (lines,
+    columns, malformed) per chunk: the line number of each non-blank row
+    (CSV records, not text lines, counted from the header as 1, blank rows
+    included), its cells as columns (tuples of str), and which rows had
+    another number of cells than the header; those are cut or padded with
+    blank cells to fit."""
+    rows = _reader(data, header, source)
+    width, first = len(header), 2
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        lines = np.arange(first, first + len(chunk))
+        first += len(chunk)
+        lengths = np.fromiter(map(len, chunk), np.intp, len(chunk))
+        malformed = lengths != width
+        if malformed.any():
+            for i in np.flatnonzero(malformed & (lengths > 0)).tolist():
+                chunk[i] = (chunk[i] + [""] * width)[:width]
+            filled = (lengths > 0).tolist()
+            chunk = list(compress(chunk, filled))
+            lines, malformed = lines[filled], malformed[filled]
+        yield lines, list(zip(*chunk)) or [()] * width, malformed
+
+
+def _tally(report: CleaningReport, rule: np.ndarray,
+           row_id: Callable[[int], str]) -> None:
+    """Tally one chunk's rows: rule[i] numbers the first rule row i breaks
+    (1 for RULES[0]), 0 keeps it."""
+    report.total_rows += len(rule)
+    for code, name in enumerate(RULES, start=1):
+        report.drop_rows(name, np.flatnonzero(rule == code).tolist(), row_id)
+
+
+def _stripped(cells: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
+    """The cells stripped, and which are not empty once stripped."""
+    text = list(map(str.strip, cells))
+    return text, np.fromiter(map(bool, text), bool, len(text))
+
+
+def _floats(cells: tuple[str, ...]) -> np.ndarray:
+    """float(cell) of each cell, NaN where that raises or is not finite."""
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        values = np.array([math.nan if (v := _parse_float(c)) is None else v
+                           for c in cells], np.float64)
+    values[~np.isfinite(values)] = np.nan
+    return values
+
+
+def _measures(cells: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Optional measurement cells: the values, NaN where a cell is blank,
+    and which cells are neither blank nor a finite number."""
+    values = _floats(cells)
+    garbage = np.zeros(len(cells), bool)
+    unread = np.flatnonzero(np.isnan(values))
+    garbage[unread] = [bool(cells[i].strip()) for i in unread.tolist()]
+    return values, garbage
+
+
+# The canonical instant YYYY-MM-DDTHH:MM:SSZ: its digit positions, the
+# positions where its six two-digit numbers start, and its separators.
+_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_NUMBERS = (0, 2, 5, 8, 11, 14, 17)
+_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":", 19: "Z"}
+
+
+def _instants(cells: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """parse_instant of each cell as datetime64[s], NaT where it gives None,
+    and which cells are canonical. A canonical cell holding a valid instant
+    is converted in bulk; every other cell goes through parse_instant."""
+    n = len(cells)
+    code = np.array(cells, dtype="U20").view(np.uint32).reshape(n, 20).astype(np.int64)
+    canonical = np.fromiter(map(len, cells), np.intp, n) == 20
+    canonical &= ((code[:, _DIGITS] >= 48) & (code[:, _DIGITS] <= 57)).all(axis=1)
+    for at, char in _SEPARATORS.items():
+        canonical &= code[:, at] == ord(char)
+    century, year, month, day, hour, minute, second = (
+        (code[:, at] - 48) * 10 + code[:, at + 1] - 48 for at in _NUMBERS)
+    year += century * 100
+    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    first_day = months.astype("datetime64[D]")
+    month_days = ((months + 1).astype("datetime64[D]") - first_day).astype(np.int64)
+    canonical &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+                  & (day <= month_days) & (hour <= 23) & (minute <= 59) & (second <= 59))
+    values = first_day.astype("datetime64[s]") + (
+        (day - 1) * 86400 + hour * 3600 + minute * 60 + second)
+    for i in np.flatnonzero(~canonical).tolist():
+        dt = parse_instant(cells[i])
+        values[i] = np.datetime64("NaT") if dt is None \
+            else np.datetime64(dt.replace(tzinfo=None), "s")
+    return values, canonical
+
+
+def _joined(parts: list) -> np.ndarray | list:
+    """One column from its parts, one per chunk."""
+    if isinstance(parts[0], np.ndarray):
+        return np.concatenate(parts)
+    return list(chain.from_iterable(parts))
+
+
+# ---------------------------------------------------------------------------
+# Column writing
+# ---------------------------------------------------------------------------
+
+def csv_bytes(header: list[str], write_rows: Callable[[csv.writer], None]) -> bytes:
+    """The header, then what `write_rows(writer)` writes, as CSV with "\n"
+    line ends. csv.writer leaves a cell holding a bare "\r" unquoted, which
+    no reader parses back, so a file that holds a "\r" is written again
+    with every cell quoted."""
+    def written(quoting: int) -> bytes:
+        out = io.BytesIO()
+        text = io.TextIOWrapper(out, encoding="utf-8", newline="\n")
+        w = csv.writer(text, lineterminator="\n", quoting=quoting)
+        w.writerow(header)
+        write_rows(w)
+        text.flush()
+        return out.getvalue()
+
+    data = written(csv.QUOTE_MINIMAL)
+    return written(csv.QUOTE_ALL) if b"\r" in data else data
+
+
+def _write_table(header: list[str], table: _Table,
+                 cells: Callable[[_Table], list]) -> bytes:
+    """csv_bytes of `table`: `cells(part)` gives the text columns of each
+    part of at most CHUNK_ROWS rows."""
+    def write_rows(w):
+        for lo in range(0, len(table), CHUNK_ROWS):
+            w.writerows(zip(*cells(table.take(slice(lo, lo + CHUNK_ROWS)))))
+    return csv_bytes(header, write_rows)
+
+
+def _cells(values: np.ndarray, fmt: Callable[[float], str]) -> list[str]:
+    """fmt(value) of each float, computed once per distinct bit pattern (so
+    -0.0 keeps its sign). fmt gets Python floats, whose repr the clean
+    files hold."""
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    text = np.array([fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def _instant_cells(values: np.ndarray) -> list[str]:
+    """format_instant of each datetime64."""
+    return np.datetime_as_string(values, unit="s", timezone="UTC").tolist()
+
+
+def _minutes(value: float) -> str:
+    return str(int(value)) if value.is_integer() else repr(value)
+
+
+def _measure(value: float) -> str:
+    return "" if math.isnan(value) else repr(value)
 
 
 # ---------------------------------------------------------------------------
@@ -239,80 +450,52 @@ def parse_outages(
     max_outage_days: float = DEFAULT_MAX_OUTAGE_DAYS,
     max_customers: int = DEFAULT_MAX_CUSTOMERS,
     source: str = "outages.csv",
-) -> tuple[list[OutageRecord], CleaningReport]:
-    """Parse outages.csv, returning kept records and the cleaning tally.
+) -> tuple[OutageTable, CleaningReport]:
+    """Parse outages.csv, returning the kept rows and the cleaning tally.
     `source` names the parsed file in errors."""
-    rows = _reader(data, OUTAGES_HEADER, source)
-
     report = CleaningReport()
-    kept: list[OutageRecord] = []
-    for line_no, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        report.total_rows += 1
-        if len(row) != len(OUTAGES_HEADER):
-            report.drop("missing_field", _row_id(row, line_no))
-            continue
-        outage_id, component_id = row[0].strip(), row[1].strip()
-        lat = _parse_float(row[2])
-        lon = _parse_float(row[3])
-        start = parse_instant(row[4])
-        end = parse_instant(row[5])
-        restore = _parse_float(row[6])
-        customers_f = _parse_float(row[7])
-        cause = row[8].strip()
-        if (not outage_id or not component_id or not cause
-                or lat is None or lon is None or start is None or end is None
-                or restore is None or customers_f is None):
-            report.drop("missing_field", _row_id(row, line_no))
-            continue
-        customers = int(customers_f)
+    floats, instants = np.empty(0), np.empty(0, "datetime64[s]")
+    kept: list[tuple] = [([], [], floats, floats, instants, instants, floats, floats, [])]
+    for lines, cols, malformed in _chunks(data, OUTAGES_HEADER, source):
+        outage_id, has_id = _stripped(cols[0])
+        component_id, has_component = _stripped(cols[1])
+        cause_code, has_cause = _stripped(cols[8])
+        lat, lon, restore = _floats(cols[2]), _floats(cols[3]), _floats(cols[6])
+        customers = np.trunc(_floats(cols[7]))
+        start, end = _instants(cols[4])[0], _instants(cols[5])[0]
 
-        duration_min = (end - start).total_seconds() / 60.0
-        if start >= end or restore > duration_min + RESTORE_ROUNDING_SLACK_MIN:
-            report.drop("inconsistent_time", _row_id(row, line_no))
-            continue
+        missing = malformed | np.isnat(start) | np.isnat(end) | ~(
+            has_id & has_component & has_cause & np.isfinite(lat) & np.isfinite(lon)
+            & np.isfinite(restore) & np.isfinite(customers))
+        duration_min = (end - start) / np.timedelta64(1, "s") / 60.0
+        inconsistent = (start >= end) \
+            | (restore > duration_min + RESTORE_ROUNDING_SLACK_MIN)
+        out_of_bounds = ~((-90.0 <= lat) & (lat <= 90.0)
+                          & (-180.0 <= lon) & (lon <= 180.0)) \
+            | (restore < 0.0) | (customers < 0.0) | (customers > float(max_customers)) \
+            | (duration_min > max_outage_days * 24.0 * 60.0)
+        rule = np.select([missing, inconsistent, out_of_bounds], [1, 2, 3], 0)
+        _tally(report, rule, lambda i: outage_id[i] or f"row{lines[i]}")
 
-        if (not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0
-                or restore < 0.0 or customers < 0 or customers > max_customers
-                or duration_min > max_outage_days * 24.0 * 60.0):
-            report.drop("out_of_bounds", _row_id(row, line_no))
-            continue
-
-        report.kept += 1
-        kept.append(OutageRecord(outage_id, component_id, lat, lon,
-                                 start, end, restore, customers, cause))
+        keep = rule == 0
+        flags = keep.tolist()
+        kept.append((
+            list(compress(outage_id, flags)), list(compress(component_id, flags)),
+            lat[keep], lon[keep], start[keep], end[keep], restore[keep],
+            customers[keep], list(compress(cause_code, flags))))
+    outages = OutageTable(*map(_joined, zip(*kept)))
+    report.kept = len(outages)
     report.check()
-    return kept, report
+    return outages, report
 
 
-def csv_bytes(header: list[str], write_rows: Callable[[csv.writer], None]) -> bytes:
-    """The header, then what `write_rows(writer)` writes, as CSV with "\n"
-    line ends. csv.writer leaves a cell holding a bare "\r" unquoted, which
-    no reader parses back, so a file that holds a "\r" is written again
-    with every cell quoted."""
-    def text(quoting: int) -> str:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n", quoting=quoting)
-        w.writerow(header)
-        write_rows(w)
-        return out.getvalue()
-
-    written = text(csv.QUOTE_MINIMAL)
-    if "\r" in written:
-        written = text(csv.QUOTE_ALL)
-    return written.encode("utf-8")
-
-
-def write_outages_csv(records: list[OutageRecord]) -> bytes:
-    def write_rows(w):
-        for r in records:
-            restore = int(r.restore_minutes) \
-                if r.restore_minutes == int(r.restore_minutes) else r.restore_minutes
-            w.writerow([r.outage_id, r.component_id, repr(r.latitude), repr(r.longitude),
-                        format_instant(r.start), format_instant(r.end),
-                        restore, r.customers, r.cause_code])
-    return csv_bytes(OUTAGES_HEADER, write_rows)
+def write_outages_csv(outages: OutageTable) -> bytes:
+    return _write_table(OUTAGES_HEADER, outages, lambda part: [
+        part.outage_id, part.component_id,
+        _cells(part.latitude, repr), _cells(part.longitude, repr),
+        _instant_cells(part.start), _instant_cells(part.end),
+        _cells(part.restore_minutes, _minutes),
+        _cells(part.customers, lambda v: str(int(v))), part.cause_code])
 
 
 # ---------------------------------------------------------------------------
@@ -322,83 +505,84 @@ def write_outages_csv(records: list[OutageRecord]) -> bytes:
 def parse_weather(
     data: bytes,
     source: str = "weather.csv",
-) -> tuple[list[WeatherObservation], CleaningReport]:
+) -> tuple[WeatherTable, CleaningReport]:
     """Parse weather.csv: validate, then collapse duplicate station-hours.
 
     Output is sorted by (station_id, timestamp). kept counts the surviving
     observations. `source` names the parsed file in errors.
     """
-    rows = _reader(data, WEATHER_HEADER, source)
-
     report = CleaningReport()
-    # (station_id, timestamp) -> (obs, number of present measurements)
-    best: dict[tuple[str, datetime], tuple[WeatherObservation, int]] = {}
-    for line_no, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        report.total_rows += 1
-        if len(row) != len(WEATHER_HEADER):
-            report.drop("missing_field", _weather_row_id(row, line_no))
-            continue
-        station_id = row[0].strip()
-        ts = parse_instant(row[1])
-        if not station_id or ts is None:
-            report.drop("missing_field", _weather_row_id(row, line_no))
-            continue
+    stations: dict[str, int] = {}  # station id -> code, in order of appearance
+    # Per chunk, the rows that pass the row rules: line, station code,
+    # timestamp and the five measurements.
+    passed: list[tuple] = [(np.empty(0, np.intp), np.empty(0, np.intp),
+                            np.empty(0, "datetime64[s]"), np.empty((0, 5)))]
+    # The stripped timestamp cell of each passing row not in canonical form.
+    odd_stamps: dict[int, str] = {}
+    for lines, cols, malformed in _chunks(data, WEATHER_HEADER, source):
+        station_id, has_station = _stripped(cols[0])
+        timestamp, canonical = _instants(cols[1])
+        values, garbage = zip(*map(_measures, cols[2:]))
+        values = np.column_stack(values)
 
-        values = [_parse_optional_float(cell) for cell in row[2:]]
-        if _GARBAGE in values:
-            report.drop("missing_field", _weather_row_id(row, line_no))
-            continue
-        wind_avg, wind_fast, precip, snowfall, snow_depth = values
+        missing = malformed | ~has_station | np.isnat(timestamp) \
+            | np.logical_or.reduce(garbage)
+        out_of_bounds = (values < 0.0).any(axis=1) | (values[:, 1] < values[:, 0])
+        rule = np.select([missing, out_of_bounds], [1, 3], 0)
+        _tally(report, rule, lambda i: _weather_row_id(
+            station_id[i] or f"row{lines[i]}", cols[1][i]))
 
-        present = [v for v in values if v is not None]
-        if present and min(present) < 0.0:
-            report.drop("out_of_bounds", _weather_row_id(row, line_no))
-            continue
-        if wind_avg is not None and wind_fast is not None and wind_fast < wind_avg:
-            report.drop("out_of_bounds", _weather_row_id(row, line_no))
-            continue
+        keep = np.flatnonzero(rule == 0)
+        ids = list(map(station_id.__getitem__, keep.tolist()))
+        for s in dict.fromkeys(ids):
+            stations.setdefault(s, len(stations))
+        for i in keep[~canonical[keep]].tolist():
+            odd_stamps[int(lines[i])] = cols[1][i].strip()
+        passed.append((lines[keep], np.fromiter(map(stations.__getitem__, ids), np.intp,
+                                                len(ids)),
+                       timestamp[keep], values[keep]))
+    line, code, timestamp, values = map(np.concatenate, zip(*passed))
 
-        key = (station_id, ts)
-        prev = best.get(key)
-        if prev is None:
-            report.kept += 1
-        else:
-            # collapse duplicates: most present fields wins, ties keep the later row
-            report.drop("inconsistent_time", _weather_row_id(row, line_no))
-            if len(present) < prev[1]:
-                continue
-        best[key] = (WeatherObservation(station_id, ts, wind_avg, wind_fast,
-                                        precip, snowfall, snow_depth),
-                     len(present))
+    # Group the station-hours, stations in id order. A group's first row in
+    # line order counts as kept and each later one as a dropped duplicate;
+    # the row with the most present fields wins, the later one on ties.
+    names = list(stations)
+    rank = np.empty(len(names), np.intp)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    key = (timestamp, rank[code])
+    by_line = np.lexsort((line, *key))
+    by_fields = np.lexsort((line, (~np.isnan(values)).sum(axis=1), *key))
+    group_code, group_time = rank[code][by_line], timestamp[by_line]
+    first = np.ones(len(line), bool)
+    first[1:] = (group_code[1:] != group_code[:-1]) | (group_time[1:] != group_time[:-1])
+    last = np.ones(len(line), bool)
+    last[:-1] = first[1:]
+
+    def duplicate_id(i: int) -> str:
+        stamp = odd_stamps.get(int(line[i])) \
+            or str(np.datetime_as_string(timestamp[i], unit="s", timezone="UTC"))
+        return _weather_row_id(names[code[i]], stamp)
+    report.drop_rows("inconsistent_time", np.sort(by_line[~first]).tolist(), duplicate_id)
+
+    winners = by_fields[last]
+    observations = WeatherTable(list(map(names.__getitem__, code[winners].tolist())),
+                                timestamp[winners], *values[winners].T.copy())
+    report.kept = len(observations)
     report.check()
+    return observations, report
 
-    return [best[key][0] for key in sorted(best)], report
 
-
-def _weather_row_id(row: list[str], line_no: int) -> str:
-    row_id = _row_id(row, line_no)
-    timestamp = row[1].strip() if len(row) > 1 else ""
+def _weather_row_id(row_id: str, timestamp: str) -> str:
+    timestamp = timestamp.strip()
     return f"{row_id}@{timestamp}" if timestamp else row_id
 
 
-def write_weather_csv(observations: list[WeatherObservation]) -> bytes:
-    def cell(v: float | None) -> str:
-        return "" if v is None else repr(v)
-
-    # Every station reports the same hours: format each instant once.
-    stamps: dict[datetime, str] = {}
-
-    def write_rows(w):
-        for o in observations:
-            stamp = stamps.get(o.timestamp)
-            if stamp is None:
-                stamp = stamps[o.timestamp] = format_instant(o.timestamp)
-            w.writerow([o.station_id, stamp,
-                        cell(o.wind_avg), cell(o.wind_fastest_2min),
-                        cell(o.precip), cell(o.snowfall), cell(o.snow_depth)])
-    return csv_bytes(WEATHER_HEADER, write_rows)
+def write_weather_csv(observations: WeatherTable) -> bytes:
+    return _write_table(WEATHER_HEADER, observations, lambda part: [
+        part.station_id, _instant_cells(part.timestamp),
+        *(_cells(values, _measure) for values in (
+            part.wind_avg, part.wind_fastest_2min, part.precip, part.snowfall,
+            part.snow_depth))])
 
 
 # ---------------------------------------------------------------------------

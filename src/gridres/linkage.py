@@ -27,14 +27,13 @@ without them fragility curves bow upward at low intensity.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
 
-from .ingest import (OutageRecord, SevereWeatherRecord, WeatherObservation,
-                     csv_bytes, format_instant)
+from .ingest import (OutageTable, SevereWeatherRecord, WeatherTable, csv_bytes,
+                     datetime64, format_instant, utc_datetimes)
 from .events import union_intervals
 from .zoning import HAZARD_PRECIPITATION, HAZARD_WIND, ZonePartition, assign_many
 
@@ -100,10 +99,13 @@ def merge_windows(records: list[SevereWeatherRecord]) -> list[MergedWindow]:
     chronological; each merged window carries every source event id.
     """
     ordered = sorted(records, key=lambda r: (r.start, r.event_id))
-    spans = [(r.start, r.end) for r in ordered]
-    return [MergedWindow(ordered[first].start, end,
-                         tuple(r.event_id for r in ordered[first:stop]))
-            for first, stop, end in union_intervals(spans)]
+    first, stop, end = union_intervals(
+        np.array([datetime64(r.start) for r in ordered], "datetime64[us]"),
+        np.array([datetime64(r.end) for r in ordered], "datetime64[us]"))
+    return [MergedWindow(ordered[a].start, window_end,
+                         tuple(r.event_id for r in ordered[a:b]))
+            for a, b, window_end in zip(first.tolist(), stop.tolist(),
+                                        utc_datetimes(end))]
 
 
 # ---------------------------------------------------------------------------
@@ -111,26 +113,32 @@ def merge_windows(records: list[SevereWeatherRecord]) -> list[MergedWindow]:
 # ---------------------------------------------------------------------------
 
 class StationIndex:
-    """Per-station observation lists sorted by timestamp, for range lookup."""
+    """Row numbers of a weather table per station, sorted by timestamp,
+    for range lookup."""
 
-    def __init__(self, observations: list[WeatherObservation]):
-        self._by_station: dict[str, list[WeatherObservation]] = {}
-        for obs in observations:
-            self._by_station.setdefault(obs.station_id, []).append(obs)
-        self._times: dict[str, list[datetime]] = {}
-        for station_id, rows in self._by_station.items():
-            rows.sort(key=lambda o: o.timestamp)
-            self._times[station_id] = [o.timestamp for o in rows]
+    def __init__(self, weather: WeatherTable):
+        self.weather = weather
+        stations = list(dict.fromkeys(weather.station_id))
+        code = np.fromiter(map({s: i for i, s in enumerate(stations)}.__getitem__,
+                               weather.station_id), np.intp, len(weather))
+        order = np.lexsort((weather.timestamp, code))
+        bounds = np.searchsorted(code[order], np.arange(len(stations) + 1))
+        self._rows = {station: order[bounds[i]:bounds[i + 1]]
+                      for i, station in enumerate(stations)}
+        # In microseconds, the unit window bounds are looked up in.
+        self._times = {station: weather.timestamp[rows].astype("datetime64[us]")
+                       for station, rows in self._rows.items()}
 
     def in_range(self, station_id: str, start: datetime, end: datetime,
-                 ) -> list[WeatherObservation]:
-        rows = self._by_station.get(station_id)
-        if not rows:
-            return []
-        times = self._times[station_id]
-        lo = bisect_left(times, start)
-        hi = bisect_right(times, end)
-        return rows[lo:hi]
+                 ) -> np.ndarray:
+        """Row numbers of the station's rows with start <= timestamp <= end,
+        in time order."""
+        times = self._times.get(station_id)
+        if times is None:
+            return np.empty(0, np.intp)
+        lo = np.searchsorted(times, datetime64(start), side="left")
+        hi = np.searchsorted(times, datetime64(end), side="right")
+        return self._rows[station_id][lo:hi]
 
 
 def intensity(
@@ -143,17 +151,23 @@ def intensity(
     """Measured intensity over [window.start - 1h, window.end].
 
     Returns None when the station has no usable rows in range; callers must
-    drop the sample and say why.
+    drop the sample and say why. Sums and maxima run left to right over
+    the rows in time order, on Python floats.
     """
     start, end = window
     rows = index.in_range(station_id, start - INTENSITY_LOOKBACK, end)
+    weather = index.weather
     if hazard_class == HAZARD_WIND:
-        present = [o.wind_fastest_2min for o in rows
-                   if o.wind_fastest_2min is not None]
+        gusts = weather.wind_fastest_2min[rows]
+        present = gusts[~np.isnan(gusts)].tolist()
         return max(present) if present else None
     if hazard_class == HAZARD_PRECIPITATION:
-        present = [(o.precip or 0.0) + (o.snowfall or 0.0) for o in rows
-                   if o.precip is not None or o.snowfall is not None]
+        precip, snowfall = weather.precip[rows], weather.snowfall[rows]
+        reported = ~(np.isnan(precip) & np.isnan(snowfall))
+        # An absent or zero measurement adds +0.0.
+        depth = np.where(np.isnan(precip) | (precip == 0.0), 0.0, precip) \
+            + np.where(np.isnan(snowfall) | (snowfall == 0.0), 0.0, snowfall)
+        present = depth[reported].tolist()
         if not present:
             return None
         return sum(present) if precip_mode == PRECIP_MODE_CUMULATIVE \
@@ -168,8 +182,8 @@ def intensity(
 def build_fragility_samples(
     severe: list[SevereWeatherRecord],
     partitions: dict[str, ZonePartition],
-    observations: list[WeatherObservation],
-    outages: list[OutageRecord],
+    weather: WeatherTable,
+    outages: OutageTable,
     mapping: dict[str, str] | None = None,
     precip_mode: str = PRECIP_MODE_CUMULATIVE,
 ) -> dict[str, dict[str, list[FragilitySample]]]:
@@ -179,11 +193,7 @@ def build_fragility_samples(
     zone of every supplied partition (empty lists included). Zone keys
     follow partition order; samples are chronological within a zone.
     """
-    station_index = StationIndex(observations)
-    out_lons = np.array([r.longitude for r in outages])
-    out_lats = np.array([r.latitude for r in outages])
-    out_starts = np.array(
-        [int(r.start.timestamp()) for r in outages], dtype=np.int64)
+    station_index = StationIndex(weather)
 
     excluded = 0
     by_class: dict[str, list[SevereWeatherRecord]] = {}
@@ -206,9 +216,10 @@ def build_fragility_samples(
         for rec, zi in zip(records, assign_many(partition, lons, lats)):
             per_zone[partition.zones[zi].zone_id].append(rec)
 
-        out_zone = assign_many(partition, out_lons, out_lats)
+        out_zone = assign_many(partition, outages.longitude, outages.latitude)
         samples_by_zone: dict[str, list[FragilitySample]] = {}
         for zi, zone in enumerate(partition.zones):
+            starts = np.sort(outages.start[out_zone == zi]).astype("datetime64[us]")
             samples: list[FragilitySample] = []
             for window in merge_windows(per_zone[zone.zone_id]):
                 measured = intensity(
@@ -221,16 +232,14 @@ def build_fragility_samples(
                         window.start.isoformat(), window.end.isoformat(),
                         zone.zone_id, zone.station_id)
                     continue
-                lo = int(window.start.timestamp())
-                hi = int(window.end.timestamp())
-                mask = ((out_starts >= lo) & (out_starts <= hi)
-                        & (out_zone == zi))
+                in_window = np.searchsorted(starts, datetime64(window.end), "right") \
+                    - np.searchsorted(starts, datetime64(window.start), "left")
                 samples.append(FragilitySample(
                     zone_id=zone.zone_id,
                     window_start=window.start,
                     window_end=window.end,
                     intensity=measured,
-                    outage_count=int(mask.sum()),
+                    outage_count=int(in_window),
                     source_event_ids=window.source_event_ids,
                 ))
             samples_by_zone[zone.zone_id] = samples

@@ -31,6 +31,8 @@ from .ingest import HAZARD_PRECIPITATION, HAZARD_WIND  # noqa: F401 (re-exported
 COINCIDENT_TOL = 1e-12
 # assign_many distance tie tolerance, projected degrees
 TIE_TOL = 1e-12
+# The most cells a density grid may have (int64 counts: 8 MB)
+DENSITY_MAX_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -267,7 +269,8 @@ def assign_many(
 # ---------------------------------------------------------------------------
 
 def density_grid(
-    points: list[tuple[float, float]],
+    lons: np.ndarray,
+    lats: np.ndarray,
     bbox: tuple[float, float, float, float],
     cell_size: float,
 ) -> DensityGrid:
@@ -276,27 +279,35 @@ def density_grid(
     Cells are half-open on their low edge side: a point on an interior
     shared edge counts toward the larger cell index. Points on the bbox
     maximum edges fold into the last cell so the closed bbox loses nothing.
+    A grid of more than DENSITY_MAX_CELLS cells is refused before anything
+    is allocated.
     """
     min_lon, min_lat, max_lon, max_lat = bbox
     if cell_size <= 0.0:
         raise ValidationError("cell_size must be positive")
     if max_lon <= min_lon or max_lat <= min_lat:
         raise ValidationError("bbox must satisfy min < max on both axes")
-    ncols = max(1, math.ceil((max_lon - min_lon) / cell_size - 1e-12))
-    nrows = max(1, math.ceil((max_lat - min_lat) / cell_size - 1e-12))
+    spans = ((max_lat - min_lat) / cell_size, (max_lon - min_lon) / cell_size)
+    # A side past the limit on its own stands for itself: it may be too
+    # large (or infinite) to round up.
+    nrows, ncols = (max(1, math.ceil(n - 1e-12)) if n <= DENSITY_MAX_CELLS
+                    else DENSITY_MAX_CELLS + 1 for n in spans)
+    if nrows * ncols > DENSITY_MAX_CELLS:
+        raise ValidationError(
+            f"density_cell_size {cell_size:g} asks for a {spans[0]:.4g} x "
+            f"{spans[1]:.4g} density grid over the boundary; at most "
+            f"{DENSITY_MAX_CELLS:,} cells are allowed")
 
     counts = np.zeros((nrows, ncols), dtype=np.int64)
-    if points:
-        pts = np.asarray(points, dtype=float)
-        lons, lats = pts[:, 0], pts[:, 1]
-        inside = ((lons >= min_lon) & (lons <= max_lon)
-                  & (lats >= min_lat) & (lats <= max_lat))
-        cols = np.floor((lons[inside] - min_lon) / cell_size).astype(np.int64)
-        rows = np.floor((lats[inside] - min_lat) / cell_size).astype(np.int64)
-        np.clip(cols, 0, ncols - 1, out=cols)
-        np.clip(rows, 0, nrows - 1, out=rows)
-        flat = np.bincount(rows * ncols + cols, minlength=nrows * ncols)
-        counts += flat.reshape(nrows, ncols)
+    lons, lats = np.asarray(lons, dtype=float), np.asarray(lats, dtype=float)
+    inside = ((lons >= min_lon) & (lons <= max_lon)
+              & (lats >= min_lat) & (lats <= max_lat))
+    cols = np.floor((lons[inside] - min_lon) / cell_size).astype(np.int64)
+    rows = np.floor((lats[inside] - min_lat) / cell_size).astype(np.int64)
+    np.clip(cols, 0, ncols - 1, out=cols)
+    np.clip(rows, 0, nrows - 1, out=rows)
+    flat = np.bincount(rows * ncols + cols, minlength=nrows * ncols)
+    counts += flat.reshape(nrows, ncols)
     return DensityGrid(bbox=tuple(bbox), cell_size=cell_size, counts=counts)
 
 

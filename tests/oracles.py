@@ -1,13 +1,263 @@
 """Slow, obviously-correct reference implementations that tests compare the
-pipeline's vectorised and indexed paths against."""
+pipeline's vectorised and indexed paths against: the row-at-a-time outage
+and weather parsers and writers with their records, and converters between
+those records and the pipeline's column tables."""
 
 from __future__ import annotations
 
 import math
 from datetime import datetime
+from typing import NamedTuple
 
-from gridres.ingest import OutageRecord, WeatherObservation
+import numpy as np
+
+from gridres.ingest import (
+    DEFAULT_MAX_CUSTOMERS,
+    DEFAULT_MAX_OUTAGE_DAYS,
+    OUTAGES_HEADER,
+    RESTORE_ROUNDING_SLACK_MIN,
+    WEATHER_HEADER,
+    CleaningReport,
+    OutageTable,
+    WeatherTable,
+    _parse_float,
+    _reader,
+    _row_id,
+    csv_bytes,
+    datetime64,
+    format_instant,
+    parse_instant,
+    utc_datetimes,
+)
 from gridres.zoning import TIE_TOL, ZonePartition
+
+
+# ---------------------------------------------------------------------------
+# Row records and the row-at-a-time parsers and writers
+# ---------------------------------------------------------------------------
+
+class OutageRecord(NamedTuple):
+    """One component outage from the outage management system."""
+    outage_id: str
+    component_id: str
+    latitude: float
+    longitude: float
+    start: datetime
+    end: datetime
+    restore_minutes: float
+    customers: int
+    cause_code: str
+
+
+class WeatherObservation(NamedTuple):
+    """One hourly station report; None marks an absent measurement."""
+    station_id: str
+    timestamp: datetime
+    wind_avg: float | None
+    wind_fastest_2min: float | None
+    precip: float | None
+    snowfall: float | None
+    snow_depth: float | None
+
+
+# An unparseable measurement cell, as opposed to an empty (absent) one.
+_GARBAGE = object()
+
+
+def _parse_optional_float(text: str) -> float | None | object:
+    """Returns the number, None for an empty cell, and _GARBAGE otherwise."""
+    text = text.strip()
+    if not text:
+        return None
+    value = _parse_float(text)
+    return _GARBAGE if value is None else value
+
+
+def parse_outage_rows(
+    data: bytes,
+    max_outage_days: float = DEFAULT_MAX_OUTAGE_DAYS,
+    max_customers: int = DEFAULT_MAX_CUSTOMERS,
+    source: str = "outages.csv",
+) -> tuple[list[OutageRecord], CleaningReport]:
+    """Parse outages.csv one row at a time."""
+    rows = _reader(data, OUTAGES_HEADER, source)
+
+    report = CleaningReport()
+    kept: list[OutageRecord] = []
+    for line_no, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        report.total_rows += 1
+        if len(row) != len(OUTAGES_HEADER):
+            report.drop("missing_field", _row_id(row, line_no))
+            continue
+        outage_id, component_id = row[0].strip(), row[1].strip()
+        lat = _parse_float(row[2])
+        lon = _parse_float(row[3])
+        start = parse_instant(row[4])
+        end = parse_instant(row[5])
+        restore = _parse_float(row[6])
+        customers_f = _parse_float(row[7])
+        cause = row[8].strip()
+        if (not outage_id or not component_id or not cause
+                or lat is None or lon is None or start is None or end is None
+                or restore is None or customers_f is None):
+            report.drop("missing_field", _row_id(row, line_no))
+            continue
+        customers = int(customers_f)
+
+        duration_min = (end - start).total_seconds() / 60.0
+        if start >= end or restore > duration_min + RESTORE_ROUNDING_SLACK_MIN:
+            report.drop("inconsistent_time", _row_id(row, line_no))
+            continue
+
+        if (not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0
+                or restore < 0.0 or customers < 0 or customers > max_customers
+                or duration_min > max_outage_days * 24.0 * 60.0):
+            report.drop("out_of_bounds", _row_id(row, line_no))
+            continue
+
+        report.kept += 1
+        kept.append(OutageRecord(outage_id, component_id, lat, lon,
+                                 start, end, restore, customers, cause))
+    report.check()
+    return kept, report
+
+
+def write_outage_rows(records: list[OutageRecord]) -> bytes:
+    def write_rows(w):
+        for r in records:
+            restore = int(r.restore_minutes) \
+                if r.restore_minutes == int(r.restore_minutes) else r.restore_minutes
+            w.writerow([r.outage_id, r.component_id, repr(r.latitude), repr(r.longitude),
+                        format_instant(r.start), format_instant(r.end),
+                        restore, r.customers, r.cause_code])
+    return csv_bytes(OUTAGES_HEADER, write_rows)
+
+
+def parse_weather_rows(
+    data: bytes,
+    source: str = "weather.csv",
+) -> tuple[list[WeatherObservation], CleaningReport]:
+    """Parse weather.csv one row at a time, then collapse duplicate
+    station-hours; sorted by (station_id, timestamp)."""
+    rows = _reader(data, WEATHER_HEADER, source)
+
+    report = CleaningReport()
+    # (station_id, timestamp) -> (obs, number of present measurements)
+    best: dict[tuple[str, datetime], tuple[WeatherObservation, int]] = {}
+    for line_no, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        report.total_rows += 1
+        if len(row) != len(WEATHER_HEADER):
+            report.drop("missing_field", _weather_row_id(row, line_no))
+            continue
+        station_id = row[0].strip()
+        ts = parse_instant(row[1])
+        if not station_id or ts is None:
+            report.drop("missing_field", _weather_row_id(row, line_no))
+            continue
+
+        values = [_parse_optional_float(cell) for cell in row[2:]]
+        if _GARBAGE in values:
+            report.drop("missing_field", _weather_row_id(row, line_no))
+            continue
+        wind_avg, wind_fast, precip, snowfall, snow_depth = values
+
+        present = [v for v in values if v is not None]
+        if present and min(present) < 0.0:
+            report.drop("out_of_bounds", _weather_row_id(row, line_no))
+            continue
+        if wind_avg is not None and wind_fast is not None and wind_fast < wind_avg:
+            report.drop("out_of_bounds", _weather_row_id(row, line_no))
+            continue
+
+        key = (station_id, ts)
+        prev = best.get(key)
+        if prev is None:
+            report.kept += 1
+        else:
+            # collapse duplicates: most present fields wins, ties keep the later row
+            report.drop("inconsistent_time", _weather_row_id(row, line_no))
+            if len(present) < prev[1]:
+                continue
+        best[key] = (WeatherObservation(station_id, ts, wind_avg, wind_fast,
+                                        precip, snowfall, snow_depth),
+                     len(present))
+    report.check()
+
+    return [best[key][0] for key in sorted(best)], report
+
+
+def _weather_row_id(row: list[str], line_no: int) -> str:
+    row_id = _row_id(row, line_no)
+    timestamp = row[1].strip() if len(row) > 1 else ""
+    return f"{row_id}@{timestamp}" if timestamp else row_id
+
+
+def write_weather_rows(observations: list[WeatherObservation]) -> bytes:
+    def cell(v: float | None) -> str:
+        return "" if v is None else repr(v)
+
+    def write_rows(w):
+        for o in observations:
+            w.writerow([o.station_id, format_instant(o.timestamp),
+                        cell(o.wind_avg), cell(o.wind_fastest_2min),
+                        cell(o.precip), cell(o.snowfall), cell(o.snow_depth)])
+    return csv_bytes(WEATHER_HEADER, write_rows)
+
+
+# ---------------------------------------------------------------------------
+# Records <-> column tables
+# ---------------------------------------------------------------------------
+
+def _datetime64s(instants: list[datetime]) -> np.ndarray:
+    return np.array([datetime64(dt) for dt in instants], "datetime64[us]")
+
+
+def outage_table(records: list[OutageRecord]) -> OutageTable:
+    """The column table of outage records, instants to the microsecond."""
+    return OutageTable(
+        [r.outage_id for r in records], [r.component_id for r in records],
+        np.array([r.latitude for r in records], float),
+        np.array([r.longitude for r in records], float),
+        _datetime64s([r.start for r in records]), _datetime64s([r.end for r in records]),
+        np.array([r.restore_minutes for r in records], float),
+        np.array([float(r.customers) for r in records], float),
+        [r.cause_code for r in records])
+
+
+def outage_records(table: OutageTable) -> list[OutageRecord]:
+    return [OutageRecord(*row) for row in zip(
+        table.outage_id, table.component_id, table.latitude.tolist(),
+        table.longitude.tolist(), utc_datetimes(table.start), utc_datetimes(table.end),
+        table.restore_minutes.tolist(), map(int, table.customers.tolist()),
+        table.cause_code)]
+
+
+_MEASURES = ("wind_avg", "wind_fastest_2min", "precip", "snowfall", "snow_depth")
+
+
+def weather_table(observations: list[WeatherObservation]) -> WeatherTable:
+    """The column table of observations: NaN for an absent measurement."""
+    return WeatherTable(
+        [o.station_id for o in observations],
+        _datetime64s([o.timestamp for o in observations]),
+        *(np.array([math.nan if getattr(o, name) is None else getattr(o, name)
+                    for o in observations], float) for name in _MEASURES))
+
+
+def weather_records(table: WeatherTable) -> list[WeatherObservation]:
+    measures = [[None if math.isnan(v) else v for v in getattr(table, name).tolist()]
+                for name in _MEASURES]
+    return [WeatherObservation(*row) for row in zip(
+        table.station_id, utc_datetimes(table.timestamp), *measures)]
+
+
+# ---------------------------------------------------------------------------
+# Zones, weather lookup and outage counting
+# ---------------------------------------------------------------------------
 
 
 def nearest_station_index(partition: ZonePartition, lon: float, lat: float) -> int:

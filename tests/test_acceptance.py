@@ -23,14 +23,13 @@ from gridres.events import extract_events
 from gridres.fitting import (SaturatingRestorationModel, evaluate,
                              exponential_system, fit_exponential,
                              fit_restoration, restoration_system)
-from gridres.ingest import (OUTAGES_HEADER, OutageRecord, Station,
-                            parse_outages)
+from gridres.ingest import OUTAGES_HEADER, Station, parse_outages
 from gridres.reference import (RESTORATION, materialize_reference_workspace,
                                reference_partition, reference_wind_store)
 from gridres.scenario import (ScenarioSpec, emit_choropleth, predict_all,
                               predict_zone)
 from gridres.zoning import build_partition, assign_many
-from oracles import nearest_station_index
+from oracles import OutageRecord, nearest_station_index, outage_table
 
 UTC = timezone.utc
 BASE = datetime(2015, 3, 1, tzinfo=UTC)
@@ -146,7 +145,7 @@ def test_criterion_2_event_extraction_oracle(capsys):
                 starts = np.round(starts * 4.0) / 4.0
                 durs = np.round(durs * 4.0) / 4.0 + 0.25
             recs = _records_from_hours(starts, durs)
-            events = extract_events(recs)
+            events = extract_events(outage_table(recs))
             oracle = _union_oracle([(r.start, r.end) for r in recs])
 
             assert len(events) == len(oracle)
@@ -420,7 +419,7 @@ def test_criterion_7_property_representatives(capsys):
         # event extraction conserves the outage count
         starts = rng.uniform(0.0, 2000.0, 2000)
         durs = rng.uniform(0.25, 72.0, 2000)
-        events = extract_events(_records_from_hours(starts, durs))
+        events = extract_events(outage_table(_records_from_hours(starts, durs)))
         assert sum(ev.n_outages for ev in events) == 2000
 
         # prediction is the bitwise composition of the two model evaluations

@@ -388,6 +388,11 @@ def _polygon(coordinates) -> bytes:
     (["run-all"], None, ("truth.json", json.dumps({"zones": {"wind:0": {
         "hazard_class": "wind", "fragility": {"b": 0}, "restoration": {"c": 1},
     }}}).encode()), "truth.json"),
+    (["ingest"], None, ("inputs/severe_events.csv", (
+        "event_id,event_type,start,end,latitude,longitude,description\n"
+        "E1,Tornado,2012-06-29T14:00:00Z,2012-06-29T15:00:00Z,39.7,-86.1,"
+        f'"{"x" * 200_000}"\n').encode()), "severe_events.csv line 2"),
+    (["zones"], {"density_cell_size": 1e-6}, None, "density_cell_size 1e-06"),
 ], ids=["customers-string", "customers-bool", "cell-size-list",
         "cell-size-nan", "solver-unknown-key", "mapping-list",
         "scenario-intensity-string", "config-not-utf8", "intensity-nan",
@@ -396,7 +401,7 @@ def _polygon(coordinates) -> bytes:
         "boundary-list", "boundary-coordinate-string", "boundary-coordinates-number",
         "boundary-short-position", "manifest-list", "manifest-stages-list",
         "manifest-stage-number", "truth-not-json", "truth-no-zones",
-        "truth-zero-value"])
+        "truth-zero-value", "severe-cell-past-field-limit", "density-grid-too-fine"])
 def test_malformed_input_exits_3(private_ws, tmp_path, capsys, command,
                                  config, input_file, needle):
     argv = command + ["--workspace", str(private_ws)]

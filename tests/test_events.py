@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridres import events
 from gridres.errors import ValidationError
-from gridres.events import (
-    events_csv,
-    extract_events,
-    extract_events_by_zone,
-)
-from gridres.ingest import OutageRecord, Station
+from gridres.events import events_csv
+from gridres.ingest import Station
 from gridres.zoning import build_partition
+from oracles import OutageRecord, outage_table
 
 BASE = datetime(2015, 3, 1, tzinfo=timezone.utc)
 
@@ -24,6 +22,15 @@ def outage(i, start_h, end_h, lat=0.0, lon=0.0):
     end = BASE + timedelta(hours=end_h)
     return OutageRecord(f"O{i}", f"C{i}", lat, lon, start, end,
                         (end - start).total_seconds() / 60.0, 1, "weather")
+
+
+def extract_events(records, zone_id=""):
+    """events.extract_events on the table of outage records."""
+    return events.extract_events(outage_table(records), zone_id=zone_id)
+
+
+def extract_events_by_zone(records, partition):
+    return events.extract_events_by_zone(outage_table(records), partition)
 
 
 def hours(dt):

@@ -6,7 +6,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridres import ingest
@@ -33,6 +33,28 @@ from conftest import (
     csv_bytes,
     outage_row,
 )
+from oracles import (
+    outage_records,
+    outage_table,
+    parse_outage_rows,
+    parse_weather_rows,
+    weather_records,
+    weather_table,
+    write_outage_rows,
+    write_weather_rows,
+)
+
+
+def outages(data: bytes, **caps):
+    """parse_outages, with the kept rows as records."""
+    table, report = parse_outages(data, **caps)
+    return outage_records(table), report
+
+
+def weather(data: bytes):
+    """parse_weather, with the kept rows as records."""
+    table, report = parse_weather(data)
+    return weather_records(table), report
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +81,7 @@ def test_wellformed_outage_kept_unchanged():
     data = csv_bytes(OUTAGES_HEADER, [
         outage_row("O1", "2012-06-29T14:00:00Z", "2012-06-29T16:30:00Z", "150"),
     ])
-    records, report = parse_outages(data)
+    records, report = outages(data)
     assert report.kept == 1 and report.total_rows == 1
     r = records[0]
     assert r.outage_id == "O1"
@@ -71,7 +93,7 @@ def test_missing_end_timestamp_dropped():
     data = csv_bytes(OUTAGES_HEADER, [
         outage_row("O1", "2012-06-29T14:00:00Z", ""),
     ])
-    records, report = parse_outages(data)
+    records, report = outages(data)
     assert records == []
     assert report.dropped_missing_field == 1
     assert "O1" in report.samples["missing_field"]
@@ -82,7 +104,7 @@ def test_restore_exceeding_duration_dropped():
     data = csv_bytes(OUTAGES_HEADER, [
         outage_row("O1", "2012-06-29T14:00:00Z", "2012-06-29T15:40:00Z", "600"),
     ])
-    _, report = parse_outages(data)
+    _, report = outages(data)
     assert report.dropped_inconsistent_time == 1
 
 
@@ -92,7 +114,7 @@ def test_restore_rounding_slack_tolerated():
         outage_row("O1", "2012-06-29T14:00:00Z", "2012-06-29T15:40:00Z", "101"),
         outage_row("O2", "2012-06-29T14:00:00Z", "2012-06-29T15:40:00Z", "102"),
     ])
-    records, report = parse_outages(data)
+    records, report = outages(data)
     assert [r.outage_id for r in records] == ["O1"]
     assert report.dropped_inconsistent_time == 1
 
@@ -102,7 +124,7 @@ def test_start_not_before_end_dropped():
         outage_row("O1", "2012-06-29T16:00:00Z", "2012-06-29T16:00:00Z", "0"),
         outage_row("O2", "2012-06-29T16:00:00Z", "2012-06-29T15:00:00Z", "0"),
     ])
-    records, report = parse_outages(data)
+    records, report = outages(data)
     assert records == []
     assert report.dropped_inconsistent_time == 2
 
@@ -114,7 +136,7 @@ def test_out_of_bounds_coordinates_dropped():
         outage_row("O2", "2012-06-29T14:00:00Z", "2012-06-29T15:00:00Z", "30",
                    lon=-200.0),
     ])
-    records, report = parse_outages(data)
+    records, report = outages(data)
     assert records == []
     assert report.dropped_out_of_bounds == 2
 
@@ -124,7 +146,7 @@ def test_missing_field_beats_bounds_check():
     data = csv_bytes(OUTAGES_HEADER, [
         outage_row("O1", "", "2012-06-29T15:00:00Z", "30", lat=95.0),
     ])
-    _, report = parse_outages(data)
+    _, report = outages(data)
     assert report.dropped_missing_field == 1
     assert report.dropped_out_of_bounds == 0
 
@@ -133,9 +155,9 @@ def test_multiday_outage_duration_cap():
     data = csv_bytes(OUTAGES_HEADER, [
         outage_row("O1", "2012-06-01T00:00:00Z", "2012-08-01T00:00:00Z", "60"),
     ])
-    _, report = parse_outages(data)
+    _, report = outages(data)
     assert report.dropped_out_of_bounds == 1
-    _, report = parse_outages(data, max_outage_days=90.0)
+    _, report = outages(data, max_outage_days=90.0)
     assert report.kept == 1
 
 
@@ -151,8 +173,8 @@ def test_outages_round_trip():
         outage_row("O2", "2012-06-29T15:00:00Z", "2012-06-29T15:30:00Z", "25",
                    lat=39.81, lon=-86.22, customers=3, cause="equipment"),
     ])
-    records, _ = parse_outages(data)
-    again, report = parse_outages(write_outages_csv(records))
+    records, _ = outages(data)
+    again, report = outages(write_outages_csv(outage_table(records)))
     assert again == records
     assert report.kept == 2
 
@@ -164,10 +186,10 @@ def test_subsecond_times_round_trip_without_loss():
         outage_row("O1", "2012-06-29T10:00:00.2Z", "2012-06-29T10:00:00.7Z", "0"),
         outage_row("O2", "2012-06-29T10:00:00.9Z", "2012-06-29T10:30:00.1Z", "30"),
     ])
-    records, report = parse_outages(data)
+    records, report = outages(data)
     assert report.kept == 1 and report.dropped_inconsistent_time == 1
     assert records[0].start == parse_instant("2012-06-29T10:00:00Z")
-    again, report = parse_outages(write_outages_csv(records))
+    again, report = outages(write_outages_csv(outage_table(records)))
     assert again == records and report.kept == 1
 
 
@@ -180,7 +202,7 @@ def test_weather_dedupe_keeps_complete_row():
         "S1,2012-06-29T14:00:00Z,3.0,5.0,,0.0,0.0",
         "S1,2012-06-29T14:00:00Z,3.0,5.0,0.2,0.0,0.0",
     ])
-    obs, report = parse_weather(data)
+    obs, report = weather(data)
     assert len(obs) == 1
     assert obs[0].precip == 0.2
     assert report.dropped_inconsistent_time == 1
@@ -190,7 +212,7 @@ def test_weather_negative_precip_dropped():
     data = csv_bytes(WEATHER_HEADER, [
         "S1,2012-06-29T14:00:00Z,3.0,5.0,-1.0,0.0,0.0",
     ])
-    obs, report = parse_weather(data)
+    obs, report = weather(data)
     assert obs == []
     assert report.dropped_out_of_bounds == 1
 
@@ -199,14 +221,14 @@ def test_weather_gust_below_average_dropped():
     data = csv_bytes(WEATHER_HEADER, [
         "S1,2012-06-29T14:00:00Z,6.0,5.0,0.0,0.0,0.0",
     ])
-    obs, report = parse_weather(data)
+    obs, report = weather(data)
     assert obs == []
     assert report.dropped_out_of_bounds == 1
 
 
 def test_weather_three_valid_rows_kept():
     rows = [f"S1,2012-06-29T1{h}:00:00Z,3.0,5.0,0.0,0.0,0.0" for h in range(3)]
-    obs, report = parse_weather(csv_bytes(WEATHER_HEADER, rows))
+    obs, report = weather(csv_bytes(WEATHER_HEADER, rows))
     assert report.kept == 3
     assert [o.timestamp.hour for o in obs] == [10, 11, 12]
 
@@ -216,8 +238,8 @@ def test_weather_round_trip_preserves_missing_fields():
         "S1,2012-06-29T14:00:00Z,3.0,5.0,,,",
         "S2,2012-06-29T14:00:00Z,,,0.5,0.0,1.0",
     ])
-    obs, _ = parse_weather(data)
-    again, _ = parse_weather(write_weather_csv(obs))
+    obs, _ = weather(data)
+    again, _ = weather(write_weather_csv(weather_table(obs)))
     assert again == obs
     assert again[0].precip is None
     assert again[1].wind_avg is None
@@ -320,7 +342,7 @@ _junk = st.sampled_from([
 @given(st.lists(st.lists(_junk, min_size=9, max_size=9), max_size=25))
 def test_outage_report_balances_on_fuzzed_rows(rows):
     data = csv_bytes(OUTAGES_HEADER, [",".join(r) for r in rows])
-    records, report = parse_outages(data)
+    records, report = outages(data)
     report.check()
     assert report.kept == len(records)
     drops = (report.dropped_missing_field + report.dropped_inconsistent_time
@@ -332,7 +354,7 @@ def test_outage_report_balances_on_fuzzed_rows(rows):
 @given(st.lists(st.lists(_junk, min_size=7, max_size=7), max_size=20))
 def test_weather_report_balances_on_fuzzed_rows(rows):
     data = csv_bytes(WEATHER_HEADER, [",".join(r) for r in rows])
-    _, report = parse_weather(data)
+    _, report = weather(data)
     report.check()
 
 
@@ -371,10 +393,11 @@ _measures = _mostly(["", "0", "0.0", "-0.0", "3.5", " 2 ", "1e-3", "12.25"],
 _texts = st.text(st.sampled_from('ab ,"\n\r'), max_size=8)
 
 
-def _round_trip(records, write, reparse):
+def _round_trip(records, write, reparse, rows=lambda parsed: parsed):
+    """rows() turns a parse result into comparable records."""
     written = write(records)
     again, report = reparse(written)
-    assert again == records
+    assert rows(again) == rows(records)
     assert report.kept == report.total_rows == len(records)
     assert write(again) == written
 
@@ -384,10 +407,10 @@ def _round_trip(records, write, reparse):
                           _restores, _customers, _ids), max_size=20),
        st.sampled_from([DEFAULT_MAX_OUTAGE_DAYS, 1000.0, math.inf]))
 def test_clean_outages_round_trip(rows, max_days):
-    records, _ = parse_outages(_raw_csv(OUTAGES_HEADER, rows),
-                               max_outage_days=max_days)
-    _round_trip(records, write_outages_csv, lambda data: parse_outages(
-        data, max_outage_days=math.inf, max_customers=math.inf))
+    table, _ = parse_outages(_raw_csv(OUTAGES_HEADER, rows),
+                             max_outage_days=max_days)
+    _round_trip(table, write_outages_csv, lambda data: parse_outages(
+        data, max_outage_days=math.inf, max_customers=math.inf), outage_records)
 
 
 @settings(max_examples=60, deadline=None)
@@ -395,7 +418,7 @@ def test_clean_outages_round_trip(rows, max_days):
                           _measures, _measures), max_size=20))
 def test_clean_weather_round_trip(rows):
     observations, _ = parse_weather(_raw_csv(WEATHER_HEADER, rows))
-    _round_trip(observations, write_weather_csv, parse_weather)
+    _round_trip(observations, write_weather_csv, parse_weather, weather_records)
 
 
 @settings(max_examples=60, deadline=None)
@@ -404,6 +427,130 @@ def test_clean_weather_round_trip(rows):
 def test_clean_severe_round_trip(rows):
     records, _ = parse_severe(_raw_csv(SEVERE_HEADER, rows))
     _round_trip(records, write_severe_csv, parse_severe)
+
+
+# ---------------------------------------------------------------------------
+# Column parsers and writers against the row-at-a-time oracle
+# ---------------------------------------------------------------------------
+
+# Cells the round-trip generators do not draw: instants numpy and
+# datetime.fromisoformat read differently or not at all, numbers that are
+# not finite or do not fit an int64, blank and whitespace-only cells.
+_ODD_INSTANTS = [
+    "0000-01-01T00:00:00Z", "2012-02-30T00:00:00Z", "2012-06-29T24:00:00Z",
+    "2012-06-29T14:00:60Z", "2012-13-01T00:00:00Z", "2012-06-29t14:00:00Z",
+    " 2012-06-29T14:00:00Z", "2012-06-29T14:00:00", "2012-06-29T14:00Z",
+    "0001-01-01T00:30:00+01:00", "9999-12-31T23:59:59-01:00", "20120629T140000Z",
+    "2012-06-29T14:00:00.5+00:00", "  ", ""]
+_odd_instants = st.sampled_from(_ODD_INSTANTS)
+_odd_numbers = st.sampled_from([
+    "", "  ", "nan", "inf", "-inf", "1e999", "-1e999", "1_000", "0x10", "-0.0",
+    "12.5"])
+# Customer counts past 2**63, where an int64 wraps, and fractions that
+# int() truncates to within the bounds.
+_odd_customers = st.sampled_from(["9.3e18", "1e19", "18446744073709551617",
+                                  "-0.5", "10000000.5"])
+_cell = st.one_of(_ids, _texts, _instants, _odd_instants, _odd_numbers,
+                  st.sampled_from(["a\nb", 'x,"y"', "\r"]))
+
+
+def _sometimes(cells, odd):
+    """Cells drawn from `cells`, and one time in eight from `odd`, so that
+    most rows pass or fail a single rule."""
+    return st.integers(0, 7).flatmap(lambda k: odd if k == 0 else cells)
+
+
+def _rows(cells: list, width: int):
+    """Rows of `width` drawn cells, one time in eight blank or of another
+    width."""
+    return st.lists(_sometimes(
+        st.tuples(*cells).map(list),
+        st.lists(_cell, max_size=width + 2).filter(lambda row: len(row) != width)),
+        max_size=30)
+
+
+# Otherwise valid rows: customer counts that only int() keeps in bounds or
+# writes right, each odd start instant, and rows of too many cells whose
+# first nine are valid.
+_VALID_OUTAGE = ["O1", "C1", "39.7", "-86.1", "2012-06-29T14:00:00Z",
+                 "2012-06-29T23:00:00Z", "30", "7", "weather"]
+_OUTAGE_EXAMPLES = [
+    *(_VALID_OUTAGE[:7] + [customers, "weather"]
+      for customers in ["-0.5", "10000000.5", "9.3e18", "1e19"]),
+    *(_VALID_OUTAGE[:4] + [start] + _VALID_OUTAGE[5:]
+      for start in _ODD_INSTANTS),
+    _VALID_OUTAGE + ["extra"], _VALID_OUTAGE[:1], [], _VALID_OUTAGE]
+
+
+def _agrees_with_oracle(data, parse, oracle, records, write, oracle_write, **caps):
+    table, report = parse(data, **caps)
+    expected, expected_report = oracle(data, **caps)
+    assert records(table) == expected
+    assert report.to_json() == expected_report.to_json()
+    assert write(table) == oracle_write(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rows([_sometimes(_ids, _odd_numbers), _ids, _sometimes(_coords, _odd_numbers),
+              _coords, _sometimes(_instants, _odd_instants),
+              _sometimes(_instants, _odd_instants), _sometimes(_restores, _odd_numbers),
+              _sometimes(st.one_of(_customers, _odd_customers), _odd_numbers),
+              _sometimes(_ids, _texts)], 9),
+       st.sampled_from([DEFAULT_MAX_OUTAGE_DAYS, math.inf]),
+       st.sampled_from([ingest.DEFAULT_MAX_CUSTOMERS, math.inf]),
+       st.sampled_from([1, 3, 4096]))
+@example(_OUTAGE_EXAMPLES, DEFAULT_MAX_OUTAGE_DAYS, ingest.DEFAULT_MAX_CUSTOMERS, 4096)
+@example(_OUTAGE_EXAMPLES, DEFAULT_MAX_OUTAGE_DAYS, math.inf, 2)
+def test_outage_columns_agree_with_row_oracle(rows, max_days, max_customers, chunk):
+    """Kept rows, report bytes (drop samples in row order) and clean bytes
+    match the row-at-a-time parser and writer, chunk boundaries anywhere."""
+    default, ingest.CHUNK_ROWS = ingest.CHUNK_ROWS, chunk
+    try:
+        _agrees_with_oracle(_raw_csv(OUTAGES_HEADER, rows), parse_outages,
+                            parse_outage_rows, outage_records, write_outages_csv,
+                            write_outage_rows, max_outage_days=max_days,
+                            max_customers=max_customers)
+    finally:
+        ingest.CHUNK_ROWS = default
+
+
+# Few stations and hours, so station-hours repeat, often with as many
+# present fields (a tie).
+_stations = _mostly(["S1", " S1 ", "S2", "S\r3"], ["", "  "])
+_hours = _mostly(["2012-06-29T14:00:00Z", "2012-06-29T15:00:00Z",
+                  "2012-06-29T14:00:00+00:00", "2012-06-29T14:00:00.9Z"],
+                 ["2012-02-30T00:00:00Z", "0000-01-01T00:00:00Z", ""])
+
+
+# Duplicates of two station-hours, the second group's first, with ties,
+# each odd instant, and a row of too many cells whose first seven are valid.
+_WEATHER_EXAMPLES = [
+    ["S2", "2012-06-29T14:00:00Z", "1", "2", "", "", ""],
+    ["S1", "2012-06-29T14:00:00Z", "1", "2", "0", "", ""],
+    ["S2", "2012-06-29T14:00:00+00:00", "3", "4", "", "", ""],
+    ["S1", "2012-06-29T14:00:00.9Z", "", "2", "0", "1", ""],
+    ["S2", "2012-06-29T14:00:00Z", "5", "6", "", "", "", "extra"],
+    *(["S3", stamp, "1", "2", "", "", ""]
+      for stamp in _ODD_INSTANTS)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rows([_stations, _sometimes(_hours, st.one_of(_instants, _odd_instants)),
+              *[_sometimes(_measures, _odd_numbers)] * 5], 7),
+       st.sampled_from([1, 3, 4096]))
+@example(_WEATHER_EXAMPLES, 4096)
+@example(_WEATHER_EXAMPLES, 2)
+def test_weather_columns_agree_with_row_oracle(rows, chunk):
+    """As for outages, with the duplicate collapse: most present fields
+    wins, the later row on ties, and every later row is a dropped
+    duplicate."""
+    default, ingest.CHUNK_ROWS = ingest.CHUNK_ROWS, chunk
+    try:
+        _agrees_with_oracle(_raw_csv(WEATHER_HEADER, rows), parse_weather,
+                            parse_weather_rows, weather_records, write_weather_csv,
+                            write_weather_rows)
+    finally:
+        ingest.CHUNK_ROWS = default
 
 
 # Any bad station cell is fatal, so these are all valid.
@@ -445,7 +592,7 @@ def test_parsing_is_deterministic():
         outage_row("O1", "2012-06-29T14:00:00Z", "2012-06-29T16:30:00Z", "150"),
         outage_row("O2", "bad", "2012-06-29T16:30:00Z"),
     ])
-    r1, rep1 = parse_outages(data)
-    r2, rep2 = parse_outages(data)
+    r1, rep1 = outages(data)
+    r2, rep2 = outages(data)
     assert r1 == r2
     assert json.loads(rep1.to_json()) == json.loads(rep2.to_json())

@@ -6,23 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridres.ingest import (
-    OutageRecord,
-    SevereWeatherRecord,
-    Station,
-    WeatherObservation,
-)
+from gridres import linkage
+from gridres.ingest import SevereWeatherRecord, Station
 from gridres.linkage import (
     PRECIP_MODE_PEAK,
-    StationIndex,
-    build_fragility_samples,
     classify_hazard,
     fragility_csv,
     intensity,
     merge_windows,
 )
 from gridres.zoning import build_partition
-from oracles import count_outages, observations_in_range
+from oracles import (
+    OutageRecord,
+    WeatherObservation,
+    count_outages,
+    observations_in_range,
+    outage_table,
+    weather_table,
+)
 
 BASE = datetime(2015, 3, 1, tzinfo=timezone.utc)
 EQ_BOUNDARY = [(-5.0, -5.0), (15.0, -5.0), (15.0, 5.0), (-5.0, 5.0)]
@@ -40,6 +41,17 @@ def obs(station, h, wind_fast=None, precip=None, snowfall=None,
         snow_depth=None):
     return WeatherObservation(station, at(h), None, wind_fast, precip,
                               snowfall, snow_depth)
+
+
+def StationIndex(observations):
+    """linkage.StationIndex on the table of observation records."""
+    return linkage.StationIndex(weather_table(observations))
+
+
+def build_fragility_samples(severe, partitions, weather, outages, **options):
+    """linkage.build_fragility_samples with weather and outages as records."""
+    return linkage.build_fragility_samples(
+        severe, partitions, weather_table(weather), outage_table(outages), **options)
 
 
 def outage_at(i, start_h, end_h, lat=0.0, lon=0.0):
@@ -211,7 +223,7 @@ def test_station_index_matches_list_scan():
     idx = StationIndex(rows[::-1])
     for station, lo, hi in [("A", 3, 6), ("A", -2, 0), ("A", 9, 12),
                             ("A", 4, 4), ("B", 0, 9), ("C", 0, 9)]:
-        assert idx.in_range(station, at(lo), at(hi)) \
+        assert [rows[::-1][i] for i in idx.in_range(station, at(lo), at(hi))] \
             == observations_in_range(rows, station, at(lo), at(hi))
     window = (at(3), at(6))
     scanned = observations_in_range(rows, "A", at(2), at(6))

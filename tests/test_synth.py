@@ -16,6 +16,7 @@ from gridres.ingest import (
 from gridres.linkage import StationIndex, classify_hazard, intensity
 from gridres.synth import SynthSpec, generate, truth_report
 from gridres.zoning import assign_many, build_partition, load_boundary_geojson
+from oracles import outage_records
 
 SMALL = dict(years=1, events_per_zone=6, mean_outages_per_event=40.0)
 
@@ -62,7 +63,7 @@ def test_truth_report_matches_generated_truth(bundle):
 
 def test_zero_events_leaves_only_background():
     out = generate(small_spec(events_per_zone=0))
-    records, _ = parse_outages(out["outages.csv"])
+    records = outage_records(parse_outages(out["outages.csv"])[0])
     assert records
     assert all(r.cause_code == "equipment" for r in records)
     severe, _ = parse_severe(out["severe_events.csv"])
@@ -182,7 +183,7 @@ def test_mean_outage_count_tracks_fragility_curve():
     ring = load_boundary_geojson(out["boundary.geojson"].decode())
     parts = {h: build_partition(stations, h, ring)
              for h in ("wind", "precipitation")}
-    outages, _ = parse_outages(out["outages.csv"])
+    outages = outage_records(parse_outages(out["outages.csv"])[0])
     severe, _ = parse_severe(out["severe_events.csv"])
     assert len(severe) == 1020
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gridres.errors import ValidationError
 from gridres.ingest import Station
 from gridres.zoning import (
+    DENSITY_MAX_CELLS,
     assign_many,
     build_partition,
     density_grid,
@@ -209,13 +210,13 @@ BBOX = (-5.0, -5.0, 15.0, 5.0)
 
 
 def test_density_no_points():
-    grid = density_grid([], BBOX, 1.0)
+    grid = density_grid([], [], BBOX, 1.0)
     assert grid.counts.shape == (10, 20)
     assert grid.counts.sum() == 0
 
 
 def test_density_identical_points_share_cell():
-    grid = density_grid([(0.25, 0.25)] * 5, BBOX, 1.0)
+    grid = density_grid([0.25] * 5, [0.25] * 5, BBOX, 1.0)
     assert grid.counts.max() == 5
     assert grid.counts.sum() == 5
 
@@ -224,19 +225,29 @@ def test_density_sum_counts_inside_points():
     rng = np.random.default_rng(23)
     pts = [(float(rng.uniform(-10, 20)), float(rng.uniform(-10, 10)))
            for _ in range(1000)]
-    grid = density_grid(pts, BBOX, 0.5)
+    grid = density_grid(*np.array(pts).T, BBOX, 0.5)
     inside = sum(1 for lon, lat in pts
                  if -5.0 <= lon <= 15.0 and -5.0 <= lat <= 5.0)
     assert int(grid.counts.sum()) == inside
 
 
 def test_density_outputs_parse():
-    grid = density_grid([(0.0, 0.0)], BBOX, 1.0)
+    grid = density_grid([0.0], [0.0], BBOX, 1.0)
     text = density_grid_csv(grid).decode()
     assert len(text.strip().split("\n")) == grid.counts.shape[0]
     meta = json.loads(density_grid_meta_json(grid))
     assert meta["cols"] == grid.counts.shape[1]
     assert meta["total"] == 1
+
+
+def test_density_grid_past_the_cell_limit_refused():
+    assert density_grid([], [], (0.0, 0.0, 1000.0, 1000.0), 1.0).counts.size \
+        == DENSITY_MAX_CELLS
+    for bbox, cell_size in [((0.0, 0.0, 1000.5, 1000.0), 1.0),
+                            ((-180.0, -89.0, 180.0, 89.0), 0.02),
+                            (BBOX, 1e-300), (BBOX, 5e-324)]:
+        with pytest.raises(ValidationError, match="density_cell_size"):
+            density_grid([0.0], [0.0], bbox, cell_size)
 
 
 # ---------------------------------------------------------------------------
