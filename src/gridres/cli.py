@@ -24,8 +24,8 @@ records the body's `duration_s`, which is never compared. Exit codes:
 lines go to stderr as LEVEL<TAB>stage<TAB>message.
 
 A command parses each file content once: what a parser returns (column
-tables for outages and weather, records for severe events and stations)
-is memoized in `Workspace.parsed` by file and sha256. When ingest runs
+tables for outages, weather and severe events, records for stations) is
+memoized in `Workspace.parsed` by file and sha256. When ingest runs
 inside a command (as in run-all), it hands the tables and records it
 writes to that memo under the digest of the written bytes. Later stages
 still read each clean file, so the manifest records its on-disk digest,
@@ -50,7 +50,6 @@ from typing import Any, Callable, NamedTuple
 from .config import Config, canonical_hazard, load_config
 from .errors import (
     MissingInputError,
-    PipelineError,
     UnservedScenario,
     ValidationError,
     is_finite_number,
@@ -642,9 +641,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         log.error("%s", exc)
         return 3
-    except PipelineError as exc:
-        log.error("%s", exc)
-        return 1
     except Exception as exc:  # noqa: BLE001 - last-resort exit-code mapping
         log.error("internal error: %s: %s", type(exc).__name__, exc)
         return 1

@@ -82,13 +82,18 @@ def parse_config(text: str, source: str = "config") -> Config:
         if not isinstance(mapping, dict):
             raise ValidationError("hazard_mapping must be an object")
         out = {}
+        spelled: dict[str, str] = {}  # canonical label -> label as written
         valid = set(HAZARD_CLASSES) | {HAZARD_EXCLUDED}
         for label, hazard in mapping.items():
             if not isinstance(hazard, str) or hazard not in valid:
                 raise ValidationError(
                     f"hazard_mapping[{label!r}] must be one of "
                     f"{sorted(valid)}, got {hazard!r}")
-            out[label.strip().lower()] = hazard
+            key = label.strip().lower()
+            if spelled.setdefault(key, label) != label:
+                raise ValidationError(f"hazard_mapping labels {spelled[key]!r} and "
+                                      f"{label!r} both read as {key!r}")
+            out[key] = hazard
         cfg.hazard_mapping = out
     if "precip_intensity_mode" in doc:
         mode = doc["precip_intensity_mode"]

@@ -32,11 +32,10 @@ Cleaning conventions:
     dropped_inconsistent_time since they are competing claims about the
     same station-hour.
 
-Outages and weather, hundreds of thousands of rows each, are parsed, cleaned
-and written one column at a time, in chunks of rows: each rule is a boolean
-mask over a chunk, and the kept rows become a column table (OutageTable,
-WeatherTable). Stations and severe records, a few hundred rows, stay
-records.
+Outages, weather and severe events are parsed, cleaned and written one
+column at a time, in chunks of rows: each rule is a boolean mask over a
+chunk, and the kept rows become a column table (OutageTable, WeatherTable,
+SevereTable). Stations, a dozen rows whose errors are fatal, stay records.
 
 Parsing is a pure function of the input bytes, so the four files may be
 parsed concurrently.
@@ -52,7 +51,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import chain, compress, islice
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -90,8 +89,9 @@ CHUNK_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
-# Domain types. Outages and weather are column tables: text columns are
-# lists of str, the others numpy arrays, row i of every column is one row.
+# Domain types. Outages, weather and severe events are column tables: text
+# columns are lists of str, the others numpy arrays, row i of every column
+# is one row.
 # ---------------------------------------------------------------------------
 
 class _Table:
@@ -148,16 +148,17 @@ class Station:
     capabilities: frozenset[str]
 
 
-class SevereWeatherRecord(NamedTuple):
-    """Agency-logged hazard event; carries a window and a location but no
-    numeric intensity."""
-    event_id: str
-    event_type: str
-    start: datetime
-    end: datetime
-    latitude: float
-    longitude: float
-    description: str
+@dataclass(frozen=True, eq=False)
+class SevereTable(_Table):
+    """Agency-logged hazard events: a window and a location each, but no
+    numeric intensity. Instants are datetime64[s]."""
+    event_id: list[str]
+    event_type: list[str]
+    start: np.ndarray
+    end: np.ndarray
+    latitude: np.ndarray
+    longitude: np.ndarray
+    description: list[str]
 
 
 # The rules in the order they are checked; a chunk's rule codes number them
@@ -175,9 +176,6 @@ class CleaningReport:
     dropped_out_of_bounds: int = 0
     samples: dict[str, list[str]] = field(default_factory=lambda: {
         rule: [] for rule in RULES})
-
-    def drop(self, rule: str, row_id: str) -> None:
-        self.drop_rows(rule, [row_id], str)
 
     def drop_rows(self, rule: str, rows: list, row_id: Callable[..., str]) -> None:
         """Tally `rows`, given in row order, under `rule`; the first ten
@@ -229,13 +227,6 @@ def format_instant(dt: datetime) -> str:
     return dt.isoformat(timespec="seconds")[:19] + "Z"
 
 
-def datetime64(dt: datetime) -> np.datetime64:
-    """An aware or UTC-naive instant as a datetime64 in microseconds."""
-    if dt.tzinfo is not None:
-        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
-    return np.datetime64(dt, "us")
-
-
 def utc_datetimes(values: np.ndarray) -> list[datetime]:
     """datetime64 values as aware UTC datetimes, to the microsecond."""
     return [dt.replace(tzinfo=timezone.utc)
@@ -250,9 +241,11 @@ def _parse_float(text: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _row_id(row: list[str], line_no: int) -> str:
-    """The id a dropped row is reported under: its first cell, else its line."""
-    return row[0].strip() or f"row{line_no}"
+def on_earth(latitude, longitude):
+    """Whether latitude is in [-90, 90] and longitude in [-180, 180], of
+    floats or elementwise of float arrays; NaN is in neither."""
+    return (-90.0 <= latitude) & (latitude <= 90.0) \
+        & (-180.0 <= longitude) & (longitude <= 180.0)
 
 
 def _reader(data: bytes, expected: list[str], filename: str) -> Iterator[list[str]]:
@@ -293,12 +286,13 @@ def _chunks(data: bytes, header: list[str], source: str):
     (CSV records, not text lines, counted from the header as 1, blank rows
     included), its cells as columns (tuples of str), and which rows had
     another number of cells than the header; those are cut or padded with
-    blank cells to fit."""
+    blank cells to fit. The last chunk is short: no rows yield one empty."""
     rows = _reader(data, header, source)
-    width, first = len(header), 2
-    while chunk := list(islice(rows, CHUNK_ROWS)):
+    width, first, size = len(header), 2, CHUNK_ROWS
+    while size == CHUNK_ROWS:
+        chunk = list(islice(rows, CHUNK_ROWS))
         lines = np.arange(first, first + len(chunk))
-        first += len(chunk)
+        first += (size := len(chunk))
         lengths = np.fromiter(map(len, chunk), np.intp, len(chunk))
         malformed = lengths != width
         if malformed.any():
@@ -380,11 +374,14 @@ def _instants(cells: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     return values, canonical
 
 
-def _joined(parts: list) -> np.ndarray | list:
-    """One column from its parts, one per chunk."""
-    if isinstance(parts[0], np.ndarray):
-        return np.concatenate(parts)
-    return list(chain.from_iterable(parts))
+def _joined(parts: list[_Table]) -> _Table:
+    """The rows of `parts`, one per chunk, in order as one table."""
+    def column(name: str) -> np.ndarray | list:
+        values = [getattr(part, name) for part in parts]
+        if isinstance(values[0], np.ndarray):
+            return np.concatenate(values)
+        return list(chain.from_iterable(values))
+    return type(parts[0])(*(column(f.name) for f in fields(parts[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +451,7 @@ def parse_outages(
     """Parse outages.csv, returning the kept rows and the cleaning tally.
     `source` names the parsed file in errors."""
     report = CleaningReport()
-    floats, instants = np.empty(0), np.empty(0, "datetime64[s]")
-    kept: list[tuple] = [([], [], floats, floats, instants, instants, floats, floats, [])]
+    kept: list[OutageTable] = []
     for lines, cols, malformed in _chunks(data, OUTAGES_HEADER, source):
         outage_id, has_id = _stripped(cols[0])
         component_id, has_component = _stripped(cols[1])
@@ -470,20 +466,15 @@ def parse_outages(
         duration_min = (end - start) / np.timedelta64(1, "s") / 60.0
         inconsistent = (start >= end) \
             | (restore > duration_min + RESTORE_ROUNDING_SLACK_MIN)
-        out_of_bounds = ~((-90.0 <= lat) & (lat <= 90.0)
-                          & (-180.0 <= lon) & (lon <= 180.0)) \
-            | (restore < 0.0) | (customers < 0.0) | (customers > float(max_customers)) \
+        out_of_bounds = ~on_earth(lat, lon) | (restore < 0.0) | (customers < 0.0) \
+            | (customers > float(max_customers)) \
             | (duration_min > max_outage_days * 24.0 * 60.0)
         rule = np.select([missing, inconsistent, out_of_bounds], [1, 2, 3], 0)
         _tally(report, rule, lambda i: outage_id[i] or f"row{lines[i]}")
 
-        keep = rule == 0
-        flags = keep.tolist()
-        kept.append((
-            list(compress(outage_id, flags)), list(compress(component_id, flags)),
-            lat[keep], lon[keep], start[keep], end[keep], restore[keep],
-            customers[keep], list(compress(cause_code, flags))))
-    outages = OutageTable(*map(_joined, zip(*kept)))
+        kept.append(OutageTable(outage_id, component_id, lat, lon, start, end, restore,
+                                customers, cause_code).take(np.flatnonzero(rule == 0)))
+    outages = _joined(kept)
     report.kept = len(outages)
     report.check()
     return outages, report
@@ -515,8 +506,7 @@ def parse_weather(
     stations: dict[str, int] = {}  # station id -> code, in order of appearance
     # Per chunk, the rows that pass the row rules: line, station code,
     # timestamp and the five measurements.
-    passed: list[tuple] = [(np.empty(0, np.intp), np.empty(0, np.intp),
-                            np.empty(0, "datetime64[s]"), np.empty((0, 5)))]
+    passed: list[tuple] = []
     # The stripped timestamp cell of each passing row not in canonical form.
     odd_stamps: dict[int, str] = {}
     for lines, cols, malformed in _chunks(data, WEATHER_HEADER, source):
@@ -609,6 +599,9 @@ def parse_stations(data: bytes, source: str = "stations.csv") -> list[Station]:
         if not station_id or lat is None or lon is None:
             raise SchemaError(f"{source} line {line_no}: missing or "
                               f"unparseable station fields")
+        if not on_earth(lat, lon):
+            raise SchemaError(f"{source} line {line_no}: latitude {lat!r} or "
+                              f"longitude {lon!r} out of range")
         if station_id in seen:
             raise SchemaError(f"{source}: duplicate station_id {station_id!r}")
         seen.add(station_id)
@@ -640,48 +633,38 @@ def write_stations_csv(stations: list[Station]) -> bytes:
 def parse_severe(
     data: bytes,
     source: str = "severe_events.csv",
-) -> tuple[list[SevereWeatherRecord], CleaningReport]:
-    """Parse severe_events.csv; output sorted by start instant.
+) -> tuple[SevereTable, CleaningReport]:
+    """Parse severe_events.csv; output sorted by (start, event_id), ties in
+    line order.
 
     Unknown event_type labels are kept: hazard classification happens
     downstream. `source` names the parsed file in errors.
     """
-    rows = _reader(data, SEVERE_HEADER, source)
-
     report = CleaningReport()
-    kept: list[SevereWeatherRecord] = []
-    for line_no, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        report.total_rows += 1
-        if len(row) != len(SEVERE_HEADER):
-            report.drop("missing_field", _row_id(row, line_no))
-            continue
-        event_id, event_type = row[0].strip(), row[1].strip()
-        start = parse_instant(row[2])
-        end = parse_instant(row[3])
-        lat = _parse_float(row[4])
-        lon = _parse_float(row[5])
-        description = row[6]
-        if not event_id or not event_type or start is None or end is None \
-                or lat is None or lon is None:
-            report.drop("missing_field", _row_id(row, line_no))
-            continue
-        if start >= end:
-            report.drop("inconsistent_time", _row_id(row, line_no))
-            continue
-        if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
-            report.drop("out_of_bounds", _row_id(row, line_no))
-            continue
-        report.kept += 1
-        kept.append(SevereWeatherRecord(event_id, event_type, start, end,
-                                        lat, lon, description))
+    kept: list[SevereTable] = []
+    for lines, cols, malformed in _chunks(data, SEVERE_HEADER, source):
+        event_id, has_id = _stripped(cols[0])
+        event_type, has_type = _stripped(cols[1])
+        start, end = _instants(cols[2])[0], _instants(cols[3])[0]
+        lat, lon = _floats(cols[4]), _floats(cols[5])
+
+        missing = malformed | np.isnat(start) | np.isnat(end) | ~(
+            has_id & has_type & np.isfinite(lat) & np.isfinite(lon))
+        rule = np.select([missing, start >= end, ~on_earth(lat, lon)], [1, 2, 3], 0)
+        _tally(report, rule, lambda i: event_id[i] or f"row{lines[i]}")
+        kept.append(SevereTable(event_id, event_type, start, end, lat, lon,
+                                list(cols[6])).take(np.flatnonzero(rule == 0)))
+    severe = _joined(kept)
+    report.kept = len(severe)
     report.check()
-    kept.sort(key=lambda r: (r.start, r.event_id))
-    return kept, report
+    # A stable sort on str ids: a numpy str array would drop trailing NULs.
+    keys = list(zip(severe.start.tolist(), severe.event_id))
+    return severe.take(np.array(sorted(range(len(keys)), key=keys.__getitem__),
+                                np.intp)), report
 
 
-def write_severe_csv(records: list[SevereWeatherRecord]) -> bytes:
-    return csv_bytes(SEVERE_HEADER, lambda w: w.writerows(
-        [r.event_id, r.event_type, format_instant(r.start), format_instant(r.end),
-         repr(r.latitude), repr(r.longitude), r.description] for r in records))
+def write_severe_csv(severe: SevereTable) -> bytes:
+    return _write_table(SEVERE_HEADER, severe, lambda part: [
+        part.event_id, part.event_type, _instant_cells(part.start),
+        _instant_cells(part.end), _cells(part.latitude, repr),
+        _cells(part.longitude, repr), part.description])

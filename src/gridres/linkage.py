@@ -1,6 +1,7 @@
 """Link severe-weather records to zones, station measurements, and outages.
 
-build_fragility_samples turns agency hazard logs into fragility samples:
+build_fragility_samples turns agency hazard logs, a SevereTable, into
+fragility samples by masks over its arrays, instants in datetime64[s]:
 
   classify_hazard  label each record wind / precipitation / excluded
   assign_many      put each record and each outage in its nearest
@@ -12,7 +13,7 @@ build_fragility_samples turns agency hazard logs into fragility samples:
 and counts the zone's outages whose start falls inside each window.
 Counting is start-based because restorations may run long past the hazard.
 
-Severe records carry no numeric magnitude, so intensity always comes from
+Severe events carry no numeric magnitude, so intensity always comes from
 the zone's own station: the max fastest-2-minute wind speed for wind
 events, cumulative liquid-equivalent depth (precip + snowfall) for
 precipitation events. Observation rows are hour-stamped while event starts
@@ -28,12 +29,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from datetime import datetime, timedelta
 
 import numpy as np
 
-from .ingest import (OutageTable, SevereWeatherRecord, WeatherTable, csv_bytes,
-                     datetime64, format_instant, utc_datetimes)
+from .ingest import OutageTable, SevereTable, WeatherTable, _instant_cells, csv_bytes
 from .events import union_intervals
 from .zoning import HAZARD_PRECIPITATION, HAZARD_WIND, ZonePartition, assign_many
 
@@ -53,21 +52,21 @@ PRECIP_MODE_CUMULATIVE = "cumulative"
 PRECIP_MODE_PEAK = "peak"
 
 # hour-stamped observations cover minute-stamped window starts
-INTENSITY_LOOKBACK = timedelta(hours=1)
+INTENSITY_LOOKBACK = np.timedelta64(3600, "s")
 
 
 @dataclass(frozen=True)
 class MergedWindow:
-    start: datetime
-    end: datetime
+    start: np.datetime64
+    end: np.datetime64
     source_event_ids: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class FragilitySample:
     zone_id: str
-    window_start: datetime
-    window_end: datetime
+    window_start: np.datetime64
+    window_end: np.datetime64
     intensity: float
     outage_count: int
     source_event_ids: tuple[str, ...]
@@ -77,35 +76,31 @@ class FragilitySample:
 # Classification
 # ---------------------------------------------------------------------------
 
-def classify_hazard(
-    record: SevereWeatherRecord, mapping: dict[str, str] | None = None,
-) -> str:
+def classify_hazard(event_type: str, mapping: dict[str, str] | None = None) -> str:
     """Map an event_type label to wind / precipitation / excluded.
 
     Lookup is case-insensitive; labels absent from the mapping are excluded.
     """
     mapping = DEFAULT_HAZARD_MAPPING if mapping is None else mapping
-    return mapping.get(record.event_type.strip().lower(), HAZARD_EXCLUDED)
+    return mapping.get(event_type.strip().lower(), HAZARD_EXCLUDED)
 
 
 # ---------------------------------------------------------------------------
 # Window merging
 # ---------------------------------------------------------------------------
 
-def merge_windows(records: list[SevereWeatherRecord]) -> list[MergedWindow]:
+def merge_windows(severe: SevereTable) -> list[MergedWindow]:
     """Union overlapping or touching closed [start, end] windows.
 
-    Records must already share a zone and hazard class. Output is
-    chronological; each merged window carries every source event id.
+    The events must already share a zone and hazard class; they are taken
+    in start order, ties in table order (parse_severe sorts ties by
+    event_id). Output is chronological; each merged window carries every
+    source event id.
     """
-    ordered = sorted(records, key=lambda r: (r.start, r.event_id))
-    first, stop, end = union_intervals(
-        np.array([datetime64(r.start) for r in ordered], "datetime64[us]"),
-        np.array([datetime64(r.end) for r in ordered], "datetime64[us]"))
-    return [MergedWindow(ordered[a].start, window_end,
-                         tuple(r.event_id for r in ordered[a:b]))
-            for a, b, window_end in zip(first.tolist(), stop.tolist(),
-                                        utc_datetimes(end))]
+    severe = severe.take(np.argsort(severe.start, kind="stable"))
+    first, stop, end = union_intervals(severe.start, severe.end)
+    return [MergedWindow(severe.start[a], window_end, tuple(severe.event_id[a:b]))
+            for a, b, window_end in zip(first.tolist(), stop.tolist(), end)]
 
 
 # ---------------------------------------------------------------------------
@@ -113,38 +108,33 @@ def merge_windows(records: list[SevereWeatherRecord]) -> list[MergedWindow]:
 # ---------------------------------------------------------------------------
 
 class StationIndex:
-    """Row numbers of a weather table per station, sorted by timestamp,
-    for range lookup."""
+    """Row numbers of a weather table sorted by (station, timestamp), with
+    each station's span of them, for range lookup."""
 
     def __init__(self, weather: WeatherTable):
         self.weather = weather
         stations = list(dict.fromkeys(weather.station_id))
         code = np.fromiter(map({s: i for i, s in enumerate(stations)}.__getitem__,
                                weather.station_id), np.intp, len(weather))
-        order = np.lexsort((weather.timestamp, code))
-        bounds = np.searchsorted(code[order], np.arange(len(stations) + 1))
-        self._rows = {station: order[bounds[i]:bounds[i + 1]]
-                      for i, station in enumerate(stations)}
-        # In microseconds, the unit window bounds are looked up in.
-        self._times = {station: weather.timestamp[rows].astype("datetime64[us]")
-                       for station, rows in self._rows.items()}
+        self._rows = np.lexsort((weather.timestamp, code))
+        self._times = weather.timestamp[self._rows]
+        bounds = np.searchsorted(code[self._rows], np.arange(len(stations) + 1)).tolist()
+        self._spans = {s: (bounds[i], bounds[i + 1]) for i, s in enumerate(stations)}
 
-    def in_range(self, station_id: str, start: datetime, end: datetime,
+    def in_range(self, station_id: str, start: np.datetime64, end: np.datetime64,
                  ) -> np.ndarray:
         """Row numbers of the station's rows with start <= timestamp <= end,
         in time order."""
-        times = self._times.get(station_id)
-        if times is None:
-            return np.empty(0, np.intp)
-        lo = np.searchsorted(times, datetime64(start), side="left")
-        hi = np.searchsorted(times, datetime64(end), side="right")
-        return self._rows[station_id][lo:hi]
+        first, stop = self._spans.get(station_id, (0, 0))
+        times = self._times[first:stop]
+        return self._rows[first + np.searchsorted(times, start, side="left"):
+                          first + np.searchsorted(times, end, side="right")]
 
 
 def intensity(
     index: StationIndex,
     station_id: str,
-    window: tuple[datetime, datetime],
+    window: tuple[np.datetime64, np.datetime64],
     hazard_class: str,
     precip_mode: str = PRECIP_MODE_CUMULATIVE,
 ) -> float | None:
@@ -180,7 +170,7 @@ def intensity(
 # ---------------------------------------------------------------------------
 
 def build_fragility_samples(
-    severe: list[SevereWeatherRecord],
+    severe: SevereTable,
     partitions: dict[str, ZonePartition],
     weather: WeatherTable,
     outages: OutageTable,
@@ -195,53 +185,36 @@ def build_fragility_samples(
     """
     station_index = StationIndex(weather)
 
-    excluded = 0
-    by_class: dict[str, list[SevereWeatherRecord]] = {}
-    for rec in severe:
-        hazard = classify_hazard(rec, mapping)
-        if hazard == HAZARD_EXCLUDED:
-            excluded += 1
-            continue
-        by_class.setdefault(hazard, []).append(rec)
+    hazard = np.array([classify_hazard(label, mapping) for label in severe.event_type],
+                      dtype=object)
+    excluded = int(np.count_nonzero(hazard == HAZARD_EXCLUDED))
     if excluded:
         log.info("linkage: %d severe record(s) excluded by classification", excluded)
 
     result: dict[str, dict[str, list[FragilitySample]]] = {}
     for hazard_class, partition in partitions.items():
-        records = by_class.get(hazard_class, [])
-        per_zone: dict[str, list[SevereWeatherRecord]] = \
-            {z.zone_id: [] for z in partition.zones}
-        lons = np.array([r.longitude for r in records])
-        lats = np.array([r.latitude for r in records])
-        for rec, zi in zip(records, assign_many(partition, lons, lats)):
-            per_zone[partition.zones[zi].zone_id].append(rec)
-
+        records = severe.take(np.flatnonzero(hazard == hazard_class))
+        record_zone = assign_many(partition, records.longitude, records.latitude)
         out_zone = assign_many(partition, outages.longitude, outages.latitude)
         samples_by_zone: dict[str, list[FragilitySample]] = {}
         for zi, zone in enumerate(partition.zones):
-            starts = np.sort(outages.start[out_zone == zi]).astype("datetime64[us]")
+            starts = np.sort(outages.start[out_zone == zi])
             samples: list[FragilitySample] = []
-            for window in merge_windows(per_zone[zone.zone_id]):
+            for window in merge_windows(records.take(np.flatnonzero(record_zone == zi))):
                 measured = intensity(
                     station_index, zone.station_id,
                     (window.start, window.end), hazard_class, precip_mode)
                 if measured is None:
                     log.warning(
-                        "linkage: dropping window %s..%s in %s: station %s has "
-                        "no usable observations in range",
-                        window.start.isoformat(), window.end.isoformat(),
-                        zone.zone_id, zone.station_id)
+                        "linkage: dropping window %s+00:00..%s+00:00 in %s: station "
+                        "%s has no usable observations in range",
+                        window.start, window.end, zone.zone_id, zone.station_id)
                     continue
-                in_window = np.searchsorted(starts, datetime64(window.end), "right") \
-                    - np.searchsorted(starts, datetime64(window.start), "left")
-                samples.append(FragilitySample(
-                    zone_id=zone.zone_id,
-                    window_start=window.start,
-                    window_end=window.end,
-                    intensity=measured,
-                    outage_count=int(in_window),
-                    source_event_ids=window.source_event_ids,
-                ))
+                in_window = np.searchsorted(starts, window.end, "right") \
+                    - np.searchsorted(starts, window.start, "left")
+                samples.append(FragilitySample(zone.zone_id, window.start, window.end,
+                                               measured, int(in_window),
+                                               window.source_event_ids))
             samples_by_zone[zone.zone_id] = samples
         result[hazard_class] = samples_by_zone
     return result
@@ -253,6 +226,6 @@ FRAGILITY_HEADER = ["zone_id", "window_start", "window_end", "intensity",
 
 def fragility_csv(samples_by_zone: dict[str, list[FragilitySample]]) -> bytes:
     return csv_bytes(FRAGILITY_HEADER, lambda w: w.writerows(
-        [zone_id, format_instant(s.window_start), format_instant(s.window_end),
+        [zone_id, *_instant_cells(np.array([s.window_start, s.window_end])),
          repr(s.intensity), s.outage_count, ";".join(s.source_event_ids)]
         for zone_id, samples in samples_by_zone.items() for s in samples))

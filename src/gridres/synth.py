@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -41,7 +41,7 @@ from .fitting import SaturatingRestorationModel, evaluate
 from .ingest import (
     OUTAGES_HEADER,
     WEATHER_HEADER,
-    SevereWeatherRecord,
+    SevereTable,
     Station,
     write_severe_csv,
     write_stations_csv,
@@ -346,7 +346,7 @@ def generate(spec: SynthSpec) -> dict[str, bytes]:
                    HAZARD_PRECIPITATION: HAZARD_WIND}
 
     outage_rows: list[list[str]] = []
-    severe_records: list[SevereWeatherRecord] = []
+    severe_rows: list[tuple] = []  # SevereTable rows, instants in epoch seconds
     injections: dict[str, list[tuple[int, float]]] = \
         {s.station_id: [] for s in world.stations}
     label_counters = {HAZARD_WIND: 0, HAZARD_PRECIPITATION: 0}
@@ -405,12 +405,8 @@ def generate(spec: SynthSpec) -> dict[str, bytes]:
         labels = WIND_LABELS if hazard_class == HAZARD_WIND else PRECIP_LABELS
         label = labels[label_counters[hazard_class] % len(labels)]
         label_counters[hazard_class] += 1
-        severe_records.append(SevereWeatherRecord(
-            event_id=f"EV{k:05d}", event_type=label,
-            start=datetime.fromtimestamp(w_start, tz=timezone.utc),
-            end=datetime.fromtimestamp(w_end, tz=timezone.utc),
-            latitude=epi_lat, longitude=epi_lon,
-            description=f"synthetic {label.lower()} affecting {zone.zone_id}"))
+        severe_rows.append((f"EV{k:05d}", label, w_start, w_end, epi_lat, epi_lon,
+                            f"synthetic {label.lower()} affecting {zone.zone_id}"))
 
         hour_idx = -(-(w_start - HORIZON_START) // 3600)  # ceil division
         injections[zone.station_id].append((hour_idx, x))
@@ -479,6 +475,11 @@ def generate(spec: SynthSpec) -> dict[str, bytes]:
                 f"{precip_s[i]},0.0,0.0")
     weather_csv = ("\n".join(weather_lines) + "\n").encode("utf-8")
 
+    ids, labels, starts, ends, lats, lons, notes = list(zip(*severe_rows)) or [()] * 7
+    severe = SevereTable(list(ids), list(labels), *(
+        np.array(epochs, np.int64).astype("datetime64[s]") for epochs in (starts, ends)),
+        np.array(lats, float), np.array(lons, float), list(notes))
+
     out_lines = [",".join(OUTAGES_HEADER)]
     out_lines += [",".join(row) for row in outage_rows]
     outages_csv = ("\n".join(out_lines) + "\n").encode("utf-8")
@@ -487,7 +488,7 @@ def generate(spec: SynthSpec) -> dict[str, bytes]:
         "outages.csv": outages_csv,
         "weather.csv": weather_csv,
         "stations.csv": write_stations_csv(world.stations),
-        "severe_events.csv": write_severe_csv(severe_records),
+        "severe_events.csv": write_severe_csv(severe),
         "truth.json": _truth_json(spec, world).encode("utf-8"),
         "boundary.geojson": boundary_to_geojson(world.boundary_ring).encode("utf-8"),
     }

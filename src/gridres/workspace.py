@@ -97,12 +97,19 @@ class Workspace:
         return decoded(self.read_bytes(relative), str(self.path(relative)))
 
     def write_bytes(self, relative: str, data: bytes) -> None:
-        """Atomic write: temp file in the same directory, then rename."""
+        """Atomic write: a new temp file (umask permissions) in the same
+        directory, then rename; the temp file is removed if either fails."""
         target = self.path(relative)
         target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_name(target.name + ".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, target)
+        tmp = target.with_name(f"{target.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+        f = tmp.open("xb")
+        try:
+            with f:
+                f.write(data)
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         self.writes[relative] = sha256_bytes(data)
 
     def write_text(self, relative: str, text: str) -> None:

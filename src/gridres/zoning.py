@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, is_finite_number, json_object
-from .ingest import HAZARD_CLASSES, Station
+from .ingest import HAZARD_CLASSES, Station, on_earth
 from .ingest import HAZARD_PRECIPITATION, HAZARD_WIND  # noqa: F401 (re-exported)
 
 # two points closer than this (projected degrees) are the same site
@@ -367,6 +367,10 @@ def load_boundary_geojson(text: str, source: str = "boundary GeoJSON",
                                 and all(map(is_finite_number, p)) for p in ring):
         raise bad("the ring needs at least 4 positions (3 distinct vertices), each "
                   "an array of at least two finite numbers")
+    outside = [p[:2] for p in ring if not on_earth(p[1], p[0])]
+    if outside:
+        raise bad(f"position {outside[0]} is out of range: longitude must be in "
+                  f"[-180, 180] and latitude in [-90, 90]")
     return [(float(p[0]), float(p[1])) for p in ring]
 
 

@@ -1,12 +1,12 @@
 """Slow, obviously-correct reference implementations that tests compare the
-pipeline's vectorised and indexed paths against: the row-at-a-time outage
-and weather parsers and writers with their records, and converters between
-those records and the pipeline's column tables."""
+pipeline's vectorised and indexed paths against: the row-at-a-time outage,
+weather and severe-event parsers and writers with their records, and
+converters between those records and the pipeline's column tables."""
 
 from __future__ import annotations
 
 import math
-from datetime import datetime
+from datetime import datetime, timezone
 from typing import NamedTuple
 
 import numpy as np
@@ -16,15 +16,15 @@ from gridres.ingest import (
     DEFAULT_MAX_OUTAGE_DAYS,
     OUTAGES_HEADER,
     RESTORE_ROUNDING_SLACK_MIN,
+    SEVERE_HEADER,
     WEATHER_HEADER,
     CleaningReport,
     OutageTable,
+    SevereTable,
     WeatherTable,
     _parse_float,
     _reader,
-    _row_id,
     csv_bytes,
-    datetime64,
     format_instant,
     parse_instant,
     utc_datetimes,
@@ -49,6 +49,18 @@ class OutageRecord(NamedTuple):
     cause_code: str
 
 
+class SevereWeatherRecord(NamedTuple):
+    """Agency-logged hazard event; carries a window and a location but no
+    numeric intensity."""
+    event_id: str
+    event_type: str
+    start: datetime
+    end: datetime
+    latitude: float
+    longitude: float
+    description: str
+
+
 class WeatherObservation(NamedTuple):
     """One hourly station report; None marks an absent measurement."""
     station_id: str
@@ -58,6 +70,15 @@ class WeatherObservation(NamedTuple):
     precip: float | None
     snowfall: float | None
     snow_depth: float | None
+
+
+def _row_id(row: list[str], line_no: int) -> str:
+    """The id a dropped row is reported under: its first cell, else its line."""
+    return row[0].strip() or f"row{line_no}"
+
+
+def _drop(report: CleaningReport, rule: str, row_id: str) -> None:
+    report.drop_rows(rule, [row_id], str)
 
 
 # An unparseable measurement cell, as opposed to an empty (absent) one.
@@ -89,7 +110,7 @@ def parse_outage_rows(
             continue
         report.total_rows += 1
         if len(row) != len(OUTAGES_HEADER):
-            report.drop("missing_field", _row_id(row, line_no))
+            _drop(report, "missing_field", _row_id(row, line_no))
             continue
         outage_id, component_id = row[0].strip(), row[1].strip()
         lat = _parse_float(row[2])
@@ -102,19 +123,19 @@ def parse_outage_rows(
         if (not outage_id or not component_id or not cause
                 or lat is None or lon is None or start is None or end is None
                 or restore is None or customers_f is None):
-            report.drop("missing_field", _row_id(row, line_no))
+            _drop(report, "missing_field", _row_id(row, line_no))
             continue
         customers = int(customers_f)
 
         duration_min = (end - start).total_seconds() / 60.0
         if start >= end or restore > duration_min + RESTORE_ROUNDING_SLACK_MIN:
-            report.drop("inconsistent_time", _row_id(row, line_no))
+            _drop(report, "inconsistent_time", _row_id(row, line_no))
             continue
 
         if (not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0
                 or restore < 0.0 or customers < 0 or customers > max_customers
                 or duration_min > max_outage_days * 24.0 * 60.0):
-            report.drop("out_of_bounds", _row_id(row, line_no))
+            _drop(report, "out_of_bounds", _row_id(row, line_no))
             continue
 
         report.kept += 1
@@ -151,26 +172,26 @@ def parse_weather_rows(
             continue
         report.total_rows += 1
         if len(row) != len(WEATHER_HEADER):
-            report.drop("missing_field", _weather_row_id(row, line_no))
+            _drop(report, "missing_field", _weather_row_id(row, line_no))
             continue
         station_id = row[0].strip()
         ts = parse_instant(row[1])
         if not station_id or ts is None:
-            report.drop("missing_field", _weather_row_id(row, line_no))
+            _drop(report, "missing_field", _weather_row_id(row, line_no))
             continue
 
         values = [_parse_optional_float(cell) for cell in row[2:]]
         if _GARBAGE in values:
-            report.drop("missing_field", _weather_row_id(row, line_no))
+            _drop(report, "missing_field", _weather_row_id(row, line_no))
             continue
         wind_avg, wind_fast, precip, snowfall, snow_depth = values
 
         present = [v for v in values if v is not None]
         if present and min(present) < 0.0:
-            report.drop("out_of_bounds", _weather_row_id(row, line_no))
+            _drop(report, "out_of_bounds", _weather_row_id(row, line_no))
             continue
         if wind_avg is not None and wind_fast is not None and wind_fast < wind_avg:
-            report.drop("out_of_bounds", _weather_row_id(row, line_no))
+            _drop(report, "out_of_bounds", _weather_row_id(row, line_no))
             continue
 
         key = (station_id, ts)
@@ -179,7 +200,7 @@ def parse_weather_rows(
             report.kept += 1
         else:
             # collapse duplicates: most present fields wins, ties keep the later row
-            report.drop("inconsistent_time", _weather_row_id(row, line_no))
+            _drop(report, "inconsistent_time", _weather_row_id(row, line_no))
             if len(present) < prev[1]:
                 continue
         best[key] = (WeatherObservation(station_id, ts, wind_avg, wind_fast,
@@ -208,9 +229,67 @@ def write_weather_rows(observations: list[WeatherObservation]) -> bytes:
     return csv_bytes(WEATHER_HEADER, write_rows)
 
 
+def parse_severe_rows(
+    data: bytes,
+    source: str = "severe_events.csv",
+) -> tuple[list[SevereWeatherRecord], CleaningReport]:
+    """Parse severe_events.csv one row at a time; sorted by start instant."""
+    rows = _reader(data, SEVERE_HEADER, source)
+
+    report = CleaningReport()
+    kept: list[SevereWeatherRecord] = []
+    for line_no, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        report.total_rows += 1
+        if len(row) != len(SEVERE_HEADER):
+            _drop(report, "missing_field", _row_id(row, line_no))
+            continue
+        event_id, event_type = row[0].strip(), row[1].strip()
+        start = parse_instant(row[2])
+        end = parse_instant(row[3])
+        lat = _parse_float(row[4])
+        lon = _parse_float(row[5])
+        description = row[6]
+        if not event_id or not event_type or start is None or end is None \
+                or lat is None or lon is None:
+            _drop(report, "missing_field", _row_id(row, line_no))
+            continue
+        if start >= end:
+            _drop(report, "inconsistent_time", _row_id(row, line_no))
+            continue
+        if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
+            _drop(report, "out_of_bounds", _row_id(row, line_no))
+            continue
+        report.kept += 1
+        kept.append(SevereWeatherRecord(event_id, event_type, start, end,
+                                        lat, lon, description))
+    report.check()
+    kept.sort(key=lambda r: (r.start, r.event_id))
+    return kept, report
+
+
+def write_severe_rows(records: list[SevereWeatherRecord]) -> bytes:
+    return csv_bytes(SEVERE_HEADER, lambda w: w.writerows(
+        [r.event_id, r.event_type, format_instant(r.start), format_instant(r.end),
+         repr(r.latitude), repr(r.longitude), r.description] for r in records))
+
+
 # ---------------------------------------------------------------------------
 # Records <-> column tables
 # ---------------------------------------------------------------------------
+
+def datetime64(dt: datetime) -> np.datetime64:
+    """An aware or UTC-naive instant as a datetime64 in microseconds."""
+    if dt.tzinfo is not None:
+        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+    return np.datetime64(dt, "us")
+
+
+def utc_datetime(value: np.datetime64) -> datetime:
+    """A datetime64 as an aware UTC datetime, to the microsecond."""
+    return utc_datetimes(np.array([value]))[0]
+
 
 def _datetime64s(instants: list[datetime]) -> np.ndarray:
     return np.array([datetime64(dt) for dt in instants], "datetime64[us]")
@@ -234,6 +313,25 @@ def outage_records(table: OutageTable) -> list[OutageRecord]:
         table.longitude.tolist(), utc_datetimes(table.start), utc_datetimes(table.end),
         table.restore_minutes.tolist(), map(int, table.customers.tolist()),
         table.cause_code)]
+
+
+def severe_table(records: list[SevereWeatherRecord]) -> SevereTable:
+    """The column table of severe records, in their order; instants in
+    whole seconds, as the parser gives them."""
+    return SevereTable(
+        [r.event_id for r in records], [r.event_type for r in records],
+        _datetime64s([r.start for r in records]).astype("datetime64[s]"),
+        _datetime64s([r.end for r in records]).astype("datetime64[s]"),
+        np.array([r.latitude for r in records], float),
+        np.array([r.longitude for r in records], float),
+        [r.description for r in records])
+
+
+def severe_records(table: SevereTable) -> list[SevereWeatherRecord]:
+    return [SevereWeatherRecord(*row) for row in zip(
+        table.event_id, table.event_type, utc_datetimes(table.start),
+        utc_datetimes(table.end), table.latitude.tolist(), table.longitude.tolist(),
+        table.description)]
 
 
 _MEASURES = ("wind_avg", "wind_fastest_2min", "precip", "snowfall", "snow_depth")

@@ -222,7 +222,7 @@ def _stage_opens(monkeypatch, ws):
                 if p.is_relative_to(root):
                     rel = p.relative_to(root).as_posix()
                     if any(c in mode for c in "wax+"):
-                        writes.add(rel.removesuffix(".tmp"))
+                        writes.add(re.sub(r"\.\d+\.[0-9a-f]+\.tmp$", "", rel))
                     else:
                         reads.add(rel)
                 return real_open(path, mode, *rest, **kwargs)
@@ -393,6 +393,18 @@ def _polygon(coordinates) -> bytes:
         "E1,Tornado,2012-06-29T14:00:00Z,2012-06-29T15:00:00Z,39.7,-86.1,"
         f'"{"x" * 200_000}"\n').encode()), "severe_events.csv line 2"),
     (["zones"], {"density_cell_size": 1e-6}, None, "density_cell_size 1e-06"),
+    (["zones"], None, ("inputs/boundary.geojson",
+                       _polygon([[[0, 0], [400, 95], [1, 1], [0, 0]]])),
+     "position [400, 95] is out of range"),
+    (["run-all"], None, ("inputs/boundary.geojson", _polygon([[
+        [-86.35, 39.6], [-85.9, 39.6], [-85.9, 139.95], [-86.35, 39.95],
+        [-86.35, 39.6]]])), "inputs/boundary.geojson"),
+    (["ingest"], None, ("inputs/stations.csv",
+                        b"station_id,latitude,longitude,capabilities\n"
+                        b"WS00,95,400,wind;precipitation\n"),
+     "stations.csv line 2: latitude 95.0 or longitude 400.0 out of range"),
+    (["link"], {"hazard_mapping": {"Hail": "wind", "hail ": "excluded"}}, None,
+     "'Hail' and 'hail '"),
 ], ids=["customers-string", "customers-bool", "cell-size-list",
         "cell-size-nan", "solver-unknown-key", "mapping-list",
         "scenario-intensity-string", "config-not-utf8", "intensity-nan",
@@ -401,7 +413,9 @@ def _polygon(coordinates) -> bytes:
         "boundary-list", "boundary-coordinate-string", "boundary-coordinates-number",
         "boundary-short-position", "manifest-list", "manifest-stages-list",
         "manifest-stage-number", "truth-not-json", "truth-no-zones",
-        "truth-zero-value", "severe-cell-past-field-limit", "density-grid-too-fine"])
+        "truth-zero-value", "severe-cell-past-field-limit", "density-grid-too-fine",
+        "boundary-out-of-range", "boundary-latitude-139", "station-out-of-range",
+        "mapping-labels-collide"])
 def test_malformed_input_exits_3(private_ws, tmp_path, capsys, command,
                                  config, input_file, needle):
     argv = command + ["--workspace", str(private_ws)]
@@ -427,6 +441,13 @@ def test_directory_in_place_of_an_input_exits_2(private_ws, capsys):
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert "missing input" in err and "boundary.geojson" in err
+
+
+def test_stray_directory_at_a_temp_name_is_no_obstacle(private_ws):
+    """A directory where an older version put its fixed temp file."""
+    (private_ws / "clean_outages.csv.tmp").mkdir()
+    assert main(["ingest", "--force", "--workspace", str(private_ws)]) == 0
+    assert [p.name for p in private_ws.glob("*.tmp")] == ["clean_outages.csv.tmp"]
 
 
 def test_boundary_altitudes_are_ignored(private_ws):

@@ -39,6 +39,12 @@ def test_hazard_mapping_values_validated():
         parse_config(json.dumps({"hazard_mapping": {"hail": "storm"}}))
 
 
+def test_hazard_mapping_labels_colliding_after_normalising_rejected():
+    with pytest.raises(ValidationError, match="'Hail' and 'hail '"):
+        parse_config(json.dumps({"hazard_mapping": {"Hail": "wind",
+                                                    "hail ": "excluded"}}))
+
+
 def test_scenarios_parse_and_validate():
     cfg = parse_config(json.dumps({"scenarios": [
         {"hazard": "wind", "intensity": 35.0},

@@ -37,10 +37,14 @@ from oracles import (
     outage_records,
     outage_table,
     parse_outage_rows,
+    parse_severe_rows,
     parse_weather_rows,
+    severe_records,
+    severe_table,
     weather_records,
     weather_table,
     write_outage_rows,
+    write_severe_rows,
     write_weather_rows,
 )
 
@@ -55,6 +59,12 @@ def weather(data: bytes):
     """parse_weather, with the kept rows as records."""
     table, report = parse_weather(data)
     return weather_records(table), report
+
+
+def severe(data: bytes):
+    """parse_severe, with the kept rows as records."""
+    table, report = parse_severe(data)
+    return severe_records(table), report
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +303,7 @@ def test_severe_tornado_kept():
     data = csv_bytes(SEVERE_HEADER, [
         "E1,Tornado,2012-06-29T14:00:00Z,2012-06-29T15:00:00Z,39.7,-86.1,touchdown",
     ])
-    records, report = parse_severe(data)
+    records, report = severe(data)
     assert report.kept == 1
     assert records[0].event_type == "Tornado"
 
@@ -302,7 +312,7 @@ def test_severe_zero_length_window_dropped():
     data = csv_bytes(SEVERE_HEADER, [
         "E1,Flood,2012-06-29T14:00:00Z,2012-06-29T14:00:00Z,39.7,-86.1,",
     ])
-    records, report = parse_severe(data)
+    records, report = severe(data)
     assert records == []
     assert report.dropped_inconsistent_time == 1
 
@@ -312,7 +322,7 @@ def test_severe_unknown_type_passes_through():
     data = csv_bytes(SEVERE_HEADER, [
         "E1,Extreme Heat,2012-06-29T14:00:00Z,2012-06-29T15:00:00Z,39.7,-86.1,",
     ])
-    records, _ = parse_severe(data)
+    records, _ = severe(data)
     assert records[0].event_type == "Extreme Heat"
 
 
@@ -322,9 +332,9 @@ def test_severe_sorted_by_start_then_id():
         "E1,Flood,2012-06-29T14:00:00Z,2012-06-29T15:00:00Z,39.7,-86.1,",
         "E0,Flood,2012-06-29T13:00:00Z,2012-06-29T15:00:00Z,39.7,-86.1,",
     ])
-    records, _ = parse_severe(data)
+    records, _ = severe(data)
     assert [r.event_id for r in records] == ["E0", "E1", "E2"]
-    again, _ = parse_severe(write_severe_csv(records))
+    again, _ = severe(write_severe_csv(severe_table(records)))
     assert again == records
 
 
@@ -425,8 +435,8 @@ def test_clean_weather_round_trip(rows):
 @given(st.lists(st.tuples(_ids, _texts, _instants, _instants, _coords,
                           _coords, _texts), max_size=20))
 def test_clean_severe_round_trip(rows):
-    records, _ = parse_severe(_raw_csv(SEVERE_HEADER, rows))
-    _round_trip(records, write_severe_csv, parse_severe)
+    table, _ = parse_severe(_raw_csv(SEVERE_HEADER, rows))
+    _round_trip(table, write_severe_csv, parse_severe, severe_records)
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +563,52 @@ def test_weather_columns_agree_with_row_oracle(rows, chunk):
         ingest.CHUNK_ROWS = default
 
 
+# Ids that a numpy str array would tie ("E\x00" reads as "E"), and
+# coordinates just past the range or not finite.
+_severe_ids = _sometimes(_ids, st.sampled_from(["E", "E\x00", "E\x00\x00", ""]))
+_severe_coords = _sometimes(_coords, st.one_of(_odd_numbers, st.sampled_from([
+    "90.0000001", "-90.0000001", "180.0000001", "-180.0000001", "90", "-180"])))
+
+# Ties in (start, event_id) out of line order, a later start first, ids
+# ending in NUL, start == end, each coordinate just past its range, each
+# odd instant, and rows of too many and too few cells.
+_VALID_SEVERE = ["E1", "Hail", "2012-06-29T14:00:00Z", "2012-06-29T15:00:00Z",
+                 "39.7", "-86.1", "note"]
+_SEVERE_EXAMPLES = [
+    ["E\x00", "Hail", "2012-06-29T14:00:00Z", "2012-06-29T15:00:00Z", "1", "2", "a"],
+    ["E", "Wind", "2012-06-29T16:00:00+02:00", "2012-06-29T16:00:00Z", "1", "2", "b"],
+    ["E", "Flood", "2012-06-29T14:00:00.5Z", "2012-06-29 15:00:00", "1", "2", "c"],
+    ["E0", "Hail", "2012-06-29T13:00:00Z", "2012-06-29T13:30:00Z", "1", "2", "d"],
+    ["E2", "Hail", "2012-06-29T14:00:00Z", "2012-06-29T14:00:00Z", "1", "2", ""],
+    *(_VALID_SEVERE[:4] + coords + ["x"] for coords in (
+        ["90.0000001", "0"], ["-90.0000001", "0"], ["0", "180.0000001"],
+        ["0", "-180.0000001"], ["", "0"], ["nan", "0"], ["0", "inf"])),
+    *(_VALID_SEVERE[:2] + [start] + _VALID_SEVERE[3:] for start in _ODD_INSTANTS),
+    _VALID_SEVERE + ["extra"], _VALID_SEVERE[:3], [], _VALID_SEVERE]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rows([_severe_ids, _sometimes(_ids, _texts),
+              _sometimes(_instants, _odd_instants), _sometimes(_instants, _odd_instants),
+              _severe_coords, _severe_coords, _texts], 7),
+       st.sampled_from([1, 3, 4096]))
+@example(_SEVERE_EXAMPLES, 4096)
+@example(_SEVERE_EXAMPLES, 2)
+def test_severe_columns_agree_with_row_oracle(rows, chunk):
+    """As for outages, with the output sorted by (start, event_id) as
+    Python sorts str, ties in line order."""
+    default, ingest.CHUNK_ROWS = ingest.CHUNK_ROWS, chunk
+    try:
+        _agrees_with_oracle(_raw_csv(SEVERE_HEADER, rows), parse_severe,
+                            parse_severe_rows, severe_records, write_severe_csv,
+                            write_severe_rows)
+    finally:
+        ingest.CHUNK_ROWS = default
+
+
 # Any bad station cell is fatal, so these are all valid.
 _station_coords = st.sampled_from(["39.7", "-86.1", "-0.0", "0", " 39.70 ",
-                                   "1e-7", "95.0"])
+                                   "1e-7", "90.0"])
 _capabilities = st.sampled_from(["wind", " Wind ", "precipitation",
                                  "wind;precipitation", "precipitation; wind;wind"])
 

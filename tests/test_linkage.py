@@ -1,5 +1,6 @@
 """Severe-record classification, window merging, intensity pairing."""
 
+import dataclasses
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -7,23 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridres import linkage
-from gridres.ingest import SevereWeatherRecord, Station
-from gridres.linkage import (
-    PRECIP_MODE_PEAK,
-    classify_hazard,
-    fragility_csv,
-    intensity,
-    merge_windows,
-)
+from gridres.ingest import Station
+from gridres.linkage import PRECIP_MODE_PEAK, fragility_csv
 from gridres.zoning import build_partition
 from oracles import (
     OutageRecord,
+    SevereWeatherRecord,
     WeatherObservation,
-    count_outages,
+    datetime64,
     observations_in_range,
     outage_table,
+    severe_table,
+    utc_datetime,
     weather_table,
 )
+from oracles import count_outages as count_outage_records
 
 BASE = datetime(2015, 3, 1, tzinfo=timezone.utc)
 EQ_BOUNDARY = [(-5.0, -5.0), (15.0, -5.0), (15.0, 5.0), (-5.0, 5.0)]
@@ -43,15 +42,56 @@ def obs(station, h, wind_fast=None, precip=None, snowfall=None,
                               snowfall, snow_depth)
 
 
-def StationIndex(observations):
-    """linkage.StationIndex on the table of observation records."""
-    return linkage.StationIndex(weather_table(observations))
+def _instant64(t):
+    """A datetime as datetime64; a datetime64 as it is."""
+    return datetime64(t) if isinstance(t, datetime) else t
+
+
+def _aware(t):
+    """A datetime64 as an aware datetime; a datetime as it is."""
+    return t if isinstance(t, datetime) else utc_datetime(t)
+
+
+class StationIndex(linkage.StationIndex):
+    """linkage.StationIndex on the table of observation records, looked up
+    with datetimes."""
+
+    def __init__(self, observations):
+        super().__init__(weather_table(observations))
+
+    def in_range(self, station_id, start, end):
+        return super().in_range(station_id, _instant64(start), _instant64(end))
+
+
+def intensity(index, station_id, window, *args, **kwargs):
+    """linkage.intensity with the window bounds as datetimes."""
+    return linkage.intensity(index, station_id, tuple(map(_instant64, window)),
+                             *args, **kwargs)
+
+
+def count_outages(outages, window, zone_id, partition):
+    """The oracle count with the window bounds as datetime64."""
+    return count_outage_records(outages, tuple(map(_aware, window)), zone_id,
+                                partition)
+
+
+def classify_hazard(record, mapping=None):
+    """linkage.classify_hazard of a record's label."""
+    return linkage.classify_hazard(record.event_type, mapping)
+
+
+def merge_windows(records):
+    """linkage.merge_windows on the table of severe records, the window
+    bounds as datetimes."""
+    return [dataclasses.replace(w, start=utc_datetime(w.start), end=utc_datetime(w.end))
+            for w in linkage.merge_windows(severe_table(records))]
 
 
 def build_fragility_samples(severe, partitions, weather, outages, **options):
-    """linkage.build_fragility_samples with weather and outages as records."""
+    """linkage.build_fragility_samples with every input as records."""
     return linkage.build_fragility_samples(
-        severe, partitions, weather_table(weather), outage_table(outages), **options)
+        severe_table(severe), partitions, weather_table(weather), outage_table(outages),
+        **options)
 
 
 def outage_at(i, start_h, end_h, lat=0.0, lon=0.0):

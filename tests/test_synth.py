@@ -6,23 +6,41 @@ import math
 import pytest
 
 from gridres.errors import ValidationError
+from gridres import linkage
 from gridres.ingest import (
     parse_instant,
     parse_outages,
-    parse_severe,
     parse_stations,
     parse_weather,
 )
-from gridres.linkage import StationIndex, classify_hazard, intensity
+from gridres.ingest import parse_severe as parse_severe_table
+from gridres.linkage import StationIndex
 from gridres.synth import SynthSpec, generate, truth_report
 from gridres.zoning import assign_many, build_partition, load_boundary_geojson
-from oracles import outage_records
+from oracles import datetime64, outage_records, severe_records
 
 SMALL = dict(years=1, events_per_zone=6, mean_outages_per_event=40.0)
 
 
 def small_spec(seed=42, **kw):
     return SynthSpec(seed=seed, **{**SMALL, **kw})
+
+
+def parse_severe(data):
+    """ingest.parse_severe, with the kept rows as records."""
+    table, report = parse_severe_table(data)
+    return severe_records(table), report
+
+
+def classify_hazard(record):
+    """linkage.classify_hazard of a record's label."""
+    return linkage.classify_hazard(record.event_type)
+
+
+def intensity(index, station_id, window, hazard_class):
+    """linkage.intensity with the window bounds as datetimes."""
+    return linkage.intensity(index, station_id, tuple(map(datetime64, window)),
+                             hazard_class)
 
 
 def zone_of(partition, rec):

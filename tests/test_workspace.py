@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -34,6 +35,25 @@ def test_writes_record_the_digest_of_the_bytes_written(tmp_path):
     ws.write_bytes("a.csv", b"three\n")
     assert ws.writes == {"a.csv": sha256_bytes(b"three\n"),
                          "b.txt": sha256_bytes(b"two\n")}
+
+
+def test_write_needs_no_fixed_temp_name_and_follows_the_umask(tmp_path):
+    ws = Workspace(tmp_path)
+    (tmp_path / "a.csv.tmp").mkdir()  # a stray directory at a fixed temp name
+    ws.write_bytes("a.csv", b"one\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.csv.tmp"]
+    umask = os.umask(0o022)
+    os.umask(umask)
+    assert (tmp_path / "a.csv").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_failed_write_removes_its_temp_file(tmp_path):
+    ws = Workspace(tmp_path)
+    (tmp_path / "d.csv").mkdir()  # os.replace cannot put a file there
+    with pytest.raises(OSError):
+        ws.write_bytes("d.csv", b"one\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+    assert "d.csv" not in ws.writes
 
 
 # The non-file hashes a stage runner stores next to its recorded reads.
