@@ -530,26 +530,34 @@ def run_stage(name: str, ws: Workspace, cfg: Config, force: bool, *args) -> str:
 _TRUTH_PARAMS = {KIND_FRAGILITY: "b", KIND_RESTORATION: "c"}
 
 
-def _truth_comparison(ws: Workspace) -> str:
+def _truth_comparison(ws: Workspace, cfg: Config) -> str:
+    """Compare each truth zone with the fitted zone of its hazard class and
+    station, and write truth_comparison.json keyed by truth zone id."""
     source = str(ws.path("truth.json"))
     truth = json_object(ws.read_text("truth.json"), source).get("zones")
     if not isinstance(truth, dict) or not all(
             isinstance(zone, dict) and isinstance(zone.get("hazard_class"), str)
+            and isinstance(zone.get("station_id"), str)
             and all(isinstance(zone.get(k), dict) and zone[k].get(p) != 0
                     and is_finite_number(zone[k].get(p))
                     for k, p in _TRUTH_PARAMS.items())
             for zone in truth.values()):
         raise ValidationError(
-            f"{source}: each zone needs a hazard_class and a nonzero number at "
-            + ", ".join(map(".".join, _TRUTH_PARAMS.items())))
+            f"{source}: each zone needs a hazard_class, a station_id and a "
+            f"nonzero number at " + ", ".join(map(".".join, _TRUTH_PARAMS.items())))
     stores = {c: _model_store(ws, c) for c in HAZARD_CLASSES
               if ws.exists(f"models_{c}.json")}
+    _, partitions = _load_partitions(ws, cfg)
+    fitted_zone = {(c, zone.station_id): zone.zone_id
+                   for c, partition in partitions.items() for zone in partition.zones}
 
     zones_doc = {}
     errors: dict[str, list[float]] = {kind: [] for kind in _TRUTH_PARAMS}
     for zone_id, zone_truth in sorted(truth.items()):
-        store = stores.get(zone_truth["hazard_class"])
-        kinds = store.zones.get(zone_id, {}) if store else {}
+        hazard_class = zone_truth["hazard_class"]
+        store = stores.get(hazard_class)
+        fitted_id = fitted_zone.get((hazard_class, zone_truth["station_id"]))
+        kinds = store.zones.get(fitted_id, {}) if store else {}
         entry: dict = {}
         for kind, param in _TRUTH_PARAMS.items():
             if kind in kinds:
@@ -587,7 +595,7 @@ def run_all(ws: Workspace, cfg: Config, force: bool) -> int:
 
     _set_stage("run-all")
     if ws.exists("truth.json"):
-        rows.append(("truth-comparison", "ok", _truth_comparison(ws)))
+        rows.append(("truth-comparison", "ok", _truth_comparison(ws, cfg)))
 
     width = max(28, 2 + max(len(name) for name, _, _ in rows))
     print(f"{'stage':<{width}}{'status':<10}detail")

@@ -395,7 +395,9 @@ def csv_bytes(header: list[str], write_rows: Callable[[csv.writer], None]) -> by
     with every cell quoted."""
     def written(quoting: int) -> bytes:
         out = io.BytesIO()
-        text = io.TextIOWrapper(out, encoding="utf-8", newline="\n")
+        # Through a write-only buffer: over a readable one the wrapper keeps
+        # a decoder and resets it on every write, once per row.
+        text = io.TextIOWrapper(io.BufferedWriter(out), encoding="utf-8", newline="\n")
         w = csv.writer(text, lineterminator="\n", quoting=quoting)
         w.writerow(header)
         write_rows(w)

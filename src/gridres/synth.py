@@ -23,6 +23,10 @@ Construction rules that make the round trip exact rather than hopeful:
     injected at its zone's station inside the window, so the measured
     intensity equals the drawn value exactly.
 
+The outages, weather, stations and severe events are built as ingest's
+tables and records and written by ingest's CSV writers, so the text format
+of every input file is stated once, in ingest.
+
 All randomness flows from one numpy PCG64 generator in a fixed draw order,
 which makes bundles byte-identical for a given seed on any platform.
 """
@@ -33,18 +37,21 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
 from .errors import ValidationError
 from .fitting import SaturatingRestorationModel, evaluate
 from .ingest import (
-    OUTAGES_HEADER,
-    WEATHER_HEADER,
+    OutageTable,
     SevereTable,
     Station,
+    WeatherTable,
+    write_outages_csv,
     write_severe_csv,
     write_stations_csv,
+    write_weather_csv,
 )
 from .zoning import (
     HAZARD_PRECIPITATION,
@@ -305,9 +312,19 @@ def _sample_in_convex(
 # Generation
 # ---------------------------------------------------------------------------
 
-def _format_epochs(epochs: np.ndarray) -> list[str]:
-    seconds = np.asarray(epochs).astype(np.int64).astype("datetime64[s]")
-    return [stamp + "Z" for stamp in np.datetime_as_string(seconds).tolist()]
+def _outage_table(batches: list[tuple]) -> OutageTable:
+    """The emitted outage batches (lons, lats, start and end epoch seconds,
+    customers, components, causes) joined in order, with ids O0000001...;
+    no batch gives a table without rows."""
+    empty = (np.empty(0), np.empty(0), *np.empty((4, 0), np.int64), [])
+    *numbers, causes = zip(empty, *batches)
+    lons, lats, starts, ends, customers, components = map(np.concatenate, numbers)
+    return OutageTable(
+        [f"O{i:07d}" for i in range(1, len(lons) + 1)],
+        [f"C{c:05d}" for c in components.tolist()], lats, lons,
+        starts.astype("datetime64[s]"), ends.astype("datetime64[s]"),
+        ((ends - starts) // 60).astype(float), customers.astype(float),
+        list(chain.from_iterable(causes)))
 
 
 def generate(spec: SynthSpec) -> dict[str, bytes]:
@@ -345,29 +362,19 @@ def generate(spec: SynthSpec) -> dict[str, bytes]:
     other_class = {HAZARD_WIND: HAZARD_PRECIPITATION,
                    HAZARD_PRECIPITATION: HAZARD_WIND}
 
-    outage_rows: list[list[str]] = []
+    outage_batches: list[tuple] = []  # see _outage_table
     severe_rows: list[tuple] = []  # SevereTable rows, instants in epoch seconds
     injections: dict[str, list[tuple[int, float]]] = \
         {s.station_id: [] for s in world.stations}
     label_counters = {HAZARD_WIND: 0, HAZARD_PRECIPITATION: 0}
-    outage_seq = 0
 
     def emit_outages(lons: np.ndarray, lats: np.ndarray,
                      starts: np.ndarray, ends: np.ndarray, cause: str) -> None:
-        nonlocal outage_seq
-        customers = rng.integers(1, 501, len(lons))
-        components = rng.integers(1, 30001, len(lons))
-        start_strs = _format_epochs(starts)
-        end_strs = _format_epochs(ends)
-        for i in range(len(lons)):
-            outage_seq += 1
-            dur_min = int(ends[i] - starts[i]) // 60
-            outage_rows.append([
-                f"O{outage_seq:07d}", f"C{components[i]:05d}",
-                repr(float(lats[i])), repr(float(lons[i])),
-                start_strs[i], end_strs[i], str(dur_min),
-                str(int(customers[i])), cause,
-            ])
+        n = len(lons)
+        customers = rng.integers(1, 501, n)
+        components = rng.integers(1, 30001, n)
+        outage_batches.append((lons, lats, starts, ends, customers, components,
+                               [cause] * n))
 
     for k in range(total_events):
         hazard_class, zi = zone_cycle[k % len(zone_cycle)]
@@ -452,41 +459,33 @@ def generate(spec: SynthSpec) -> dict[str, bytes]:
             emit_outages(lons, lats, bg_starts, bg_starts + durations,
                          "equipment")
 
-    # hourly weather: background noise plus injected intensities
-    hour_epochs = HORIZON_START + np.arange(n_hours, dtype=np.int64) * 3600
-    hour_strs = _format_epochs(hour_epochs)
-    weather_lines = [",".join(WEATHER_HEADER)]
-    for station in world.stations:
-        avg = np.round(rng.uniform(*BG_WIND_AVG, n_hours), 2)
-        gust = np.round(avg * rng.uniform(*BG_WIND_GUST_FACTOR, n_hours), 2)
-        avg_s = [repr(float(v)) for v in avg]
-        gust_s = [repr(float(v)) for v in gust]
-        precip_s = ["0.0"] * n_hours
+    # hourly weather, station by station: background noise plus injected
+    # intensities
+    measures = np.zeros((3, len(world.stations), n_hours))  # avg, gust, precip
+    for avg, gust, precip, station in zip(*measures, world.stations):
+        avg[:] = np.round(rng.uniform(*BG_WIND_AVG, n_hours), 2)
+        gust[:] = np.round(avg * rng.uniform(*BG_WIND_GUST_FACTOR, n_hours), 2)
         for hour_idx, x in injections[station.station_id]:
             if HAZARD_WIND in station.capabilities:
-                gust_s[hour_idx] = repr(x)
-                avg_s[hour_idx] = repr(round(0.6 * x, 2))
+                gust[hour_idx] = x
+                avg[hour_idx] = round(0.6 * x, 2)
             else:
-                precip_s[hour_idx] = repr(x)
-        sid = station.station_id
-        for i in range(n_hours):
-            weather_lines.append(
-                f"{sid},{hour_strs[i]},{avg_s[i]},{gust_s[i]},"
-                f"{precip_s[i]},0.0,0.0")
-    weather_csv = ("\n".join(weather_lines) + "\n").encode("utf-8")
+                precip[hour_idx] = x
+    hours = HORIZON_START + np.arange(n_hours, dtype=np.int64) * 3600
+    no_snow = np.zeros(measures[0].size)
+    weather = WeatherTable(
+        list(chain.from_iterable([s.station_id] * n_hours for s in world.stations)),
+        np.tile(hours.astype("datetime64[s]"), len(world.stations)),
+        *(m.ravel() for m in measures), no_snow, no_snow)
 
     ids, labels, starts, ends, lats, lons, notes = list(zip(*severe_rows)) or [()] * 7
     severe = SevereTable(list(ids), list(labels), *(
         np.array(epochs, np.int64).astype("datetime64[s]") for epochs in (starts, ends)),
         np.array(lats, float), np.array(lons, float), list(notes))
 
-    out_lines = [",".join(OUTAGES_HEADER)]
-    out_lines += [",".join(row) for row in outage_rows]
-    outages_csv = ("\n".join(out_lines) + "\n").encode("utf-8")
-
     return {
-        "outages.csv": outages_csv,
-        "weather.csv": weather_csv,
+        "outages.csv": write_outages_csv(_outage_table(outage_batches)),
+        "weather.csv": write_weather_csv(weather),
         "stations.csv": write_stations_csv(world.stations),
         "severe_events.csv": write_severe_csv(severe),
         "truth.json": _truth_json(spec, world).encode("utf-8"),
@@ -523,10 +522,3 @@ def _truth_json(spec: SynthSpec, world: _World) -> str:
         "zones": zones,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def truth_report(spec: SynthSpec) -> str:
-    """Ground-truth JSON for a spec, matching the bundle's truth.json."""
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    world = _build_world(spec, rng)
-    return _truth_json(spec, world)

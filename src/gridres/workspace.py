@@ -16,7 +16,9 @@ properties:
 
 Every write lands in a temp file first and is renamed into place, so a
 crash cannot leave a half-written output that hashes differently than the
-manifest claims.
+manifest claims. Recording a stage holds an exclusive flock on the
+workspace directory while it reads, changes and rewrites the manifest, so
+concurrent commands on one workspace keep each other's records.
 
 `parsed` memoizes parsed file contents for one command, keyed by manifest
 key and sha256. A stage that writes a file may put the records it wrote
@@ -27,6 +29,7 @@ and is parsed.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -120,7 +123,7 @@ class Workspace:
     def load_manifest(self) -> dict:
         p = self.path(MANIFEST_NAME)
         if not p.exists():
-            return {"tool_version": _tool_version(), "stages": {}}
+            return {"stages": {}}
         if not p.is_file():
             raise ValidationError(f"{p}: manifest is not a regular file")
         doc = json_object(decoded(p.read_bytes(), str(p)), str(p))
@@ -133,7 +136,6 @@ class Workspace:
         return doc
 
     def save_manifest(self, manifest: dict) -> None:
-        manifest["tool_version"] = _tool_version()
         self.write_text(MANIFEST_NAME,
                         json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
@@ -158,8 +160,7 @@ class Workspace:
 
     def record_stage(self, stage: str, input_hashes: dict[str, str | None],
                      outputs: dict[str, str], duration_s: float) -> None:
-        manifest = self.load_manifest()
-        manifest["stages"][stage] = {
+        record = {
             "inputs": input_hashes,
             "outputs": dict(outputs),
             # informational only; never hashed or compared
@@ -167,7 +168,15 @@ class Workspace:
             .strftime("%Y-%m-%dT%H:%M:%SZ"),
             "duration_s": round(duration_s, 3),
         }
-        self.save_manifest(manifest)
+        self.root.mkdir(parents=True, exist_ok=True)
+        lock = os.open(self.root, os.O_RDONLY)
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            manifest = self.load_manifest()
+            manifest["stages"][stage] = record
+            self.save_manifest(manifest)
+        finally:
+            os.close(lock)  # releases the flock
 
     def verify(self) -> list[str]:
         """Return problems (missing/mismatched outputs) across all stages."""
@@ -181,8 +190,3 @@ class Workspace:
                     problems.append(f"{stage}: output {relative} does not "
                                     f"match its recorded hash")
         return problems
-
-
-def _tool_version() -> str:
-    from . import __version__
-    return __version__

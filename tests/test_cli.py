@@ -552,6 +552,48 @@ def test_drawn_json_document_exits_0_2_or_3(private_ws, capsys, document, value)
     assert "internal error" not in capsys.readouterr().err
 
 
+# Cells that the csv module, the decoder, the number parser or the instant
+# parser each treat apart, written into the file as raw bytes.
+_DRAWN_CELLS = st.sampled_from([
+    b'"', b'x"y', b"\r", b"\x00", b"\xff", b"nan", b"-inf", b"1e309", b"",
+    b"0001-01-01T00:00:00Z", b"9999-12-31T23:59:59Z", b"9999-12-31T23:59:59-05:00",
+    b"0001-01-01T00:00:00+14:00", b"10000-01-01T00:00:00Z", b"1970-01-01"])
+
+
+@pytest.fixture
+def short_ws(tmp_path, tiny_bundle):
+    """A workspace holding the first rows of each tiny input file."""
+    keep = {"outages.csv": 60, "weather.csv": 60, "severe_events.csv": 12}
+    seed_inputs(tmp_path, {
+        name: b"".join(data.splitlines(keepends=True)[:1 + keep[name]])
+        if name in keep else data for name, data in tiny_bundle.items()})
+    return tmp_path
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(["outages.csv", "weather.csv", "stations.csv",
+                             "severe_events.csv"]),
+       edits=st.lists(st.tuples(st.integers(0, 100), st.integers(0, 8), _DRAWN_CELLS),
+                      min_size=1, max_size=4),
+       duplicates=st.lists(st.integers(0, 100), max_size=3))
+def test_drawn_csv_cells_exit_0_2_or_3(short_ws, capsys, name, edits, duplicates):
+    path = short_ws / "inputs" / name
+    kept = path.read_bytes()
+    header, *rows = kept.splitlines()
+    rows = [row.split(b",") for row in rows]
+    for row, column, cell in edits:
+        cells = rows[row % len(rows)]
+        cells[column % len(cells)] = cell
+    rows += [rows[i % len(rows)] for i in duplicates]
+    path.write_bytes(b"\n".join([header, *map(b",".join, rows)]) + b"\n")
+    try:
+        assert main(["run-all", "--workspace", str(short_ws)]) in (0, 2, 3)
+    finally:
+        path.write_bytes(kept)
+    assert "internal error" not in capsys.readouterr().err
+
+
 def _csv_rows(path):
     with path.open(newline="") as fh:
         return list(csv.reader(fh))
@@ -710,6 +752,29 @@ def test_run_all_summary_and_truth_comparison(tiny_ws, capsys):
     for zone_doc in doc["zones"].values():
         assert zone_doc["fragility_b"]["rel_error"] >= 0.0
         assert zone_doc["restoration_c"]["rel_error"] >= 0.0
+
+
+def _truth_errors_by_station(ws):
+    truth = json.loads((ws / "truth.json").read_text())["zones"]
+    compared = json.loads((ws / "truth_comparison.json").read_text())["zones"]
+    return {(zone["hazard_class"], zone["station_id"]): compared[zone_id]
+            for zone_id, zone in truth.items()}
+
+
+def test_truth_comparison_pairs_zones_by_station(private_ws, tmp_path, tiny_bundle):
+    """Zone ids follow the row order of stations.csv; reversing its data rows
+    renumbers the zones but pairs each station with the same truth."""
+    header, *rows = tiny_bundle["stations.csv"].splitlines(keepends=True)
+    reversed_ws = tmp_path / "reversed"
+    seed_inputs(reversed_ws, {**tiny_bundle,
+                              "stations.csv": b"".join([header, *rows[::-1]])})
+    for ws in (private_ws, reversed_ws):
+        assert main(["run-all", "--workspace", str(ws)]) == 0
+    assert (reversed_ws / "zones_wind.geojson").read_bytes() \
+        != (private_ws / "zones_wind.geojson").read_bytes()
+    errors = _truth_errors_by_station(private_ws)
+    assert all(errors.values())
+    assert _truth_errors_by_station(reversed_ws) == errors
 
 
 def test_run_all_rows_name_each_scenario_by_its_stem(private_ws, tmp_path,

@@ -1,10 +1,13 @@
 """Synthetic bundle generation: determinism, cleanliness, statistics."""
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from gridres.cli import main
 from gridres.errors import ValidationError
 from gridres import linkage
 from gridres.ingest import (
@@ -15,8 +18,9 @@ from gridres.ingest import (
 )
 from gridres.ingest import parse_severe as parse_severe_table
 from gridres.linkage import StationIndex
-from gridres.synth import SynthSpec, generate, truth_report
+from gridres.synth import SynthSpec, generate
 from gridres.zoning import assign_many, build_partition, load_boundary_geojson
+from conftest import OUTAGES_HEADER
 from oracles import datetime64, outage_records, severe_records
 
 SMALL = dict(years=1, events_per_zone=6, mean_outages_per_event=40.0)
@@ -71,8 +75,14 @@ def test_different_seed_differs(bundle):
     assert other["stations.csv"] != bundle["stations.csv"]
 
 
-def test_truth_report_matches_generated_truth(bundle):
-    assert truth_report(small_spec()).encode() == bundle["truth.json"]
+def test_seed_bundle_matches_benchmark_pin():
+    # The digest rule of bench/common.digest_files: sha256 over each file's
+    # name, a NUL and the sha256 of its bytes, in name order.
+    pins = json.loads((Path(__file__).parents[1] / "bench" / "pins.json").read_text())
+    h = hashlib.sha256()
+    for name, data in sorted(generate(SynthSpec(seed=20240811)).items()):
+        h.update(name.encode("utf-8") + b"\0" + hashlib.sha256(data).digest())
+    assert h.hexdigest() == pins["seed-pipeline"]
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +96,27 @@ def test_zero_events_leaves_only_background():
     assert all(r.cause_code == "equipment" for r in records)
     severe, _ = parse_severe(out["severe_events.csv"])
     assert severe == []
+
+
+def test_bundle_without_outages_has_a_header_only_outage_file(tmp_path):
+    out = generate(SynthSpec(seed=7, years=1, events_per_zone=0,
+                             background_outage_rate=0.0))
+    assert out["outages.csv"] == (OUTAGES_HEADER + "\n").encode()
+    (tmp_path / "inputs").mkdir()
+    for name, data in out.items():
+        (tmp_path / "inputs" / name).write_bytes(data)
+    assert main(["ingest", "--workspace", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report_outages.json").read_text())
+    assert report["total_rows"] == report["kept"] == 0
+
+
+def test_raw_and_clean_files_share_one_format(tiny_ws):
+    raw = (tiny_ws / "inputs" / "outages.csv").read_bytes()
+    assert (tiny_ws / "clean_outages.csv").read_bytes() == raw
+    header, *rows = (tiny_ws / "inputs" / "weather.csv").read_text().splitlines()
+    by_station = sorted(rows, key=lambda row: row.split(",", 1)[0])
+    assert (tiny_ws / "clean_weather.csv").read_text().splitlines() \
+        == [header, *by_station]
 
 
 def test_everything_passes_cleaning_with_zero_drops(bundle):

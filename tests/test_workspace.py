@@ -3,9 +3,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gridres
 from gridres.errors import MissingInputError, ValidationError
 from gridres.workspace import Workspace, sha256_bytes
 
@@ -158,7 +162,7 @@ def test_manifest_is_valid_json(tmp_path):
     ws.write_bytes("in.csv", b"x\n")
     _record_demo(ws)
     doc = json.loads((tmp_path / "manifest.json").read_text())
-    assert "tool_version" in doc
+    assert "tool_version" not in doc
     assert doc["stages"]["demo"]["outputs"]["out.csv"] == sha256_bytes(b"result\n")
     assert doc["stages"]["demo"]["inputs"] == {
         "in.csv": sha256_bytes(b"x\n"), **META}
@@ -176,3 +180,26 @@ def test_directory_in_place_of_a_file_counts_as_absent(tmp_path):
     assert not ws.exists("optional.csv")
     with pytest.raises(MissingInputError, match="in.csv"):
         ws.read_bytes("in.csv")
+
+
+# Records argv[3] stages named argv[2]0, argv[2]1, ... in the workspace at
+# argv[1].
+_RECORDER = """
+import sys
+from gridres.workspace import Workspace
+ws = Workspace(sys.argv[1])
+for i in range(int(sys.argv[3])):
+    ws.record_stage(f"{sys.argv[2]}{i}", {}, {}, 0.0)
+"""
+
+
+def test_concurrent_stage_records_are_all_kept(tmp_path):
+    src = str(Path(gridres.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    procs = [subprocess.Popen([sys.executable, "-c", _RECORDER, str(tmp_path),
+                               name, "150"], env=env) for name in ("a", "b")]
+    assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
+    assert set(Workspace(tmp_path).load_manifest()["stages"]) == {
+        f"{name}{i}" for name in ("a", "b") for i in range(150)}
+    assert not list(tmp_path.glob("*.tmp"))
