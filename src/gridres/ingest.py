@@ -37,6 +37,17 @@ column at a time, in chunks of rows: each rule is a boolean mask over a
 chunk, and the kept rows become a column table (OutageTable, WeatherTable,
 SevereTable). Stations, a dozen rows whose errors are fatal, stay records.
 
+A file whose bytes hold no '"' and no "\r" needs none of the CSV quoting
+rules: each record is one line and its cells are the line split at commas.
+Such a file is cut into chunks at newlines and each chunk's lines are split
+in one pass, without the csv module (after Mühlbauer et al., "Instant
+Loading for Main Memory Databases", PVLDB 2013). Likewise a table is
+written by joining its cells with commas and newlines while no cell holds
+a ',', '"', "\n" or "\r". Every other file and table goes through the csv
+reader and writer, which define the result: both ways give the same rows
+and bytes, and the same error for a wrong header, a cell past the csv
+field limit or a byte that is not UTF-8.
+
 Parsing is a pure function of the input bytes, so the four files may be
 parsed concurrently.
 """
@@ -48,9 +59,10 @@ import io
 import json
 import logging
 import math
+import re
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from typing import Callable, Iterator
 
 import numpy as np
@@ -284,24 +296,80 @@ def _chunks(data: bytes, header: list[str], source: str):
     """The rows after the header, CHUNK_ROWS at a time. Yields (lines,
     columns, malformed) per chunk: the line number of each non-blank row
     (CSV records, not text lines, counted from the header as 1, blank rows
-    included), its cells as columns (tuples of str), and which rows had
+    included), its cells as columns (sequences of str), and which rows had
     another number of cells than the header; those are cut or padded with
-    blank cells to fit. The last chunk is short: no rows yield one empty."""
-    rows = _reader(data, header, source)
-    width, first, size = len(header), 2, CHUNK_ROWS
+    blank cells to fit. The last chunk is short: no rows yield one empty.
+    A file with no '"' and no "\\r" is split at commas and line ends, any
+    other read by the csv reader."""
+    plain = b'"' not in data and b"\r" not in data
+    width, first = len(header), 2
+    for size, rows, columns in (_line_chunks if plain else _record_chunks)(
+            data, header, source):
+        lines = np.arange(first, first + size)
+        first += size
+        malformed = np.zeros(size, bool)
+        if columns is None:
+            lengths = np.fromiter(map(len, rows), np.intp, size)
+            malformed = lengths != width
+            if malformed.any():
+                for i in np.flatnonzero(malformed & (lengths > 0)).tolist():
+                    rows[i] = (rows[i] + [""] * width)[:width]
+                filled = (lengths > 0).tolist()
+                rows = list(compress(rows, filled))
+                lines, malformed = lines[filled], malformed[filled]
+            columns = list(zip(*rows)) or [()] * width
+        yield lines, columns, malformed
+
+
+def _record_chunks(data: bytes, header: list[str], source: str):
+    """Yields (size, rows, None) per chunk of CHUNK_ROWS records, as the
+    csv reader reads them."""
+    rows, size = _reader(data, header, source), CHUNK_ROWS
     while size == CHUNK_ROWS:
         chunk = list(islice(rows, CHUNK_ROWS))
-        lines = np.arange(first, first + len(chunk))
-        first += (size := len(chunk))
-        lengths = np.fromiter(map(len, chunk), np.intp, len(chunk))
-        malformed = lengths != width
-        if malformed.any():
-            for i in np.flatnonzero(malformed & (lengths > 0)).tolist():
-                chunk[i] = (chunk[i] + [""] * width)[:width]
-            filled = (lengths > 0).tolist()
-            chunk = list(compress(chunk, filled))
-            lines, malformed = lines[filled], malformed[filled]
-        yield lines, list(zip(*chunk)) or [()] * width, malformed
+        yield (size := len(chunk)), chunk, None
+
+
+_NEWLINE = re.compile(b"\n")
+
+
+def _line_chunks(data: bytes, header: list[str], source: str):
+    """_record_chunks of a file with no '"' and no "\\r": each chunk of
+    CHUNK_ROWS lines is cut from the bytes and decoded on its own. Yields
+    (size, None, columns) where every line is a full row of cells no longer
+    than the csv field limit, and (size, rows, None) otherwise, with the
+    csv reader's error for a longer cell. Python 3.11's csv reader reads
+    NUL as any other character, and so does this split."""
+    next(_reader(data, header, source), None)  # the header, read as any file's
+    width, limit = len(header), csv.field_size_limit()
+    start = data.find(b"\n") + 1 or len(data)
+    newlines = _NEWLINE.finditer(data, start)
+    first, size = 2, CHUNK_ROWS
+    while size == CHUNK_ROWS:
+        last = next(islice(newlines, CHUNK_ROWS - 1, None), None)  # CHUNK_ROWS-th
+        end = last.end() if last else len(data)
+        try:
+            text = data[start:end].decode("utf-8")
+        except UnicodeDecodeError:
+            decoded(data, source)  # raises the error naming the first bad byte
+            raise
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()  # the piece after the last line end
+        size = len(lines)
+        # A blank line has no comma, and every header has several columns.
+        if lines and max(map(len, lines)) <= limit \
+                and set(map(str.count, lines, repeat(",", size))) == {width - 1}:
+            flat = ",".join(lines).split(",")
+            yield size, None, [flat[k::width] for k in range(width)]
+        else:
+            rows = [line.split(",") if line else [] for line in lines]
+            for i, line in enumerate(lines):
+                if len(line) > limit and max(map(len, rows[i])) > limit:
+                    raise ValidationError(f"{source} line {first + i}: field larger "
+                                          f"than field limit ({limit})")
+            yield size, rows, None
+        start, first = end, first + size
 
 
 def _tally(report: CleaningReport, rule: np.ndarray,
@@ -411,11 +479,30 @@ def csv_bytes(header: list[str], write_rows: Callable[[csv.writer], None]) -> by
 def _write_table(header: list[str], table: _Table,
                  cells: Callable[[_Table], list]) -> bytes:
     """csv_bytes of `table`: `cells(part)` gives the text columns of each
-    part of at most CHUNK_ROWS rows."""
-    def write_rows(w):
+    part of at most CHUNK_ROWS rows. A part's cells are joined with commas
+    and newlines, which is what the csv writer writes while no cell holds a
+    ',', '"', "\n" or "\r"; a part where one does sends the whole table
+    through the csv writer."""
+    def parts():
         for lo in range(0, len(table), CHUNK_ROWS):
-            w.writerows(zip(*cells(table.take(slice(lo, lo + CHUNK_ROWS)))))
-    return csv_bytes(header, write_rows)
+            yield table.take(slice(lo, lo + CHUNK_ROWS))
+
+    def write_rows(w):
+        for part in parts():
+            w.writerows(zip(*cells(part)))
+
+    # One buffer, so that the output is never held twice.
+    out, commas = io.BytesIO(), len(header) - 1
+    out.write(",".join(header).encode())
+    for part in parts():
+        text = "\n".join(map(",".join, zip(*cells(part))))
+        if text.count(",") != len(part) * commas or text.count("\n") != len(part) - 1 \
+                or '"' in text or "\r" in text:
+            return csv_bytes(header, write_rows)
+        out.write(b"\n")
+        out.write(text.encode())
+    out.write(b"\n")
+    return out.getvalue()
 
 
 def _cells(values: np.ndarray, fmt: Callable[[float], str]) -> list[str]:

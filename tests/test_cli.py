@@ -2,9 +2,12 @@
 
 import csv
 import dataclasses
+import io
 import json
+import random
 import re
 import shutil
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,8 @@ import gridres.cli as cli
 from gridres.cli import main
 from gridres.config import Config, canonical_hazard, parse_config
 from gridres.errors import FitError
+from gridres.ingest import format_instant, parse_instant
+from gridres.workspace import Workspace
 
 from conftest import TINY_SPEC
 
@@ -132,6 +137,35 @@ def test_code_change_reruns_fresh_stage(private_ws, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "up to date" not in err
     assert "kept" in err
+
+
+def test_run_stopped_before_its_record_leaves_the_stage_stale(private_ws,
+                                                              monkeypatch, capsys):
+    """A crash between writing a stage's outputs and recording them leaves
+    the last record in the manifest. Once the input is back as that record
+    has it, only the output digests tell that the stage must rerun."""
+    outages = private_ws / "inputs" / "outages.csv"
+    original, clean = outages.read_bytes(), (private_ws / "clean_outages.csv").read_bytes()
+    assert main(["ingest", "--workspace", str(private_ws)]) == 0
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("stopped")
+
+    outages.write_bytes(original[:original.rindex(b"\n", 0, -1) + 1])  # one row fewer
+    monkeypatch.setattr(Workspace, "record_stage", crash)
+    assert main(["ingest", "--workspace", str(private_ws)]) == 1
+    assert (private_ws / "clean_outages.csv").read_bytes() != clean
+    monkeypatch.undo()
+
+    outages.write_bytes(original)
+    assert Workspace(private_ws).verify() == [
+        f"ingest: output {name} does not match its recorded hash"
+        for name in ("clean_outages.csv", "report_outages.json")]
+    capsys.readouterr()
+    assert main(["ingest", "--workspace", str(private_ws)]) == 0
+    assert "up to date" not in capsys.readouterr().err
+    assert (private_ws / "clean_outages.csv").read_bytes() == clean
+    assert Workspace(private_ws).verify() == []
 
 
 def test_predict_reruns_when_intensity_differs_below_file_name_precision(
@@ -392,6 +426,11 @@ def _polygon(coordinates) -> bytes:
         "event_id,event_type,start,end,latitude,longitude,description\n"
         "E1,Tornado,2012-06-29T14:00:00Z,2012-06-29T15:00:00Z,39.7,-86.1,"
         f'"{"x" * 200_000}"\n').encode()), "severe_events.csv line 2"),
+    (["ingest"], None, ("inputs/severe_events.csv", (
+        "event_id,event_type,start,end,latitude,longitude,description\n"
+        "E1,Tornado,2012-06-29T14:00:00Z,2012-06-29T15:00:00Z,39.7,-86.1,"
+        f'{"x" * 200_000}\n').encode()),
+     "severe_events.csv line 2: field larger than field limit (131072)"),
     (["zones"], {"density_cell_size": 1e-6}, None, "density_cell_size 1e-06"),
     (["zones"], None, ("inputs/boundary.geojson",
                        _polygon([[[0, 0], [400, 95], [1, 1], [0, 0]]])),
@@ -413,7 +452,8 @@ def _polygon(coordinates) -> bytes:
         "boundary-list", "boundary-coordinate-string", "boundary-coordinates-number",
         "boundary-short-position", "manifest-list", "manifest-stages-list",
         "manifest-stage-number", "truth-not-json", "truth-no-zones",
-        "truth-zero-value", "severe-cell-past-field-limit", "density-grid-too-fine",
+        "truth-zero-value", "severe-cell-past-field-limit",
+        "severe-unquoted-cell-past-field-limit", "density-grid-too-fine",
         "boundary-out-of-range", "boundary-latitude-139", "station-out-of-range",
         "mapping-labels-collide"])
 def test_malformed_input_exits_3(private_ws, tmp_path, capsys, command,
@@ -775,6 +815,73 @@ def test_truth_comparison_pairs_zones_by_station(private_ws, tmp_path, tiny_bund
     errors = _truth_errors_by_station(private_ws)
     assert all(errors.values())
     assert _truth_errors_by_station(reversed_ws) == errors
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations: input changes that must leave outputs as they are
+# ---------------------------------------------------------------------------
+
+_DATA_FILES = ("outages.csv", "weather.csv", "severe_events.csv")
+_INSTANT_COLUMNS = {"outages.csv": ("start", "end"), "weather.csv": ("timestamp",),
+                    "severe_events.csv": ("start", "end")}
+
+
+def _run_all_outputs(root, bundle, tmp_path):
+    """The outputs of run-all on `bundle`, with one scenario per hazard."""
+    seed_inputs(root, bundle)
+    cfg = tmp_path / "scenarios.json"
+    cfg.write_text(json.dumps({"scenarios": [
+        WIND_20, {"hazard": "precipitation", "intensity": 1.5}]}))
+    assert main(["run-all", "--workspace", str(root), "--config", str(cfg)]) == 0
+    return {name: data for name, data in _outputs(root).items()
+            if not name.startswith("inputs/")}
+
+
+@pytest.fixture(scope="module")
+def tiny_outputs(tiny_bundle, tmp_path_factory):
+    root = tmp_path_factory.mktemp("metamorphic")
+    return _run_all_outputs(root / "ws", tiny_bundle, root)
+
+
+def test_shuffled_data_rows_change_only_clean_outages(tiny_bundle, tiny_outputs,
+                                                      tmp_path):
+    """clean_outages.csv keeps input order; every other output is sorted
+    or aggregated, so the order of the data rows does not reach it."""
+    def shuffled(data):
+        header, *rows = data.splitlines(keepends=True)
+        random.Random(7).shuffle(rows)
+        return b"".join([header, *rows])
+    outputs = _run_all_outputs(tmp_path / "ws", {
+        name: shuffled(data) if name in _DATA_FILES else data
+        for name, data in tiny_bundle.items()}, tmp_path)
+    assert outputs.keys() == tiny_outputs.keys()
+    assert {name for name in outputs if outputs[name] != tiny_outputs[name]} \
+        == {"clean_outages.csv"}
+
+
+def test_whole_day_time_shift_keeps_models_predictions_and_truth(tiny_bundle,
+                                                                 tiny_outputs,
+                                                                 tmp_path):
+    """Every instant in the inputs ten years (3,653 days) later: durations,
+    times of day and the weather each outage meets are unchanged."""
+    def shifted(name, data):
+        rows = list(csv.reader(io.StringIO(data.decode())))
+        at = [rows[0].index(column) for column in _INSTANT_COLUMNS[name]]
+        for row in rows[1:]:
+            for i in at:
+                row[i] = format_instant(parse_instant(row[i]) + timedelta(days=3653))
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return out.getvalue().encode()
+    outputs = _run_all_outputs(tmp_path / "ws", {
+        name: shifted(name, data) if name in _DATA_FILES else data
+        for name, data in tiny_bundle.items()}, tmp_path)
+    kept = [name for name in tiny_outputs if name.startswith(("models_", "predictions_"))
+            or name == "truth_comparison.json"]
+    assert len(kept) == 5
+    assert outputs["clean_outages.csv"] != tiny_outputs["clean_outages.csv"]
+    assert {name: outputs[name] for name in kept} \
+        == {name: tiny_outputs[name] for name in kept}
 
 
 def test_run_all_rows_name_each_scenario_by_its_stem(private_ws, tmp_path,

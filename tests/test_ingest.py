@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridres import ingest
-from gridres.errors import SchemaError
+from gridres.errors import SchemaError, ValidationError
 from gridres.ingest import (
     DEFAULT_MAX_OUTAGE_DAYS,
     format_instant,
@@ -34,6 +34,9 @@ from conftest import (
     outage_row,
 )
 from oracles import (
+    OutageRecord,
+    SevereWeatherRecord,
+    WeatherObservation,
     outage_records,
     outage_table,
     parse_outage_rows,
@@ -382,6 +385,30 @@ def _raw_csv(header: str, rows: list[list[str]]) -> bytes:
     return out.getvalue().encode()
 
 
+# What a file with no quoting cannot hold in a cell, and what stands in for it.
+_UNQUOTABLE = str.maketrans(',"\n\r', ";'  ")
+
+
+def _plain_csv(header: str, rows: list[list[str]], final_newline: bool = True) -> bytes:
+    """Cells joined with commas, nothing quoted: the file ingest splits
+    without the csv module. Commas, quotes and line ends in a cell become
+    other characters."""
+    text = "\n".join([header, *(",".join(cell.translate(_UNQUOTABLE) for cell in row)
+                                for row in rows)])
+    return (text + "\n" if final_newline else text).encode()
+
+
+# How a drawn file is written: every cell quoted, or none, with or without
+# a line end after the last row.
+_LAYOUTS = ["quoted", "plain", "plain-unterminated"]
+
+
+def _drawn_csv(header: str, rows: list[list[str]], layout: str) -> bytes:
+    if layout == "quoted":
+        return _raw_csv(header, rows)
+    return _plain_csv(header, rows, final_newline=layout == "plain")
+
+
 def _mostly(valid: list[str], junk: list[str]):
     """Cells that are valid 19 times in 20, so that rows are often kept."""
     return st.sampled_from(valid * (19 * len(junk)) + junk * len(valid))
@@ -400,7 +427,8 @@ _restores = _mostly(["-0.0", "0", "30", "30.5", "0.125", " 45 ", "1e-3"],
 _customers = _mostly(["0", "10", "3.7", "1e6"], ["12000000", "-1", ""])
 _measures = _mostly(["", "0", "0.0", "-0.0", "3.5", " 2 ", "1e-3", "12.25"],
                     ["-1", "x"])
-_texts = st.text(st.sampled_from('ab ,"\n\r'), max_size=8)
+# Text with NUL, non-ASCII letters and line separators other than "\n".
+_texts = st.text(st.sampled_from('ab ,"\n\r\x00é\x85\u2028'), max_size=8)
 
 
 def _round_trip(records, write, reparse, rows=lambda parsed: parsed):
@@ -471,11 +499,12 @@ def _sometimes(cells, odd):
 
 
 def _rows(cells: list, width: int):
-    """Rows of `width` drawn cells, one time in eight blank or of another
-    width."""
+    """Rows of `width` drawn cells, one time in eight blank, whitespace
+    only or of another width."""
     return st.lists(_sometimes(
         st.tuples(*cells).map(list),
-        st.lists(_cell, max_size=width + 2).filter(lambda row: len(row) != width)),
+        st.lists(_cell, max_size=width + 2).filter(lambda row: len(row) != width)
+        | st.sampled_from([[], [" "], ["  \t"]])),
         max_size=30)
 
 
@@ -508,15 +537,20 @@ def _agrees_with_oracle(data, parse, oracle, records, write, oracle_write, **cap
               _sometimes(_ids, _texts)], 9),
        st.sampled_from([DEFAULT_MAX_OUTAGE_DAYS, math.inf]),
        st.sampled_from([ingest.DEFAULT_MAX_CUSTOMERS, math.inf]),
-       st.sampled_from([1, 3, 4096]))
-@example(_OUTAGE_EXAMPLES, DEFAULT_MAX_OUTAGE_DAYS, ingest.DEFAULT_MAX_CUSTOMERS, 4096)
-@example(_OUTAGE_EXAMPLES, DEFAULT_MAX_OUTAGE_DAYS, math.inf, 2)
-def test_outage_columns_agree_with_row_oracle(rows, max_days, max_customers, chunk):
+       st.sampled_from([1, 3, 4096]), st.sampled_from(_LAYOUTS))
+@example(_OUTAGE_EXAMPLES, DEFAULT_MAX_OUTAGE_DAYS, ingest.DEFAULT_MAX_CUSTOMERS, 4096,
+         "quoted")
+@example(_OUTAGE_EXAMPLES, DEFAULT_MAX_OUTAGE_DAYS, math.inf, 2, "quoted")
+@example(_OUTAGE_EXAMPLES, DEFAULT_MAX_OUTAGE_DAYS, math.inf, 2, "plain")
+@example(_OUTAGE_EXAMPLES, DEFAULT_MAX_OUTAGE_DAYS, math.inf, 3, "plain-unterminated")
+def test_outage_columns_agree_with_row_oracle(rows, max_days, max_customers, chunk,
+                                              layout):
     """Kept rows, report bytes (drop samples in row order) and clean bytes
-    match the row-at-a-time parser and writer, chunk boundaries anywhere."""
+    match the row-at-a-time parser and writer, chunk boundaries anywhere,
+    for files the csv module reads and files split without it."""
     default, ingest.CHUNK_ROWS = ingest.CHUNK_ROWS, chunk
     try:
-        _agrees_with_oracle(_raw_csv(OUTAGES_HEADER, rows), parse_outages,
+        _agrees_with_oracle(_drawn_csv(OUTAGES_HEADER, rows, layout), parse_outages,
                             parse_outage_rows, outage_records, write_outages_csv,
                             write_outage_rows, max_outage_days=max_days,
                             max_customers=max_customers)
@@ -547,16 +581,18 @@ _WEATHER_EXAMPLES = [
 @settings(max_examples=150, deadline=None)
 @given(_rows([_stations, _sometimes(_hours, st.one_of(_instants, _odd_instants)),
               *[_sometimes(_measures, _odd_numbers)] * 5], 7),
-       st.sampled_from([1, 3, 4096]))
-@example(_WEATHER_EXAMPLES, 4096)
-@example(_WEATHER_EXAMPLES, 2)
-def test_weather_columns_agree_with_row_oracle(rows, chunk):
+       st.sampled_from([1, 3, 4096]), st.sampled_from(_LAYOUTS))
+@example(_WEATHER_EXAMPLES, 4096, "quoted")
+@example(_WEATHER_EXAMPLES, 2, "quoted")
+@example(_WEATHER_EXAMPLES, 2, "plain")
+@example(_WEATHER_EXAMPLES, 3, "plain-unterminated")
+def test_weather_columns_agree_with_row_oracle(rows, chunk, layout):
     """As for outages, with the duplicate collapse: most present fields
     wins, the later row on ties, and every later row is a dropped
     duplicate."""
     default, ingest.CHUNK_ROWS = ingest.CHUNK_ROWS, chunk
     try:
-        _agrees_with_oracle(_raw_csv(WEATHER_HEADER, rows), parse_weather,
+        _agrees_with_oracle(_drawn_csv(WEATHER_HEADER, rows, layout), parse_weather,
                             parse_weather_rows, weather_records, write_weather_csv,
                             write_weather_rows)
     finally:
@@ -591,17 +627,131 @@ _SEVERE_EXAMPLES = [
 @given(_rows([_severe_ids, _sometimes(_ids, _texts),
               _sometimes(_instants, _odd_instants), _sometimes(_instants, _odd_instants),
               _severe_coords, _severe_coords, _texts], 7),
-       st.sampled_from([1, 3, 4096]))
-@example(_SEVERE_EXAMPLES, 4096)
-@example(_SEVERE_EXAMPLES, 2)
-def test_severe_columns_agree_with_row_oracle(rows, chunk):
+       st.sampled_from([1, 3, 4096]), st.sampled_from(_LAYOUTS))
+@example(_SEVERE_EXAMPLES, 4096, "quoted")
+@example(_SEVERE_EXAMPLES, 2, "quoted")
+@example(_SEVERE_EXAMPLES, 2, "plain")
+@example(_SEVERE_EXAMPLES, 3, "plain-unterminated")
+def test_severe_columns_agree_with_row_oracle(rows, chunk, layout):
     """As for outages, with the output sorted by (start, event_id) as
     Python sorts str, ties in line order."""
     default, ingest.CHUNK_ROWS = ingest.CHUNK_ROWS, chunk
     try:
-        _agrees_with_oracle(_raw_csv(SEVERE_HEADER, rows), parse_severe,
+        _agrees_with_oracle(_drawn_csv(SEVERE_HEADER, rows, layout), parse_severe,
                             parse_severe_rows, severe_records, write_severe_csv,
                             write_severe_rows)
+    finally:
+        ingest.CHUNK_ROWS = default
+
+
+# ---------------------------------------------------------------------------
+# The quote-free split and join against the csv module
+# ---------------------------------------------------------------------------
+
+def _split(data: bytes, header: list[str]):
+    """The chunks _chunks yields as lists, or the error it raises."""
+    try:
+        return [(lines.tolist(), list(map(list, columns)), malformed.tolist())
+                for lines, columns, malformed in ingest._chunks(data, header, "drawn.csv")]
+    except ValidationError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _csv_split(data: bytes, header: list[str]):
+    """_split with every file read by the csv reader."""
+    fast, ingest._line_chunks = ingest._line_chunks, ingest._record_chunks
+    try:
+        return _split(data, header)
+    finally:
+        ingest._line_chunks = fast
+
+
+_ABC = ["a", "b", "c"]
+# Short cells: lines pass a field limit of 8, and cells often one of 4.
+_short = st.text(st.sampled_from("ab 0,\x00é\x85\u2028"), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sometimes(st.sampled_from(["a,b,c", " a , b,c"]),
+                 st.sampled_from(["a,c,b", "a,b", "a,b,c,d", "a,b,c\xff", ""])),
+       st.lists(_sometimes(st.lists(_short, min_size=3, max_size=3),
+                           st.lists(_short, max_size=5) | st.sampled_from([[], [" "]])),
+                max_size=12),
+       st.sampled_from(_LAYOUTS[1:]), st.sampled_from([1, 3, 4096]),
+       st.sampled_from([4, 8, csv.field_size_limit()]),
+       _sometimes(st.none(), st.integers(0, 400)))
+def test_line_split_gives_the_csv_readers_chunks(header, rows, layout, chunk, limit,
+                                                 bad_byte_at):
+    """A file with no quote and no "\r": the same line numbers, malformed
+    flags and columns chunk by chunk as the csv reader gives, or the same
+    error for a wrong header, a cell past the field limit or a byte that
+    is not UTF-8."""
+    data = _plain_csv(header, rows, final_newline=layout == "plain")
+    if bad_byte_at is not None:
+        at = bad_byte_at % (len(data) + 1)
+        data = data[:at] + b"\xfe" + data[at:]
+    default, ingest.CHUNK_ROWS = ingest.CHUNK_ROWS, chunk
+    default_limit = csv.field_size_limit(limit)
+    try:
+        assert _split(data, _ABC) == _csv_split(data, _ABC)
+    finally:
+        ingest.CHUNK_ROWS = default
+        csv.field_size_limit(default_limit)
+
+
+def test_unquoted_cell_past_the_field_limit_is_the_csv_error():
+    """A cell at the limit is read; one past it is the csv reader's error,
+    with the same line, whether the file is quoted or not."""
+    limit = csv.field_size_limit()
+    rows = [["E1", "Hail", "2012-06-29T14:00:00Z", "2012-06-29T15:00:00Z", "39.7",
+             "-86.1", "x" * limit], [], ["E2", "Hail", "2012-06-29T14:00:00Z",
+                                         "2012-06-29T15:00:00Z", "39.7", "-86.1",
+                                         "x" * (limit + 1)]]
+    errors = set()
+    for data in (_raw_csv(SEVERE_HEADER, rows), _plain_csv(SEVERE_HEADER, rows)):
+        table, _ = parse_severe(data[:data.rindex(b"\n", 0, -1) + 1])
+        assert table.event_id == ["E1"]
+        with pytest.raises(ValidationError) as exc:
+            parse_severe(data)
+        errors.add(str(exc.value))
+    assert errors == {f"severe_events.csv line 4: field larger than field limit "
+                      f"({limit})"}
+
+
+def test_bad_byte_in_a_later_chunk_is_named_by_its_file_offset(monkeypatch):
+    """Past the first 8 KiB, which the header check decodes."""
+    monkeypatch.setattr(ingest, "CHUNK_ROWS", 3)
+    data = _plain_csv(OUTAGES_HEADER, [_VALID_OUTAGE] * 400)
+    at = data.index(b"weather", len(data) - 1000)
+    data = data[:at] + b"w\xffather" + data[at + 7:]
+    for parse in (parse_outages, parse_outage_rows):
+        with pytest.raises(ValidationError, match=f"^outages.csv: not UTF-8 text: "
+                                                  f"invalid start byte at byte {at + 1}$"):
+            parse(data)
+
+
+# Text cells with each character the csv writer quotes, NUL and non-ASCII
+# letters, and empty ones.
+_written_texts = st.text(st.sampled_from('ab ,"\n\r\x00é'), max_size=3)
+_T0, _T1 = parse_instant("2012-06-29T14:00:00Z"), parse_instant("2012-06-29T15:30:00Z")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_written_texts, _written_texts, _written_texts), max_size=12),
+       st.sampled_from([1, 3, 4096]))
+def test_joined_writer_gives_the_csv_writers_bytes(cells, chunk):
+    """The tables' writers join cells without the csv module while none
+    needs quoting, and write the bytes csv_bytes writes either way."""
+    outages = [OutageRecord(a, b, 39.7, -86.1, _T0, _T1, 30.5, 7, c) for a, b, c in cells]
+    observations = [WeatherObservation(a, _T0, 1.0, None, 0.0, None, 2.5)
+                    for a, _, _ in cells]
+    severe = [SevereWeatherRecord(a, b, _T0, _T1, 39.7, -86.1, c) for a, b, c in cells]
+    default, ingest.CHUNK_ROWS = ingest.CHUNK_ROWS, chunk
+    try:
+        assert write_outages_csv(outage_table(outages)) == write_outage_rows(outages)
+        assert write_weather_csv(weather_table(observations)) \
+            == write_weather_rows(observations)
+        assert write_severe_csv(severe_table(severe)) == write_severe_rows(severe)
     finally:
         ingest.CHUNK_ROWS = default
 
