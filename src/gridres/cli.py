@@ -608,6 +608,11 @@ def run_all(ws: Workspace, cfg: Config, force: bool) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):  # exit 3, as invalid data does; subparsers inherit it
+        self.exit(3, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--workspace", default="workspace",
@@ -617,7 +622,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--force", action="store_true",
                         help="rerun even when outputs are up to date")
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="gridres",
         description="Zone-level outage fragility and restoration analytics.")
     sub = parser.add_subparsers(dest="command", required=True)

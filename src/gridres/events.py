@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime
 
-import numpy as np
-
+from . import np
 from .errors import ValidationError
 from .ingest import OutageTable, csv_bytes, format_instant, utc_datetimes
 from .zoning import ZonePartition, assign_many

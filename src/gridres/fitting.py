@@ -26,8 +26,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
-import numpy as np
-
+from . import np
 from .errors import (EvaluationError, FitError, ValidationError, is_finite_number,
                      json_object)
 

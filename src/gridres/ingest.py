@@ -65,8 +65,7 @@ from datetime import datetime, timezone
 from itertools import chain, compress, islice, repeat
 from typing import Callable, Iterator
 
-import numpy as np
-
+from . import np
 from .errors import SchemaError, ValidationError, decoded
 
 log = logging.getLogger(__name__)
@@ -505,10 +504,15 @@ def _write_table(header: list[str], table: _Table,
     return out.getvalue()
 
 
+def _reprs(values: np.ndarray) -> list[str]:
+    """repr of each float, for columns of mostly distinct values."""
+    return list(map(repr, values.tolist()))
+
+
 def _cells(values: np.ndarray, fmt: Callable[[float], str]) -> list[str]:
     """fmt(value) of each float, computed once per distinct bit pattern (so
-    -0.0 keeps its sign). fmt gets Python floats, whose repr the clean
-    files hold."""
+    -0.0 keeps its sign), for columns that repeat. fmt gets Python floats,
+    whose repr the clean files hold."""
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
     text = np.array([fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
     return text[inverse].tolist()
@@ -572,7 +576,7 @@ def parse_outages(
 def write_outages_csv(outages: OutageTable) -> bytes:
     return _write_table(OUTAGES_HEADER, outages, lambda part: [
         part.outage_id, part.component_id,
-        _cells(part.latitude, repr), _cells(part.longitude, repr),
+        _reprs(part.latitude), _reprs(part.longitude),
         _instant_cells(part.start), _instant_cells(part.end),
         _cells(part.restore_minutes, _minutes),
         _cells(part.customers, lambda v: str(int(v))), part.cause_code])
@@ -755,5 +759,5 @@ def parse_severe(
 def write_severe_csv(severe: SevereTable) -> bytes:
     return _write_table(SEVERE_HEADER, severe, lambda part: [
         part.event_id, part.event_type, _instant_cells(part.start),
-        _instant_cells(part.end), _cells(part.latitude, repr),
-        _cells(part.longitude, repr), part.description])
+        _instant_cells(part.end), _reprs(part.latitude),
+        _reprs(part.longitude), part.description])

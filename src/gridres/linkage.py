@@ -30,8 +30,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import np
 from .ingest import OutageTable, SevereTable, WeatherTable, _instant_cells, csv_bytes
 from .events import union_intervals
 from .zoning import HAZARD_PRECIPITATION, HAZARD_WIND, ZonePartition, assign_many
@@ -52,7 +51,7 @@ PRECIP_MODE_CUMULATIVE = "cumulative"
 PRECIP_MODE_PEAK = "peak"
 
 # hour-stamped observations cover minute-stamped window starts
-INTENSITY_LOOKBACK = np.timedelta64(3600, "s")
+INTENSITY_LOOKBACK_S = 3600
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,7 @@ def intensity(
     the rows in time order, on Python floats.
     """
     start, end = window
-    rows = index.in_range(station_id, start - INTENSITY_LOOKBACK, end)
+    rows = index.in_range(station_id, start - np.timedelta64(INTENSITY_LOOKBACK_S, "s"), end)
     weather = index.weather
     if hazard_class == HAZARD_WIND:
         gusts = weather.wind_fastest_2min[rows]

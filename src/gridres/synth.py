@@ -39,8 +39,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain
 
-import numpy as np
-
+from . import np
 from .errors import ValidationError
 from .fitting import SaturatingRestorationModel, evaluate
 from .ingest import (

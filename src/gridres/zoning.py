@@ -21,8 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import np
 from .errors import ValidationError, is_finite_number, json_object
 from .ingest import HAZARD_CLASSES, Station, on_earth
 from .ingest import HAZARD_PRECIPITATION, HAZARD_WIND  # noqa: F401 (re-exported)

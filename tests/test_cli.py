@@ -4,9 +4,12 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import random
 import re
 import shutil
+import subprocess
+import sys
 from datetime import timedelta
 from pathlib import Path
 
@@ -14,11 +17,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import gridres
 import gridres.cli as cli
 from gridres.cli import main
 from gridres.config import Config, canonical_hazard, parse_config
 from gridres.errors import FitError
 from gridres.ingest import format_instant, parse_instant
+from gridres.reference import materialize_reference_workspace
 from gridres.workspace import Workspace
 
 from conftest import TINY_SPEC
@@ -363,6 +368,21 @@ def test_unknown_hazard_exit_3(tiny_ws):
 def test_negative_intensity_exit_3(tiny_ws):
     assert main(["predict", "--workspace", str(tiny_ws),
                  "--hazard", "wind", "--intensity", "-3"]) == 3
+
+
+@pytest.mark.parametrize("args", [
+    ["--hazard", "wind", "--intensity", "abc"],
+    ["--intensity", "3"],  # no --hazard
+    ["--hazard", "wind", "--intensity", "-1e3"],  # argparse reads an option
+])
+def test_argument_errors_exit_3(tiny_ws, capsys, args):
+    with pytest.raises(SystemExit) as stop:
+        main(["predict", "--workspace", str(tiny_ws), *args])
+    assert stop.value.code == 3
+    assert "usage: gridres predict" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as stop:
+        main(["predict", "--help"])
+    assert stop.value.code == 0
 
 
 def test_bad_config_exit_3(tiny_ws, tmp_path):
@@ -758,6 +778,33 @@ def test_predict_writes_csv_and_geojson(tiny_ws):
     assert (tiny_ws / "choropleth_precipitation_1.5.geojson").exists()
 
 
+_LIGHT_PATH = """
+import sys
+from gridres.cli import main
+reference, fresh = sys.argv[1:]
+assert main(["predict", "--workspace", reference, "--hazard", "wind",
+             "--intensity", "35"]) == 0
+assert main(["render", "--workspace", reference]) == 0
+assert main(["run-all", "--workspace", fresh]) == 0
+assert "numpy.linalg" not in sys.modules, "numpy was loaded"
+"""
+
+
+def test_predict_render_and_fresh_rerun_do_not_load_numpy(private_ws, tmp_path):
+    """numpy loads on first use. Its __init__ imports numpy.linalg, while
+    the unloaded stub sits under the name "numpy" itself."""
+    materialize_reference_workspace(tmp_path / "reference")
+    assert main(["run-all", "--workspace", str(private_ws)]) == 0
+    src = str(Path(gridres.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", _LIGHT_PATH,
+                             str(tmp_path / "reference"), str(private_ws)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.count("up to date, skipping") >= 5
+
+
 def test_synth_stage_writes_and_then_skips(tmp_path, tiny_bundle, monkeypatch,
                                            capsys):
     monkeypatch.setattr(
@@ -801,9 +848,25 @@ def _truth_errors_by_station(ws):
             for zone_id, zone in truth.items()}
 
 
+def _params_by_station(ws):
+    """Each fitted model's params, keyed by (class, station, kind) through the
+    station_id of its zone in zones_<class>.geojson."""
+    params = {}
+    for hazard_class in ("wind", "precipitation"):
+        features = json.loads((ws / f"zones_{hazard_class}.geojson").read_text())["features"]
+        station = {f["properties"]["zone_id"]: f["properties"]["station_id"]
+                   for f in features}
+        zones = json.loads((ws / f"models_{hazard_class}.json").read_text())["zones"]
+        params.update({(hazard_class, station[zone_id], kind): record["params"]
+                       for zone_id, kinds in zones.items()
+                       for kind, record in kinds.items()})
+    return params
+
+
 def test_truth_comparison_pairs_zones_by_station(private_ws, tmp_path, tiny_bundle):
     """Zone ids follow the row order of stations.csv; reversing its data rows
-    renumbers the zones but pairs each station with the same truth."""
+    renumbers the zones but fits each station's zone to the same params and
+    pairs it with the same truth."""
     header, *rows = tiny_bundle["stations.csv"].splitlines(keepends=True)
     reversed_ws = tmp_path / "reversed"
     seed_inputs(reversed_ws, {**tiny_bundle,
@@ -812,6 +875,9 @@ def test_truth_comparison_pairs_zones_by_station(private_ws, tmp_path, tiny_bund
         assert main(["run-all", "--workspace", str(ws)]) == 0
     assert (reversed_ws / "zones_wind.geojson").read_bytes() \
         != (private_ws / "zones_wind.geojson").read_bytes()
+    params = _params_by_station(private_ws)
+    assert len(params) == 12  # 6 zones x (fragility + restoration)
+    assert _params_by_station(reversed_ws) == params
     errors = _truth_errors_by_station(private_ws)
     assert all(errors.values())
     assert _truth_errors_by_station(reversed_ws) == errors
