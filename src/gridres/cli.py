@@ -54,6 +54,7 @@ from .errors import (
     ValidationError,
     is_finite_number,
     json_object,
+    json_text,
 )
 from .events import EVENTS_HEADER, events_csv, extract_events, extract_events_by_zone
 from .fitting import (
@@ -141,13 +142,13 @@ def _set_stage(name: str) -> None:
 
 
 def _parsed(ws: Workspace, relative: str, parse: Callable[[bytes, str], Any]):
-    """parse(file bytes, relative), once per content; each call still reads
-    (records) the file."""
+    """parse(file bytes, workspace path), once per content; each call
+    still reads (records) the file."""
     data = ws.read_bytes(relative)
     key = ws.key(relative)
     memo = (key, ws.reads[key])
     if memo not in ws.parsed:
-        ws.parsed[memo] = parse(data, relative)
+        ws.parsed[memo] = parse(data, str(ws.path(relative)))
     return ws.parsed[memo]
 
 
@@ -166,7 +167,7 @@ def _clean_records(ws: Workspace, name: str, parse: Callable):
         records, report = parse(data, source)
         if report.kept != report.total_rows:
             raise ValidationError(
-                f"{ws.path(source)}: {report.total_rows - report.kept} "
+                f"{source}: {report.total_rows - report.kept} "
                 f"row(s) fail the cleaning rules; rerun ingest")
         return records
     return _parsed(ws, CLEAN[name], checked)
@@ -282,13 +283,11 @@ def stage_synth(ws: Workspace, cfg: Config, seed: int):
 
 
 def stage_ingest(ws: Workspace, cfg: Config):
-    outages, outage_report = parse_outages(
-        ws.read_bytes(INPUTS["outages"]),
-        max_outage_days=cfg.max_outage_days,
-        max_customers=cfg.max_customers)
-    weather, weather_report = parse_weather(ws.read_bytes(INPUTS["weather"]))
-    stations = parse_stations(ws.read_bytes(INPUTS["stations"]))
-    severe, severe_report = parse_severe(ws.read_bytes(INPUTS["severe"]))
+    outages, outage_report = _parsed(ws, INPUTS["outages"], lambda data, source: (
+        parse_outages(data, cfg.max_outage_days, cfg.max_customers, source)))
+    weather, weather_report = _parsed(ws, INPUTS["weather"], parse_weather)
+    stations = _parsed(ws, INPUTS["stations"], parse_stations)
+    severe, severe_report = _parsed(ws, INPUTS["severe"], parse_severe)
 
     _write_clean(ws, "outages", outages, write_outages_csv)
     ws.write_text("report_outages.json", outage_report.to_json())
@@ -575,8 +574,7 @@ def _truth_comparison(ws: Workspace, cfg: Config) -> str:
         doc[f"max_{kind}_{param}_rel_error"] = worst
         if worst is not None:
             parts.append(f"max {param} error {worst * 100.0:.1f}%")
-    ws.write_text("truth_comparison.json",
-                  json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    ws.write_text("truth_comparison.json", json_text(doc))
     return ", ".join(parts) if parts else "no fitted models to compare"
 
 

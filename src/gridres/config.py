@@ -127,11 +127,14 @@ def parse_config(text: str, source: str = "config") -> Config:
             if "hazard" not in entry or "intensity" not in entry:
                 raise ValidationError(
                     f"scenarios[{i}] needs hazard and intensity")
+            for key in ("hazard", "label"):
+                if not isinstance(entry.get(key, ""), str):
+                    raise ValidationError(f"scenarios[{i}].{key} must be a string")
             scenario = ScenarioSpec(
-                hazard_class=canonical_hazard(str(entry["hazard"])),
+                hazard_class=canonical_hazard(entry["hazard"]),
                 intensity=_number(entry["intensity"],
                                   f"scenarios[{i}].intensity"),
-                label=str(entry.get("label", "")),
+                label=entry.get("label", ""),
             )
             # Output names round the intensity and slug the label, so two
             # scenarios can collide.

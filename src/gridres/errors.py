@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the pipeline, and the one decoder and
-JSON loader of its inputs, whose errors name the input.
+"""Exception hierarchy shared across the pipeline, the one decoder and JSON
+loader of its inputs, whose errors name the input, and its one JSON writer.
 
 The CLI maps these onto exit codes: missing inputs exit 2, validation
 failures exit 3, anything else exit 1.
@@ -57,6 +57,11 @@ def json_object(text: str, source: str) -> dict:
     if not isinstance(doc, dict):
         raise ValidationError(f"{source}: must be a JSON object")
     return doc
+
+
+def json_text(doc, indent: int | None = 2) -> str:
+    """`doc` as JSON text with sorted keys and a final newline."""
+    return json.dumps(doc, sort_keys=True, indent=indent) + "\n"
 
 
 def is_finite_number(value) -> bool:

@@ -20,7 +20,6 @@ multiplied by 10 after a rejected one.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -28,7 +27,7 @@ from typing import Callable
 
 from . import np
 from .errors import (EvaluationError, FitError, ValidationError, is_finite_number,
-                     json_object)
+                     json_object, json_text)
 
 log = logging.getLogger(__name__)
 
@@ -411,7 +410,7 @@ class ModelStore:
     zones: dict[str, dict[str, ModelRecord]]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        return json_text(asdict(self))
 
     @classmethod
     def from_json(cls, text: str, source: str = "model store") -> "ModelStore":

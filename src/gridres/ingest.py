@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 import math
 import re
@@ -66,7 +65,7 @@ from itertools import chain, compress, islice, repeat
 from typing import Callable, Iterator
 
 from . import np
-from .errors import SchemaError, ValidationError, decoded
+from .errors import SchemaError, ValidationError, decoded, json_text
 
 log = logging.getLogger(__name__)
 
@@ -204,7 +203,7 @@ class CleaningReport:
                 f"drops={total_drops} total={self.total_rows}")
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        return json_text(asdict(self))
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +335,9 @@ def _line_chunks(data: bytes, header: list[str], source: str):
     """_record_chunks of a file with no '"' and no "\\r": each chunk of
     CHUNK_ROWS lines is cut from the bytes and decoded on its own. Yields
     (size, None, columns) where every line is a full row of cells no longer
-    than the csv field limit, and (size, rows, None) otherwise, with the
-    csv reader's error for a longer cell. Python 3.11's csv reader reads
-    NUL as any other character, and so does this split."""
+    than the csv field limit, and otherwise (size, rows, None) with the
+    lines as the csv reader reads them. Python 3.11's csv reader reads NUL
+    as any other character, and so does this split."""
     next(_reader(data, header, source), None)  # the header, read as any file's
     width, limit = len(header), csv.field_size_limit()
     start = data.find(b"\n") + 1 or len(data)
@@ -362,11 +361,12 @@ def _line_chunks(data: bytes, header: list[str], source: str):
             flat = ",".join(lines).split(",")
             yield size, None, [flat[k::width] for k in range(width)]
         else:
-            rows = [line.split(",") if line else [] for line in lines]
-            for i, line in enumerate(lines):
-                if len(line) > limit and max(map(len, rows[i])) > limit:
-                    raise ValidationError(f"{source} line {first + i}: field larger "
-                                          f"than field limit ({limit})")
+            reader = csv.reader(lines)
+            try:
+                rows = list(reader)
+            except csv.Error as exc:
+                raise ValidationError(
+                    f"{source} line {first + reader.line_num - 1}: {exc}") from None
             yield size, rows, None
         start, first = end, first + size
 

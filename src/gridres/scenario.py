@@ -13,12 +13,11 @@ plain string assembly so their bytes are stable for golden-file testing.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
 
-from .errors import UnservedScenario, ValidationError
+from .errors import UnservedScenario, ValidationError, json_text
 from .fitting import (
     KIND_FRAGILITY,
     KIND_RESTORATION,
@@ -199,7 +198,7 @@ def emit_choropleth(
             "label": scenario.label,
         },
     }
-    return json.dumps(doc, sort_keys=True) + "\n"
+    return json_text(doc, indent=None)
 
 
 def choropleth_filename(scenario: ScenarioSpec) -> str:

@@ -4,6 +4,7 @@ Generates the four input CSV files (outages, weather, stations, severe
 events) plus truth.json, from per-zone fragility laws and a shared
 restoration law, so the whole pipeline can be verified as a round trip:
 generate -> ingest -> zones -> events -> link -> fit -> compare to truth.
+Its 2 wind and 4 precipitation stations are drawn in reference.BOUNDARY.
 
 Construction rules that make the round trip exact rather than hopeful:
 
@@ -33,14 +34,13 @@ which makes bundles byte-identical for a given seed on any platform.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain
 
 from . import np
-from .errors import ValidationError
+from .errors import ValidationError, json_text
 from .fitting import SaturatingRestorationModel, evaluate
 from .ingest import (
     OutageTable,
@@ -52,10 +52,12 @@ from .ingest import (
     write_stations_csv,
     write_weather_csv,
 )
+from .reference import BOUNDARY
 from .zoning import (
     HAZARD_PRECIPITATION,
     HAZARD_WIND,
     ZonePartition,
+    _clip_halfplane,
     assign_many,
     boundary_to_geojson,
     build_partition,
@@ -84,9 +86,6 @@ BG_WIND_CEILING = BG_WIND_AVG[1] * BG_WIND_GUST_FACTOR[1]
 @dataclass
 class SynthSpec:
     seed: int
-    n_stations_wind: int = 2
-    n_stations_precip: int = 4
-    boundary: tuple[float, float, float, float] = (-86.35, 39.60, -85.90, 39.95)
     years: int = 6
     events_per_zone: int = 100
     background_outage_rate: float = 2.0  # outages per day, territory-wide
@@ -99,17 +98,14 @@ class SynthSpec:
     true_restoration: dict[str, tuple[float, float, float, float, float]] | None = None
 
     def validate(self) -> None:
-        if self.n_stations_wind < 1 or self.n_stations_precip < 1:
-            raise ValidationError("need at least one station per hazard class")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if self.years < 1:
             raise ValidationError("years must be at least 1")
         if self.events_per_zone < 0:
             raise ValidationError("events_per_zone must be nonnegative")
         if self.background_outage_rate < 0.0:
             raise ValidationError("background_outage_rate must be nonnegative")
-        min_lon, min_lat, max_lon, max_lat = self.boundary
-        if max_lon <= min_lon or max_lat <= min_lat:
-            raise ValidationError("boundary rectangle must satisfy min < max")
         lo, hi = self.wind_intensity_range
         if not 0.0 < lo <= hi:
             raise ValidationError("wind intensity range must be positive and ordered")
@@ -159,22 +155,18 @@ class _World:
     restoration: dict[str, tuple[float, float, float, float, float]]
     # projected open CCW cell rings per class, aligned with partition zones
     cells: dict[str, list[list[tuple[float, float]]]]
-    boundary_ring: list[tuple[float, float]]
 
 
 def _build_world(spec: SynthSpec, rng: np.random.Generator) -> _World:
-    spec.validate()
-    min_lon, min_lat, max_lon, max_lat = spec.boundary
-    ring = [(min_lon, min_lat), (max_lon, min_lat),
-            (max_lon, max_lat), (min_lon, max_lat)]
+    (min_lon, min_lat), _, (max_lon, max_lat), _ = BOUNDARY
 
     # stations in a shrunk interior so every Voronoi cell has real area
     margin_lon = 0.12 * (max_lon - min_lon)
     margin_lat = 0.12 * (max_lat - min_lat)
     stations: list[Station] = []
     for prefix, count, capability in (
-            ("WS", spec.n_stations_wind, HAZARD_WIND),
-            ("PS", spec.n_stations_precip, HAZARD_PRECIPITATION)):
+            ("WS", 2, HAZARD_WIND),
+            ("PS", 4, HAZARD_PRECIPITATION)):
         for i in range(count):
             lon = round(float(rng.uniform(min_lon + margin_lon,
                                           max_lon - margin_lon)), 5)
@@ -185,10 +177,8 @@ def _build_world(spec: SynthSpec, rng: np.random.Generator) -> _World:
     if len({(s.latitude, s.longitude) for s in stations}) != len(stations):
         raise ValidationError("station placement collided; use another seed")
 
-    partitions = {
-        HAZARD_WIND: build_partition(stations, HAZARD_WIND, ring),
-        HAZARD_PRECIPITATION: build_partition(stations, HAZARD_PRECIPITATION, ring),
-    }
+    partitions = {hazard_class: build_partition(stations, hazard_class, BOUNDARY)
+                  for hazard_class in (HAZARD_WIND, HAZARD_PRECIPITATION)}
 
     fragility: dict[str, tuple[float, float]] = {}
     restoration: dict[str, tuple[float, float, float, float, float]] = {}
@@ -227,13 +217,12 @@ def _build_world(spec: SynthSpec, rng: np.random.Generator) -> _World:
         proj = partition.projection
         rings = []
         for zone in partition.zones:
-            open_ring = list(zone.polygon[:-1])
-            rings.append([proj.to_plane(lon, lat) for lon, lat in open_ring])
+            rings.append([proj.to_plane(lon, lat) for lon, lat in zone.polygon[:-1]])
         cells[hazard_class] = rings
 
     return _World(stations=stations, partitions=partitions,
                   fragility=fragility, restoration=restoration,
-                  cells=cells, boundary_ring=ring)
+                  cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +232,6 @@ def _build_world(spec: SynthSpec, rng: np.random.Generator) -> _World:
 def _clip_convex(poly: list[tuple[float, float]],
                  clipper: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Intersection of two open CCW convex rings via half-plane clipping."""
-    from .zoning import _clip_halfplane
-
     out = list(poly)
     n = len(clipper)
     for i in range(n):
@@ -284,10 +271,8 @@ def _sample_in_convex(
         batch = max(4 * need, 64)
         cand_x = rng.uniform(x_lo, x_hi, batch)
         cand_y = rng.uniform(y_lo, y_hi, batch)
-        lon = np.round(cand_x / proj.cos_lat0 + proj.lon0, 6)
-        lat = np.round(cand_y + proj.lat0, 6)
-        px = (lon - proj.lon0) * proj.cos_lat0
-        py = lat - proj.lat0
+        lon, lat = np.round(proj.to_lonlat(cand_x, cand_y), 6)
+        px, py = proj.to_plane(lon, lat)
         inside = np.ones(batch, dtype=bool)
         for ex0, ey0, ex1, ey1 in edges:
             inside &= (ex1 - ex0) * (py - ey0) - (ey1 - ey0) * (px - ex0) > 0.0
@@ -332,6 +317,7 @@ def generate(spec: SynthSpec) -> dict[str, bytes]:
     Files: outages.csv, weather.csv, stations.csv, severe_events.csv,
     truth.json, boundary.geojson.
     """
+    spec.validate()
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     world = _build_world(spec, rng)
     sigma = spec.restoration_noise_sigma
@@ -451,8 +437,7 @@ def generate(spec: SynthSpec) -> dict[str, bytes]:
                 (rest_single * np.exp(sigma * z) * 3600).astype(np.int64),
                 2 * MIN_MEMBER_SECONDS)
             proj = world.partitions[HAZARD_WIND].projection
-            boundary_proj = [proj.to_plane(lon, lat)
-                             for lon, lat in world.boundary_ring]
+            boundary_proj = [proj.to_plane(lon, lat) for lon, lat in BOUNDARY]
             lons, lats = _sample_in_convex(
                 rng, boundary_proj, world.partitions[HAZARD_WIND], n_bg)
             emit_outages(lons, lats, bg_starts, bg_starts + durations,
@@ -488,7 +473,7 @@ def generate(spec: SynthSpec) -> dict[str, bytes]:
         "stations.csv": write_stations_csv(world.stations),
         "severe_events.csv": write_severe_csv(severe),
         "truth.json": _truth_json(spec, world).encode("utf-8"),
-        "boundary.geojson": boundary_to_geojson(world.boundary_ring).encode("utf-8"),
+        "boundary.geojson": boundary_to_geojson(BOUNDARY).encode("utf-8"),
     }
 
 
@@ -508,7 +493,8 @@ def _truth_json(spec: SynthSpec, world: _World) -> str:
     doc = {
         "seed": spec.seed,
         "rng": "numpy-pcg64",
-        "boundary": list(spec.boundary),
+        # the territory rectangle: min lon, min lat, max lon, max lat
+        "boundary": [*BOUNDARY[0], *BOUNDARY[2]],
         "years": spec.years,
         "horizon_start": HORIZON_START,
         "events_per_zone": spec.events_per_zone,
@@ -520,4 +506,4 @@ def _truth_json(spec: SynthSpec, world: _World) -> str:
         },
         "zones": zones,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json_text(doc)

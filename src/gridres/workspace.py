@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import fcntl
 import hashlib
-import json
 import os
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import MissingInputError, ValidationError, decoded, json_object
+from .errors import MissingInputError, ValidationError, decoded, json_object, json_text
 
 MANIFEST_NAME = "manifest.json"
 
@@ -46,11 +45,8 @@ def sha256_bytes(data: bytes) -> str:
 
 
 def sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 class Workspace:
@@ -136,13 +132,17 @@ class Workspace:
         return doc
 
     def save_manifest(self, manifest: dict) -> None:
-        self.write_text(MANIFEST_NAME,
-                        json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        self.write_text(MANIFEST_NAME, json_text(manifest))
 
     def hash_inputs(self, keys) -> dict[str, str | None]:
         """The current sha256 of each named file, None when absent."""
         return {key: sha256_file(p) if (p := self.path(key)).is_file() else None
                 for key in keys}
+
+    def _changed(self, recorded: dict[str, str | None]) -> dict[str, str | None]:
+        """The recorded files that hash otherwise now: their sha256, None if absent."""
+        return {key: digest for key, digest in self.hash_inputs(recorded).items()
+                if digest != recorded[key]}
 
     def stage_fresh(self, stage: str, meta: dict[str, str]) -> bool:
         """True when the stage last ran with these `meta` hashes, every file
@@ -155,8 +155,8 @@ class Workspace:
         files = {key: digest for key, digest in inputs.items()
                  if key not in meta}
         return (all(inputs.get(key) == value for key, value in meta.items())
-                and self.hash_inputs(files) == files
-                and self.hash_inputs(outputs) == outputs)
+                and not self._changed(files)
+                and not self._changed(outputs))
 
     def record_stage(self, stage: str, input_hashes: dict[str, str | None],
                      outputs: dict[str, str], duration_s: float) -> None:
@@ -182,11 +182,10 @@ class Workspace:
         """Return problems (missing/mismatched outputs) across all stages."""
         problems = []
         for stage, record in self.load_manifest()["stages"].items():
-            outputs = record.get("outputs", {})
-            for relative, digest in self.hash_inputs(outputs).items():
+            for relative, digest in self._changed(record.get("outputs", {})).items():
                 if digest is None:
                     problems.append(f"{stage}: missing output {relative}")
-                elif digest != outputs[relative]:
+                else:
                     problems.append(f"{stage}: output {relative} does not "
                                     f"match its recorded hash")
         return problems

@@ -17,12 +17,11 @@ Also hosts the outage-density grid used for heatmap-style summaries.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 from . import np
-from .errors import ValidationError, is_finite_number, json_object
+from .errors import ValidationError, is_finite_number, json_object, json_text
 from .ingest import HAZARD_CLASSES, Station, on_earth
 from .ingest import HAZARD_PRECIPITATION, HAZARD_WIND  # noqa: F401 (re-exported)
 
@@ -36,7 +35,7 @@ DENSITY_MAX_CELLS = 1_000_000
 
 @dataclass(frozen=True)
 class Projection:
-    """Equirectangular local projection about (lon0, lat0)."""
+    """Equirectangular local projection about (lon0, lat0); elementwise on arrays."""
     lon0: float
     lat0: float
     cos_lat0: float
@@ -251,9 +250,8 @@ def assign_many(
 ) -> np.ndarray:
     """Zone index of the nearest station for each point, inside the
     service boundary or not; distance ties go to the lowest index."""
-    proj = partition.projection
-    x = (np.asarray(lons, dtype=float) - proj.lon0) * proj.cos_lat0
-    y = np.asarray(lats, dtype=float) - proj.lat0
+    x, y = partition.projection.to_plane(np.asarray(lons, dtype=float),
+                                         np.asarray(lats, dtype=float))
     sites = np.asarray(partition.sites, dtype=float)
     dx = x[:, None] - sites[None, :, 0]
     dy = y[:, None] - sites[None, :, 1]
@@ -323,7 +321,7 @@ def density_grid_meta_json(grid: DensityGrid) -> str:
         "cols": int(grid.counts.shape[1]),
         "total": int(grid.counts.sum()),
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json_text(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +380,7 @@ def polygon_feature(ring, properties: dict) -> dict:
 
 def boundary_to_geojson(ring: list[tuple[float, float]]) -> str:
     doc = polygon_feature(_close_ccw(list(ring)), {"role": "service_boundary"})
-    return json.dumps(doc, sort_keys=True) + "\n"
+    return json_text(doc, indent=None)
 
 
 def partition_to_geojson(partition: ZonePartition) -> str:
@@ -392,4 +390,4 @@ def partition_to_geojson(partition: ZonePartition) -> str:
         "hazard_class": zone.hazard_class,
     }) for zone in partition.zones]
     doc = {"type": "FeatureCollection", "features": features}
-    return json.dumps(doc, sort_keys=True) + "\n"
+    return json_text(doc, indent=None)

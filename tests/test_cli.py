@@ -353,11 +353,20 @@ def test_fit_before_extract_events_exit_2(tmp_path, tiny_bundle):
 
 
 def test_corrupt_outages_exit_3(tmp_path, tiny_bundle, capsys):
+    """A bad header is named by its workspace path, in an input file and in
+    a clean one."""
     seed_inputs(tmp_path, tiny_bundle)
     (tmp_path / "inputs" / "outages.csv").write_bytes(
         b"outage_id,oops\nO1,x\n")
     assert main(["ingest", "--workspace", str(tmp_path)]) == 3
-    assert "outages.csv" in capsys.readouterr().err
+    assert f"{tmp_path / 'inputs' / 'outages.csv'}: header is missing column(s) " \
+        in capsys.readouterr().err
+    seed_inputs(tmp_path, tiny_bundle)
+    assert main(["ingest", "--workspace", str(tmp_path)]) == 0
+    (tmp_path / "clean_outages.csv").write_bytes(b"oops\n")
+    assert main(["zones", "--workspace", str(tmp_path)]) == 3
+    assert f"{tmp_path / 'clean_outages.csv'}: header is missing column(s) " \
+        in capsys.readouterr().err
 
 
 def test_unknown_hazard_exit_3(tiny_ws):
@@ -464,6 +473,7 @@ def _polygon(coordinates) -> bytes:
      "stations.csv line 2: latitude 95.0 or longitude 400.0 out of range"),
     (["link"], {"hazard_mapping": {"Hail": "wind", "hail ": "excluded"}}, None,
      "'Hail' and 'hail '"),
+    (["synth", "--seed", "-1"], None, None, "seed"),
 ], ids=["customers-string", "customers-bool", "cell-size-list",
         "cell-size-nan", "solver-unknown-key", "mapping-list",
         "scenario-intensity-string", "config-not-utf8", "intensity-nan",
@@ -475,7 +485,7 @@ def _polygon(coordinates) -> bytes:
         "truth-zero-value", "severe-cell-past-field-limit",
         "severe-unquoted-cell-past-field-limit", "density-grid-too-fine",
         "boundary-out-of-range", "boundary-latitude-139", "station-out-of-range",
-        "mapping-labels-collide"])
+        "mapping-labels-collide", "synth-negative-seed"])
 def test_malformed_input_exits_3(private_ws, tmp_path, capsys, command,
                                  config, input_file, needle):
     argv = command + ["--workspace", str(private_ws)]

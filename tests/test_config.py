@@ -59,6 +59,14 @@ def test_scenarios_parse_and_validate():
         parse_config(json.dumps({"scenarios": [{"hazard": "wind",
                                                 "intensity": 1.0,
                                                 "bonus": True}]}))
+    # label and hazard are JSON strings, never coerced to one
+    for key, value in [("label", None), ("label", 5), ("label", True),
+                       ("label", ["x"]), ("hazard", None), ("hazard", 5),
+                       ("hazard", ["wind"])]:
+        entry = {"hazard": "wind", "intensity": 20, key: value}
+        with pytest.raises(ValidationError, match=rf"scenarios\[1\]\.{key}"):
+            parse_config(json.dumps({"scenarios": [
+                {"hazard": "wind", "intensity": 35}, entry]}))
 
 
 @pytest.mark.parametrize("second", [
@@ -90,6 +98,13 @@ def test_value_range_validation():
         parse_config(json.dumps({"density_cell_size": -0.5}))
     with pytest.raises(ValidationError):
         parse_config(json.dumps({"precip_intensity_mode": "median"}))
+    for doc, needle in [({"max_customers": 0}, "max_customers"),
+                        ({"hazard_mapping": ["hail", "wind"]}, "hazard_mapping"),
+                        ({"boundary_path": 5}, "boundary_path"),
+                        ({"scenarios": {"hazard": "wind"}}, "scenarios"),
+                        ({"scenarios": [5]}, r"scenarios\[0\]")]:
+        with pytest.raises(ValidationError, match=needle):
+            parse_config(json.dumps(doc))
     with pytest.raises(ValidationError):
         parse_config("[1, 2]")
     with pytest.raises(ValidationError):

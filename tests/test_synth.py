@@ -200,9 +200,19 @@ def test_rejects_infeasible_event_plan():
         generate(small_spec(events_per_zone=500))
 
 
-def test_rejects_bad_sigma():
-    with pytest.raises(ValidationError):
-        generate(small_spec(restoration_noise_sigma=0.9))
+@pytest.mark.parametrize("bad, needle", [
+    ({"restoration_noise_sigma": 0.9}, "sigma"),
+    ({"seed": -1}, "seed"),
+    ({"years": 0}, "years"),
+    ({"events_per_zone": -1}, "events_per_zone"),
+    ({"background_outage_rate": -1.0}, "background_outage_rate"),
+    ({"wind_intensity_range": (28.0, 10.0)}, "wind intensity range"),
+    ({"precip_intensity_range": (4.0, 0.3)}, "precip intensity range"),
+], ids=["sigma", "seed", "years", "events-per-zone", "background-rate",
+        "wind-range-reversed", "precip-range-reversed"])
+def test_rejects_bad_spec(bad, needle):
+    with pytest.raises(ValidationError, match=needle):
+        generate(small_spec(**bad))
 
 
 # ---------------------------------------------------------------------------
