@@ -373,6 +373,8 @@ def diagnostics_doc(diag: FitDiagnostics) -> dict:
 # tags are the form's params.
 _FORMS = {FORM_EXPONENTIAL: ExponentialModel,
           FORM_RESTORATION: SaturatingRestorationModel}
+# The form each kind of entry is stored in.
+_KIND_FORMS = {KIND_FRAGILITY: FORM_EXPONENTIAL, KIND_RESTORATION: FORM_RESTORATION}
 
 
 def _param_names(form: str) -> list[str]:
@@ -415,8 +417,8 @@ class ModelStore:
     @classmethod
     def from_json(cls, text: str, source: str = "model store") -> "ModelStore":
         """Parse a stored document. Objects must sit where objects belong,
-        and each entry must hold exactly its form's params, all finite
-        numbers; anything else is a ValidationError naming `source`."""
+        and each entry must hold its kind's form with exactly its params,
+        all finite numbers; anything else is a ValidationError naming `source`."""
         def bad(what: str) -> ValidationError:
             return ValidationError(f"{source}: {what}")
 
@@ -431,10 +433,10 @@ class ModelStore:
             zones[zone_id] = {}
             for kind, rec in kinds.items():
                 where = f"zone {zone_id!r} {kind} entry"
-                if kind not in (KIND_FRAGILITY, KIND_RESTORATION):
+                if kind not in _KIND_FORMS:
                     raise bad(f"zone {zone_id!r} has unknown entry {kind!r}")
-                if not isinstance(rec, dict) or rec.get("form") not in _FORMS:
-                    raise bad(f"{where} is not an object with a known form")
+                if not isinstance(rec, dict) or rec.get("form") != _KIND_FORMS[kind]:
+                    raise bad(f"{where} is not an object of form {_KIND_FORMS[kind]!r}")
                 names = _param_names(rec["form"])
                 params = rec.get("params")
                 if not isinstance(params, dict) or sorted(params) != sorted(names):

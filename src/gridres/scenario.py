@@ -40,6 +40,8 @@ class ScenarioSpec:
         if not 0.0 <= self.intensity < math.inf:
             raise ValidationError(f"scenario intensity must be finite and "
                                   f"nonnegative, got {self.intensity}")
+        # -0.0 passes the check; as 0.0 it names the same outputs as 0
+        object.__setattr__(self, "intensity", abs(self.intensity))
         if self.label and not self.slug:
             raise ValidationError(f"scenario label {self.label!r} needs a "
                                   f"letter or digit")

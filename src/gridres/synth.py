@@ -18,7 +18,8 @@ Construction rules that make the round trip exact rather than hopeful:
     one true restoration law, spillover samples still follow the truth.
   - Within an event, outage k stays active until outage k+1 begins, so the
     active count never returns to zero before the final restoration; the
-    event's total duration is exactly rest(n) with log-normal noise.
+    event's total duration is exactly rest(n) with log-normal noise of a
+    fixed sigma, RESTORATION_NOISE_SIGMA.
   - Weather is hourly background noise (wind below every drawn wind
     intensity, zero precipitation) with each event's drawn intensity
     injected at its zone's station inside the window, so the measured
@@ -76,6 +77,8 @@ WINDOW_HOURS = (3, 8)
 
 # default shared restoration truth: c, a1, b1, a2, b2
 DEFAULT_RESTORATION = (36.0, 28.0, 0.012, 6.0, 0.15)
+# log-normal sigma of every restoration duration
+RESTORATION_NOISE_SIGMA = 0.1
 
 # background weather ceilings; drawn wind intensities must clear them
 BG_WIND_AVG = (0.5, 4.0)
@@ -92,9 +95,7 @@ class SynthSpec:
     mean_outages_per_event: float = 330.0
     wind_intensity_range: tuple[float, float] = (10.0, 28.0)
     precip_intensity_range: tuple[float, float] = (0.3, 4.0)
-    restoration_noise_sigma: float = 0.1
-    # optional overrides, zone_id -> parameters
-    true_fragility: dict[str, tuple[float, float]] | None = None
+    # optional override, zone_id -> parameters
     true_restoration: dict[str, tuple[float, float, float, float, float]] | None = None
 
     def validate(self) -> None:
@@ -104,6 +105,8 @@ class SynthSpec:
             raise ValidationError("years must be at least 1")
         if self.events_per_zone < 0:
             raise ValidationError("events_per_zone must be nonnegative")
+        if not self.mean_outages_per_event > 0.0:
+            raise ValidationError("mean_outages_per_event must be positive")
         if self.background_outage_rate < 0.0:
             raise ValidationError("background_outage_rate must be nonnegative")
         lo, hi = self.wind_intensity_range
@@ -116,8 +119,6 @@ class SynthSpec:
         lo, hi = self.precip_intensity_range
         if not 0.0 < lo <= hi:
             raise ValidationError("precip intensity range must be positive and ordered")
-        if not 0.0 <= self.restoration_noise_sigma <= 0.3:
-            raise ValidationError("restoration noise sigma must be in [0, 0.3]")
 
 
 def _restoration_value(params: tuple[float, ...], n: float) -> float:
@@ -187,20 +188,14 @@ def _build_world(spec: SynthSpec, rng: np.random.Generator) -> _World:
                            if hazard_class == HAZARD_WIND
                            else spec.precip_intensity_range)
         for i, zone in enumerate(partition.zones):
-            if spec.true_fragility and zone.zone_id in spec.true_fragility:
-                fragility[zone.zone_id] = tuple(spec.true_fragility[zone.zone_id])
-            else:
-                fragility[zone.zone_id] = _default_fragility(
-                    i, hazard_class, intensity_range, spec.mean_outages_per_event)
+            fragility[zone.zone_id] = _default_fragility(
+                i, hazard_class, intensity_range, spec.mean_outages_per_event)
             if spec.true_restoration and zone.zone_id in spec.true_restoration:
                 restoration[zone.zone_id] = tuple(
                     spec.true_restoration[zone.zone_id])
             else:
                 restoration[zone.zone_id] = DEFAULT_RESTORATION
 
-    for zone_id, (a, b) in fragility.items():
-        if a <= 0.0:
-            raise ValidationError(f"true fragility scale for {zone_id} must be > 0")
     for zone_id, params in restoration.items():
         c, a1, b1, a2, b2 = params
         if min(c, a1, a2) < 0.0 or b1 <= 0.0 or b2 <= 0.0:
@@ -320,7 +315,7 @@ def generate(spec: SynthSpec) -> dict[str, bytes]:
     spec.validate()
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     world = _build_world(spec, rng)
-    sigma = spec.restoration_noise_sigma
+    sigma = RESTORATION_NOISE_SIGMA
 
     horizon_sec = spec.years * SECONDS_PER_YEAR
     n_hours = spec.years * 365 * 24
@@ -499,7 +494,7 @@ def _truth_json(spec: SynthSpec, world: _World) -> str:
         "horizon_start": HORIZON_START,
         "events_per_zone": spec.events_per_zone,
         "background_outage_rate": spec.background_outage_rate,
-        "restoration_noise_sigma": spec.restoration_noise_sigma,
+        "restoration_noise_sigma": RESTORATION_NOISE_SIGMA,
         "intensity_ranges": {
             HAZARD_WIND: list(spec.wind_intensity_range),
             HAZARD_PRECIPITATION: list(spec.precip_intensity_range),

@@ -11,8 +11,8 @@ keyed by workspace-relative path, and of every output, which gives two
 properties:
 
   - reruns with unchanged inputs are no-ops (unless forced), and
-  - a manifest-vs-disk check can prove the workspace is internally
-    consistent.
+  - `stage_fresh` calls a stage stale when a recorded output is missing
+    or no longer hashes as recorded.
 
 Every write lands in a temp file first and is renamed into place, so a
 crash cannot leave a half-written output that hashes differently than the
@@ -73,12 +73,6 @@ class Workspace:
         p, root = p.resolve(), self.root.resolve()
         return p.relative_to(root).as_posix() if p.is_relative_to(root) else str(p)
 
-    def require(self, relative: str) -> Path:
-        p = self.path(relative)
-        if not p.is_file():
-            raise MissingInputError(str(p))
-        return p
-
     def exists(self, relative: str) -> bool:
         """Whether a regular file exists there; an absent one is recorded
         as None, so its appearance makes the reading stage stale."""
@@ -88,7 +82,10 @@ class Workspace:
         return False
 
     def read_bytes(self, relative: str) -> bytes:
-        data = self.require(relative).read_bytes()
+        p = self.path(relative)
+        if not p.is_file():
+            raise MissingInputError(str(p))
+        data = p.read_bytes()
         self.reads[self.key(relative)] = sha256_bytes(data)
         return data
 
@@ -177,15 +174,3 @@ class Workspace:
             self.save_manifest(manifest)
         finally:
             os.close(lock)  # releases the flock
-
-    def verify(self) -> list[str]:
-        """Return problems (missing/mismatched outputs) across all stages."""
-        problems = []
-        for stage, record in self.load_manifest()["stages"].items():
-            for relative, digest in self._changed(record.get("outputs", {})).items():
-                if digest is None:
-                    problems.append(f"{stage}: missing output {relative}")
-                else:
-                    problems.append(f"{stage}: output {relative} does not "
-                                    f"match its recorded hash")
-        return problems

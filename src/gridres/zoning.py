@@ -61,7 +61,6 @@ class WeatherZone:
 class ZonePartition:
     hazard_class: str
     zones: tuple[WeatherZone, ...]
-    boundary: tuple[tuple[float, float], ...]
     projection: Projection
     # projected station coordinates, aligned with zones
     sites: tuple[tuple[float, float], ...]
@@ -235,7 +234,6 @@ def build_partition(
     return ZonePartition(
         hazard_class=hazard_class,
         zones=tuple(zones),
-        boundary=_close_ccw(boundary_open),
         projection=proj,
         sites=tuple(sites),
     )

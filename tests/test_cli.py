@@ -144,6 +144,14 @@ def test_code_change_reruns_fresh_stage(private_ws, monkeypatch, capsys):
     assert "kept" in err
 
 
+def _changed_outputs(root):
+    """Per manifest stage, its recorded outputs that hash otherwise now:
+    their sha256, None if missing; stages with none are left out."""
+    ws = Workspace(root)
+    return {stage: changed for stage, record in ws.load_manifest()["stages"].items()
+            if (changed := ws._changed(record["outputs"]))}
+
+
 def test_run_stopped_before_its_record_leaves_the_stage_stale(private_ws,
                                                               monkeypatch, capsys):
     """A crash between writing a stage's outputs and recording them leaves
@@ -163,14 +171,14 @@ def test_run_stopped_before_its_record_leaves_the_stage_stale(private_ws,
     monkeypatch.undo()
 
     outages.write_bytes(original)
-    assert Workspace(private_ws).verify() == [
-        f"ingest: output {name} does not match its recorded hash"
-        for name in ("clean_outages.csv", "report_outages.json")]
+    now = Workspace(private_ws).hash_inputs(["clean_outages.csv", "report_outages.json"])
+    assert None not in now.values()  # both there, neither as recorded
+    assert _changed_outputs(private_ws) == {"ingest": now}
     capsys.readouterr()
     assert main(["ingest", "--workspace", str(private_ws)]) == 0
     assert "up to date" not in capsys.readouterr().err
     assert (private_ws / "clean_outages.csv").read_bytes() == clean
-    assert Workspace(private_ws).verify() == []
+    assert _changed_outputs(private_ws) == {}
 
 
 def test_predict_reruns_when_intensity_differs_below_file_name_precision(
@@ -379,6 +387,15 @@ def test_negative_intensity_exit_3(tiny_ws):
                  "--hazard", "wind", "--intensity", "-3"]) == 3
 
 
+def test_negative_zero_intensity_is_the_zero_scenario(private_ws):
+    assert main(["predict", "--workspace", str(private_ws),
+                 "--hazard", "wind", "--intensity", "-0"]) == 0
+    stages = json.loads((private_ws / "manifest.json").read_text())["stages"]
+    assert "predict_wind_0" in stages and "predict_wind_-0" not in stages
+    assert (private_ws / "predictions_wind_0.csv").is_file()
+    assert not (private_ws / "predictions_wind_-0.csv").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["--hazard", "wind", "--intensity", "abc"],
     ["--intensity", "3"],  # no --hazard
@@ -564,8 +581,11 @@ def _wind_fragility(doc):
     lambda doc: _wind_fragility(doc)["params"].update(c=1.0),
     lambda doc: _wind_fragility(doc).update(fit_domain=[0.0, True]),
     lambda doc: doc.update(hazard_class="precipitation"),
+    lambda doc: doc["zones"].update({"wind:0": {
+        "fragility": doc["zones"]["wind:0"]["restoration"],
+        "restoration": doc["zones"]["wind:0"]["fragility"]}}),
 ], ids=["string-param", "missing-params", "zones-list", "nan-param",
-        "extra-param", "bool-domain", "other-class"])
+        "extra-param", "bool-domain", "other-class", "swapped-kinds"])
 def test_malformed_model_store_exits_3(private_ws, capsys, edit):
     store = private_ws / "models_wind.json"
     doc = json.loads(store.read_text())

@@ -213,6 +213,8 @@ def test_choropleth_filename_format():
     assert choropleth_filename(WIND35) == "choropleth_wind_35.geojson"
     assert choropleth_filename(PRECIP25) \
         == "choropleth_precipitation_2.5.geojson"
+    assert choropleth_filename(ScenarioSpec(hazard_class="wind", intensity=-0.0)) \
+        == "choropleth_wind_0.geojson"
 
 
 def test_labelled_file_names_carry_the_label_slug():

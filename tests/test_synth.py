@@ -153,12 +153,6 @@ def test_truth_records_spec_parameters(bundle):
         assert set(zone["restoration"]) == {"c", "a1", "b1", "a2", "b2"}
 
 
-def test_custom_truth_override_lands_in_report():
-    spec = small_spec(true_fragility={"wind:0": (0.1, 0.3)})
-    truth = json.loads(generate(spec)["truth.json"])
-    assert truth["zones"]["wind:0"]["fragility"] == {"a": 0.1, "b": 0.3}
-
-
 # ---------------------------------------------------------------------------
 # Injected weather is recoverable through the linkage chain
 # ---------------------------------------------------------------------------
@@ -201,14 +195,14 @@ def test_rejects_infeasible_event_plan():
 
 
 @pytest.mark.parametrize("bad, needle", [
-    ({"restoration_noise_sigma": 0.9}, "sigma"),
     ({"seed": -1}, "seed"),
     ({"years": 0}, "years"),
     ({"events_per_zone": -1}, "events_per_zone"),
+    ({"mean_outages_per_event": 0.0}, "mean_outages_per_event"),
     ({"background_outage_rate": -1.0}, "background_outage_rate"),
     ({"wind_intensity_range": (28.0, 10.0)}, "wind intensity range"),
     ({"precip_intensity_range": (4.0, 0.3)}, "precip intensity range"),
-], ids=["sigma", "seed", "years", "events-per-zone", "background-rate",
+], ids=["seed", "years", "events-per-zone", "mean-outages", "background-rate",
         "wind-range-reversed", "precip-range-reversed"])
 def test_rejects_bad_spec(bad, needle):
     with pytest.raises(ValidationError, match=needle):

@@ -29,7 +29,7 @@ def test_write_read_round_trip(tmp_path):
 def test_require_missing_is_exit2_error(tmp_path):
     ws = Workspace(tmp_path)
     with pytest.raises(MissingInputError):
-        ws.require("absent.csv")
+        ws.read_bytes("absent.csv")
 
 
 def test_writes_record_the_digest_of_the_bytes_written(tmp_path):
@@ -118,12 +118,12 @@ def test_stage_freshness_lifecycle(tmp_path):
     # output tampering invalidates even with original inputs
     ws.write_bytes("out.csv", b"tampered\n")
     assert not ws.stage_fresh("demo", META)
-    problems = ws.verify()
-    assert len(problems) == 1 and "out.csv" in problems[0]
+    outputs = ws.load_manifest()["stages"]["demo"]["outputs"]
+    assert ws._changed(outputs) == {"out.csv": sha256_bytes(b"tampered\n")}
 
     ws.path("out.csv").unlink()
     assert not ws.stage_fresh("demo", META)
-    assert any("missing output" in p for p in ws.verify())
+    assert ws._changed(outputs) == {"out.csv": None}
 
 
 def test_probed_file_appearing_or_vanishing_invalidates(tmp_path):
