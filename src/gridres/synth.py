@@ -105,10 +105,10 @@ class SynthSpec:
             raise ValidationError("years must be at least 1")
         if self.events_per_zone < 0:
             raise ValidationError("events_per_zone must be nonnegative")
-        if not self.mean_outages_per_event > 0.0:
-            raise ValidationError("mean_outages_per_event must be positive")
-        if self.background_outage_rate < 0.0:
-            raise ValidationError("background_outage_rate must be nonnegative")
+        if not 0.0 < self.mean_outages_per_event < math.inf:
+            raise ValidationError("mean_outages_per_event must be positive and finite")
+        if not 0.0 <= self.background_outage_rate < math.inf:
+            raise ValidationError("background_outage_rate must be nonnegative and finite")
         lo, hi = self.wind_intensity_range
         if not 0.0 < lo <= hi:
             raise ValidationError("wind intensity range must be positive and ordered")

@@ -14,6 +14,15 @@ properties:
   - `stage_fresh` calls a stage stale when a recorded output is missing
     or no longer hashes as recorded.
 
+`manifest.json` also maps keys at "files" to [size, mtime_ns, ctime_ns,
+inode, device, sha256], and `hash_inputs` reuses a digest while all five
+stat fields match. A digest enters only if the stat was the same before
+and after hashing and its mtime and ctime were older than RACY_WINDOW_NS
+(git's racy-file rule), so no later write can leave that stat behind; a
+file just written is racy, so the writer never feeds the table. A table
+or entry that is not well formed counts as missing, never as an error:
+records still hold content digests, and the table only saves reads.
+
 Every write lands in a temp file first and is renamed into place, so a
 crash cannot leave a half-written output that hashes differently than the
 manifest claims. Recording a stage holds an exclusive flock on the
@@ -32,12 +41,17 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import os
+import resource
 from datetime import datetime, timezone
 from pathlib import Path
+from time import time_ns
 
 from .errors import MissingInputError, ValidationError, decoded, json_object, json_text
 
 MANIFEST_NAME = "manifest.json"
+# How much older than the clock a file's mtime and ctime must be for its
+# digest to enter the table; above common filesystems' timestamp granularity.
+RACY_WINDOW_NS = 1_000_000_000
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -49,6 +63,11 @@ def sha256_file(path: Path) -> str:
         return hashlib.file_digest(f, "sha256").hexdigest()
 
 
+def _stat(path: Path) -> list[int]:
+    st = os.stat(path)
+    return [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino, st.st_dev]
+
+
 class Workspace:
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -58,6 +77,9 @@ class Workspace:
         self.writes: dict[str, str] = {}
         # Parsed contents by (manifest key, sha256), for one command.
         self.parsed: dict[tuple[str, str], object] = {}
+        # The digest table `stage_fresh` last loaded, and its unsaved entries.
+        self.files: dict = {}
+        self.added: dict[str, list] = {}
 
     # -- paths and recorded reads ------------------------------------------
 
@@ -116,7 +138,7 @@ class Workspace:
     def load_manifest(self) -> dict:
         p = self.path(MANIFEST_NAME)
         if not p.exists():
-            return {"stages": {}}
+            return {"stages": {}, "files": {}}
         if not p.is_file():
             raise ValidationError(f"{p}: manifest is not a regular file")
         doc = json_object(decoded(p.read_bytes(), str(p)), str(p))
@@ -126,6 +148,8 @@ class Workspace:
                 and isinstance(r.get("outputs", {}), dict) for r in stages.values()):
             raise ValidationError(f"{p}: stages must map each stage to an object "
                                   f"with object inputs and outputs")
+        if not isinstance(doc.get("files"), dict):
+            doc["files"] = {}  # a damaged digest table only costs rehashing
         return doc
 
     def save_manifest(self, manifest: dict) -> None:
@@ -133,8 +157,23 @@ class Workspace:
 
     def hash_inputs(self, keys) -> dict[str, str | None]:
         """The current sha256 of each named file, None when absent."""
-        return {key: sha256_file(p) if (p := self.path(key)).is_file() else None
+        return {key: self._digest(key) if self.path(key).is_file() else None
                 for key in keys}
+
+    def _digest(self, key: str) -> str:
+        """The digest from the table if the stat matches; else hashed, and
+        added to the table (saved by `stage_fresh`) unless racy."""
+        path = self.path(key)
+        before = _stat(path)
+        entry = self.files.get(key)
+        if (isinstance(entry, list) and len(entry) == 6
+                and entry[:5] == before and isinstance(entry[5], str)):
+            return entry[5]
+        now = time_ns()
+        digest = sha256_file(path)
+        if _stat(path) == before and max(before[1:3]) < now - RACY_WINDOW_NS:
+            self.files[key] = self.added[key] = before + [digest]
+        return digest
 
     def _changed(self, recorded: dict[str, str | None]) -> dict[str, str | None]:
         """The recorded files that hash otherwise now: their sha256, None if absent."""
@@ -145,15 +184,20 @@ class Workspace:
         """True when the stage last ran with these `meta` hashes, every file
         it read then still hashes the same (or is still absent), and all
         of its recorded outputs still exist with matching content."""
-        record = self.load_manifest()["stages"].get(stage)
+        manifest = self.load_manifest()
+        record = manifest["stages"].get(stage)
         if record is None:
             return False
+        self.files = manifest["files"]
         inputs, outputs = record.get("inputs", {}), record.get("outputs", {})
         files = {key: digest for key, digest in inputs.items()
                  if key not in meta}
-        return (all(inputs.get(key) == value for key, value in meta.items())
-                and not self._changed(files)
-                and not self._changed(outputs))
+        fresh = (all(inputs.get(key) == value for key, value in meta.items())
+                 and not self._changed(files)
+                 and not self._changed(outputs))
+        if self.added:
+            self._update_manifest({})
+        return fresh
 
     def record_stage(self, stage: str, input_hashes: dict[str, str | None],
                      outputs: dict[str, str], duration_s: float) -> None:
@@ -164,13 +208,23 @@ class Workspace:
             "completed_at": datetime.now(timezone.utc)
             .strftime("%Y-%m-%dT%H:%M:%SZ"),
             "duration_s": round(duration_s, 3),
+            # the process's peak RSS so far (KiB on Linux): a high-water mark
+            "peak_rss_mb": round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         }
+        self._update_manifest({stage: record})
+
+    def _update_manifest(self, records: dict) -> None:
+        """Add stage records and unsaved table entries to the manifest, which
+        is reloaded under the flock so concurrent commands keep each other's."""
         self.root.mkdir(parents=True, exist_ok=True)
         lock = os.open(self.root, os.O_RDONLY)
         try:
             fcntl.flock(lock, fcntl.LOCK_EX)
             manifest = self.load_manifest()
-            manifest["stages"][stage] = record
+            manifest["stages"].update(records)
+            manifest["files"].update(self.added)
             self.save_manifest(manifest)
         finally:
             os.close(lock)  # releases the flock
+        self.added = {}

@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from datetime import timedelta
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from gridres.config import Config, canonical_hazard, parse_config
 from gridres.errors import FitError
 from gridres.ingest import format_instant, parse_instant
 from gridres.reference import materialize_reference_workspace
+from gridres import workspace
 from gridres.workspace import Workspace
 
 from conftest import TINY_SPEC
@@ -233,6 +235,30 @@ def test_copied_workspace_stays_fresh(private_ws, capsys):
     for command in (PREDICT_WIND + ["20"], ["render"]):
         assert main(command + ["--workspace", str(private_ws)]) == 0
         assert "up to date, skipping" in capsys.readouterr().err
+
+
+def test_noop_reruns_hash_each_recorded_file_at_most_once(private_ws, monkeypatch,
+                                                        capsys):
+    """A copied workspace (new inodes) hashes each file that run-all's
+    stages recorded once; the next no-op run-all hashes nothing."""
+    hashed, real = [], workspace.sha256_file
+    monkeypatch.setattr(workspace, "sha256_file",
+                        lambda path: hashed.append(Path(path)) or real(path))
+    # The copy was just made; let the table take its files as settled.
+    monkeypatch.setattr(workspace, "time_ns",
+                        lambda: time.time_ns() + 2 * workspace.RACY_WINDOW_NS)
+    assert main(["run-all", "--workspace", str(private_ws)]) == 0
+    stages = json.loads((private_ws / "manifest.json").read_text())["stages"]
+    recorded = {private_ws / key
+                for stage in ("ingest", "zones", "extract-events", "link", "fit")
+                for part in ("inputs", "outputs")
+                for key, digest in stages[stage][part].items()
+                if digest is not None and not key.startswith("__")}
+    assert sorted(hashed) == sorted(recorded)
+    hashed.clear()
+    assert main(["run-all", "--workspace", str(private_ws)]) == 0
+    assert hashed == []
+    capsys.readouterr()
 
 
 def test_manifest_keys_inputs_by_workspace_path(private_ws, tmp_path):

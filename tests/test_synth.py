@@ -199,10 +199,14 @@ def test_rejects_infeasible_event_plan():
     ({"years": 0}, "years"),
     ({"events_per_zone": -1}, "events_per_zone"),
     ({"mean_outages_per_event": 0.0}, "mean_outages_per_event"),
+    ({"mean_outages_per_event": math.inf}, "mean_outages_per_event"),
     ({"background_outage_rate": -1.0}, "background_outage_rate"),
+    ({"background_outage_rate": math.nan}, "background_outage_rate"),
+    ({"background_outage_rate": math.inf}, "background_outage_rate"),
     ({"wind_intensity_range": (28.0, 10.0)}, "wind intensity range"),
     ({"precip_intensity_range": (4.0, 0.3)}, "precip intensity range"),
-], ids=["seed", "years", "events-per-zone", "mean-outages", "background-rate",
+], ids=["seed", "years", "events-per-zone", "mean-outages", "mean-outages-inf",
+        "background-rate", "background-rate-nan", "background-rate-inf",
         "wind-range-reversed", "precip-range-reversed"])
 def test_rejects_bad_spec(bad, needle):
     with pytest.raises(ValidationError, match=needle):

@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import gridres
+from gridres import workspace
 from gridres.errors import MissingInputError, ValidationError
-from gridres.workspace import Workspace, sha256_bytes
+from gridres.workspace import RACY_WINDOW_NS, Workspace, sha256_bytes
 
 
 def test_sha256_matches_hashlib():
@@ -148,11 +150,14 @@ def test_manifest_timestamps_not_compared(tmp_path):
 
     manifest = ws.load_manifest()
     assert manifest["stages"]["demo"]["duration_s"] == 0.25
+    assert manifest["stages"]["demo"]["peak_rss_mb"] > 0
     manifest["stages"]["demo"]["completed_at"] = "1999-01-01T00:00:00Z"
     manifest["stages"]["demo"]["duration_s"] = 9999.0
+    manifest["stages"]["demo"]["peak_rss_mb"] = 123456.7
     ws.save_manifest(manifest)
     assert ws.stage_fresh("demo", META)
     del manifest["stages"]["demo"]["duration_s"]
+    del manifest["stages"]["demo"]["peak_rss_mb"]
     ws.save_manifest(manifest)
     assert ws.stage_fresh("demo", META)
 
@@ -182,13 +187,138 @@ def test_directory_in_place_of_a_file_counts_as_absent(tmp_path):
         ws.read_bytes("in.csv")
 
 
+# -- the stat-checked digest table ------------------------------------------
+
+def _count_hashes(monkeypatch) -> list[str]:
+    """Route sha256_file through a recorder; returns the names it hashes."""
+    hashed, real = [], workspace.sha256_file
+    monkeypatch.setattr(workspace, "sha256_file",
+                        lambda path: hashed.append(Path(path).name) or real(path))
+    return hashed
+
+
+def _clock_past_window(monkeypatch):
+    """Run the table's clock two racy windows ahead, so files written just
+    now count as settled."""
+    monkeypatch.setattr(workspace, "time_ns",
+                        lambda: time.time_ns() + 2 * RACY_WINDOW_NS)
+
+
+def test_same_size_rewrite_inside_the_racy_window_is_stale(tmp_path, monkeypatch):
+    # A filesystem whose timestamps have not ticked since the files were
+    # written: every mtime and ctime reads as one instant, and the clock
+    # stands half a window past it.
+    tick, real_stat = time.time_ns(), workspace._stat
+    monkeypatch.setattr(workspace, "_stat",
+                        lambda path: [real_stat(path)[0], tick, tick, *real_stat(path)[3:]])
+    monkeypatch.setattr(workspace, "time_ns", lambda: tick + RACY_WINDOW_NS // 2)
+    hashed = _count_hashes(monkeypatch)
+    ws = Workspace(tmp_path)
+    ws.write_bytes("in.csv", b"a,b\n1,2\n")
+    _record_demo(ws)
+    assert ws.stage_fresh("demo", META)
+    assert ws.load_manifest()["files"] == {}
+    # In place and the same size, so the stat above stays the same.
+    ws.path("in.csv").write_bytes(b"a,b\n1,3\n")
+    assert not ws.stage_fresh("demo", META)
+    assert hashed == ["in.csv", "out.csv", "in.csv"]
+
+
+def test_touch_without_change_stays_fresh_after_one_rehash(tmp_path, monkeypatch):
+    _clock_past_window(monkeypatch)
+    hashed = _count_hashes(monkeypatch)
+    ws = Workspace(tmp_path)
+    ws.write_bytes("in.csv", b"x\n")
+    _record_demo(ws)
+    assert ws.stage_fresh("demo", META)
+    assert hashed == ["in.csv", "out.csv"]
+    assert set(ws.load_manifest()["files"]) == {"in.csv", "out.csv"}
+    hashed.clear()
+    assert ws.stage_fresh("demo", META)
+    assert hashed == []
+
+    mtime = os.stat(ws.path("in.csv")).st_mtime_ns + 10**9
+    os.utime(ws.path("in.csv"), ns=(mtime, mtime))  # touch, one second on
+    assert ws.stage_fresh("demo", META)
+    assert hashed == ["in.csv"]
+    hashed.clear()
+    assert ws.stage_fresh("demo", META)
+    assert hashed == []
+
+
+def test_rewrite_with_its_mtime_set_back_is_stale(tmp_path, monkeypatch):
+    _clock_past_window(monkeypatch)
+    ws = Workspace(tmp_path)
+    ws.write_bytes("in.csv", b"a,b\n1,2\n")
+    _record_demo(ws)
+    assert ws.stage_fresh("demo", META)
+    path = ws.path("in.csv")
+    old = os.stat(path)
+    assert ws.load_manifest()["files"]["in.csv"][:5] == workspace._stat(path)
+    time.sleep(0.05)  # past the kernel's timestamp tick, so the ctime moves
+    path.write_bytes(b"a,b\n1,3\n")
+    os.utime(path, ns=(old.st_atime_ns, old.st_mtime_ns))
+    new = os.stat(path)
+    assert (new.st_size, new.st_mtime_ns, new.st_ino, new.st_dev) == (
+        old.st_size, old.st_mtime_ns, old.st_ino, old.st_dev)
+    assert new.st_ctime_ns != old.st_ctime_ns
+    assert not ws.stage_fresh("demo", META)
+
+
+def test_file_rewritten_while_hashed_stays_out_of_the_table(tmp_path, monkeypatch):
+    _clock_past_window(monkeypatch)
+    real, writes = workspace.sha256_file, [b"a,b\n1,3\n"]
+
+    def hash_then_rewrite(path):
+        digest = real(path)
+        if Path(path).name == "in.csv" and writes:
+            Path(path).write_bytes(writes.pop())  # lands while the file is read
+        return digest
+
+    monkeypatch.setattr(workspace, "sha256_file", hash_then_rewrite)
+    ws = Workspace(tmp_path)
+    ws.write_bytes("in.csv", b"a,b\n1,2\n")
+    _record_demo(ws)
+    assert ws.stage_fresh("demo", META)
+    assert set(ws.load_manifest()["files"]) == {"out.csv"}
+    assert not ws.stage_fresh("demo", META)
+
+
+@pytest.mark.parametrize("table", [
+    "deleted", None, [], "files", 7, {"in.csv": "0" * 64}, {"in.csv": [1, 2]},
+    "stat-only", "stat-and-number", "stat-and-two-digests",
+], ids=["deleted", "null", "list", "string", "number", "entry-string",
+        "entry-short", "entry-stat-only", "entry-number-digest",
+        "entry-too-long"])
+def test_bad_digest_table_gives_the_freshness_of_none(tmp_path, monkeypatch, table):
+    _clock_past_window(monkeypatch)
+    ws = Workspace(tmp_path)
+    ws.write_bytes("in.csv", b"a,b\n1,2\n")
+    _record_demo(ws)
+    stat = workspace._stat(ws.path("in.csv"))
+    table = {"stat-only": {"in.csv": stat},
+             "stat-and-number": {"in.csv": stat + [7]},
+             "stat-and-two-digests": {"in.csv": stat + ["0" * 64, "0" * 64]},
+             }.get(table, table) if isinstance(table, str) else table
+    manifest = ws.load_manifest()
+    del manifest["files"]
+    if table != "deleted":
+        manifest["files"] = table
+    ws.save_manifest(manifest)
+    assert ws.stage_fresh("demo", META)
+    assert isinstance(json.loads(ws.path("manifest.json").read_text())["files"], dict)
+    ws.path("in.csv").write_bytes(b"a,b\n1,3\n")
+    assert not ws.stage_fresh("demo", META)
+
+
 # Records argv[3] stages named argv[2]0, argv[2]1, ... in the workspace at
-# argv[1].
+# argv[1], each with a digest-table entry of the same name.
 _RECORDER = """
 import sys
 from gridres.workspace import Workspace
 ws = Workspace(sys.argv[1])
 for i in range(int(sys.argv[3])):
+    ws.added[f"{sys.argv[2]}{i}"] = [0, 0, 0, 0, 0, "0" * 64]
     ws.record_stage(f"{sys.argv[2]}{i}", {}, {}, 0.0)
 """
 
@@ -200,6 +330,7 @@ def test_concurrent_stage_records_are_all_kept(tmp_path):
     procs = [subprocess.Popen([sys.executable, "-c", _RECORDER, str(tmp_path),
                                name, "150"], env=env) for name in ("a", "b")]
     assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
-    assert set(Workspace(tmp_path).load_manifest()["stages"]) == {
+    manifest = Workspace(tmp_path).load_manifest()
+    assert set(manifest["stages"]) == set(manifest["files"]) == {
         f"{name}{i}" for name in ("a", "b") for i in range(150)}
     assert not list(tmp_path.glob("*.tmp"))
