@@ -10,8 +10,9 @@ Subcommands mirror the pipeline stages:
   fit             fit per-zone fragility and restoration models
   predict         evaluate one weather scenario into CSV + choropleth
   render          draw scatter/curve SVG plots for every fitted model
-  run-all         ingest through fit, then predict for every configured
-                  scenario, plus a summary table
+  truth-comparison  compare fitted models with a synthetic bundle's truth.json
+  run-all         ingest through fit, predict per configured scenario and
+                  truth-comparison (given truth.json), plus a summary table
 
 Every stage is one row of STAGES: the Config fields it reads and its body,
 the module-level `stage_<name>`, which does all file I/O via the Workspace.
@@ -106,8 +107,6 @@ from .zoning import (
 
 log = logging.getLogger(__name__)
 
-_current_stage = "cli"
-
 INPUTS = {
     "outages": "inputs/outages.csv",
     "weather": "inputs/weather.csv",
@@ -120,13 +119,14 @@ CLEAN = {
     "stations": "clean_stations.csv",
     "severe": "clean_severe.csv",
 }
-DEFAULT_BOUNDARY = "inputs/boundary.geojson"
 DEFAULT_SYNTH_SEED = 20240811
 
 
 class _TabFormatter(logging.Formatter):
+    stage = "cli"  # named by every line; the command, then each stage it runs
+
     def format(self, record: logging.LogRecord) -> str:
-        return f"{record.levelname}\t{_current_stage}\t{record.getMessage()}"
+        return f"{record.levelname}\t{self.stage}\t{record.getMessage()}"
 
 
 def _setup_logging() -> None:
@@ -135,11 +135,6 @@ def _setup_logging() -> None:
     root = logging.getLogger()
     root.handlers[:] = [handler]
     root.setLevel(logging.INFO)
-
-
-def _set_stage(name: str) -> None:
-    global _current_stage
-    _current_stage = name
 
 
 def _parsed(ws: Workspace, relative: str, parse: Callable[[bytes, str], Any]):
@@ -183,8 +178,8 @@ def _clean_outages(ws: Workspace) -> OutageTable:
 def _load_partitions(ws: Workspace, cfg: Config) -> tuple[list, dict]:
     """The boundary ring, and a partition per class with capable stations."""
     stations = _parsed(ws, CLEAN["stations"], parse_stations)
-    relative = cfg.boundary_path or DEFAULT_BOUNDARY
-    boundary = load_boundary_geojson(ws.read_text(relative), str(ws.path(relative)))
+    boundary = load_boundary_geojson(ws.read_text(cfg.boundary_path),
+                                     str(ws.path(cfg.boundary_path)))
     partitions = {}
     for hazard_class in HAZARD_CLASSES:
         if any(hazard_class in s.capabilities for s in stations):
@@ -438,99 +433,11 @@ def stage_render(ws: Workspace, cfg: Config):
     return f"{plots} plot(s)"
 
 
-# ---------------------------------------------------------------------------
-# Stage table and runner
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Stage:
-    """One pipeline stage; its body is the module-level `stage_<name>`."""
-    name: str
-    help: str
-    done: str                                   # log verb before the detail
-    reads: tuple[str, ...] = ()                 # Config fields the body reads
-    key: str = ""   # manifest key, formatted with the args; the name if empty
-    options: tuple[tuple[str, dict], ...] = ()  # subcommand flags
-    args: Callable[[argparse.Namespace], tuple] = lambda ns: ()
-
-
-STAGES = {stage.name: stage for stage in [
-    Stage("synth", "generate a seeded synthetic input bundle",
-          "wrote synthetic bundle:", key="synth_{0}",
-          options=(("--seed", {"type": int, "default": DEFAULT_SYNTH_SEED}),),
-          args=lambda ns: (ns.seed,)),
-    Stage("ingest", "parse and clean the input CSV files", "kept",
-          reads=("max_outage_days", "max_customers")),
-    Stage("zones", "build weather zones and the density grid", "built",
-          reads=("boundary_path", "density_cell_size")),
-    Stage("extract-events", "extract outage-restoration events", "extracted",
-          reads=("boundary_path",)),
-    Stage("link", "build fragility samples from severe records", "linked",
-          reads=("hazard_mapping", "precip_intensity_mode", "boundary_path")),
-    Stage("fit", "fit fragility and restoration models", "fitted"),
-    Stage("predict", "evaluate one weather scenario", "predicted",
-          reads=("boundary_path",),
-          key="predict_{0.stem}",
-          options=(("--hazard", {"required": True, "help": "wind or precip"}),
-                   ("--intensity", {"type": float, "required": True,
-                                    "help": "m/s for wind, inches for "
-                                            "precipitation"})),
-          args=lambda ns: (ScenarioSpec(hazard_class=canonical_hazard(ns.hazard),
-                                        intensity=ns.intensity),)),
-    Stage("render", "render model scatter/curve SVG plots", "rendered"),
-]}
-
-
-@functools.cache
-def code_fingerprint() -> str:
-    """sha256 over the package's source file names and bytes."""
-    h = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        data = path.read_bytes()
-        h.update(f"{path.name}\0{len(data)}\0".encode())
-        h.update(data)
-    return h.hexdigest()
-
-
-def _config_digest(cfg: Config, fields: tuple[str, ...], args: tuple) -> str:
-    """Canonical JSON of the named Config fields and the stage arguments, so
-    a config file that spells out a default hashes like no config file."""
-    doc = [{name: getattr(cfg, name) for name in fields}, list(args)]
-    return sha256_bytes(json.dumps(doc, sort_keys=True, default=asdict).encode())
-
-
-def run_stage(name: str, ws: Workspace, cfg: Config, force: bool, *args) -> str:
-    """Run one stage unless it already ran on exactly these inputs, code and
-    config fields; return its detail line for the run-all summary."""
-    stage = STAGES[name]
-    _set_stage(name)
-    meta = {"__code__": code_fingerprint(),
-            "__config__": _config_digest(cfg, stage.reads, args)}
-    key = (stage.key or name).format(*args)
-    if not force and ws.stage_fresh(key, meta):
-        log.info("outputs up to date, skipping")
-        return "up to date"
-    # Looked up at call time, so a wrapper installed on the name takes effect.
-    body = globals()["stage_" + name.replace("-", "_")]
-    ws.reads.clear()
-    ws.writes.clear()
-    start = time.perf_counter()
-    detail = body(ws, cfg, *args)
-    ws.record_stage(key, {**ws.reads, **meta}, ws.writes,
-                    time.perf_counter() - start)
-    log.info("%s %s", stage.done, detail)
-    return detail
-
-
-# ---------------------------------------------------------------------------
-# run-all
-# ---------------------------------------------------------------------------
-
-# The fitted parameter of each model kind that run-all compares with truth.json.
+# The fitted parameter of each model kind compared with truth.json.
 _TRUTH_PARAMS = {KIND_FRAGILITY: "b", KIND_RESTORATION: "c"}
 
 
-def _truth_comparison(ws: Workspace, cfg: Config) -> str:
+def stage_truth_comparison(ws: Workspace, cfg: Config):
     """Compare each truth zone with the fitted zone of its hazard class and
     station, and write truth_comparison.json keyed by truth zone id."""
     source = str(ws.path("truth.json"))
@@ -579,6 +486,98 @@ def _truth_comparison(ws: Workspace, cfg: Config) -> str:
     return ", ".join(parts) if parts else "no fitted models to compare"
 
 
+# ---------------------------------------------------------------------------
+# Stage table and runner
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage; its body is the module-level `stage_<name>`."""
+    name: str
+    help: str
+    done: str                                   # log verb before the detail
+    reads: tuple[str, ...] = ()                 # Config fields the body reads
+    key: str = ""   # manifest key, formatted with the args; the name if empty
+    options: tuple[tuple[str, dict], ...] = ()  # subcommand flags
+    args: Callable[[argparse.Namespace], tuple] = lambda ns: ()
+
+
+STAGES = {stage.name: stage for stage in [
+    Stage("synth", "generate a seeded synthetic input bundle",
+          "wrote synthetic bundle:", key="synth_{0}",
+          options=(("--seed", {"type": int, "default": DEFAULT_SYNTH_SEED}),),
+          args=lambda ns: (ns.seed,)),
+    Stage("ingest", "parse and clean the input CSV files", "kept",
+          reads=("max_outage_days", "max_customers")),
+    Stage("zones", "build weather zones and the density grid", "built",
+          reads=("boundary_path", "density_cell_size")),
+    Stage("extract-events", "extract outage-restoration events", "extracted",
+          reads=("boundary_path",)),
+    Stage("link", "build fragility samples from severe records", "linked",
+          reads=("hazard_mapping", "precip_intensity_mode", "boundary_path")),
+    Stage("fit", "fit fragility and restoration models", "fitted"),
+    Stage("predict", "evaluate one weather scenario", "predicted",
+          reads=("boundary_path",),
+          key="predict_{0.stem}",
+          options=(("--hazard", {"required": True, "help": "wind or precip"}),
+                   ("--intensity", {"type": float, "required": True,
+                                    "help": "m/s for wind, inches for "
+                                            "precipitation"})),
+          args=lambda ns: (ScenarioSpec(hazard_class=canonical_hazard(ns.hazard),
+                                        intensity=ns.intensity),)),
+    Stage("render", "render model scatter/curve SVG plots", "rendered"),
+    Stage("truth-comparison", "compare fitted models with truth.json",
+          "compared with truth:", reads=("boundary_path",)),
+]}
+
+
+@functools.cache
+def code_fingerprint() -> str:
+    """sha256 over the package's source file names and bytes."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        h.update(f"{path.name}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def _config_digest(cfg: Config, fields: tuple[str, ...], args: tuple) -> str:
+    """Canonical JSON of the named Config fields and the stage arguments, so
+    a config file that spells out a default hashes like no config file."""
+    doc = [{name: getattr(cfg, name) for name in fields}, list(args)]
+    return sha256_bytes(json.dumps(doc, sort_keys=True, default=asdict).encode())
+
+
+def run_stage(name: str, ws: Workspace, cfg: Config, force: bool, *args) -> str:
+    """Run one stage unless it already ran on exactly these inputs, code and
+    config fields; return its detail line for the run-all summary."""
+    stage = STAGES[name]
+    _TabFormatter.stage = name
+    meta = {"__code__": code_fingerprint(),
+            "__config__": _config_digest(cfg, stage.reads, args)}
+    key = (stage.key or name).format(*args)
+    if not force and ws.stage_fresh(key, meta):
+        if ws.added:  # digests the check learned; a rerun saves them with its record
+            ws.update_manifest({})
+        log.info("outputs up to date, skipping")
+        return "up to date"
+    # Looked up at call time, so a wrapper installed on the name takes effect.
+    body = globals()["stage_" + name.replace("-", "_")]
+    ws.reads.clear()
+    ws.writes.clear()
+    start = time.perf_counter()
+    detail = body(ws, cfg, *args)
+    ws.record_stage(key, {**ws.reads, **meta}, ws.writes,
+                    time.perf_counter() - start)
+    log.info("%s %s", stage.done, detail)
+    return detail
+
+
+# ---------------------------------------------------------------------------
+# run-all
+# ---------------------------------------------------------------------------
+
 def run_all(ws: Workspace, cfg: Config, force: bool) -> int:
     rows: list[tuple[str, str, str]] = []
     for name in ("ingest", "zones", "extract-events", "link", "fit"):
@@ -592,9 +591,9 @@ def run_all(ws: Workspace, cfg: Config, force: bool) -> int:
             log.warning("skipping scenario %s: %s", name, exc)
             rows.append((name, "skipped", str(exc)))
 
-    _set_stage("run-all")
     if ws.exists("truth.json"):
-        rows.append(("truth-comparison", "ok", _truth_comparison(ws, cfg)))
+        rows.append(("truth-comparison", "ok",
+                     run_stage("truth-comparison", ws, cfg, force)))
 
     width = max(28, 2 + max(len(name) for name, _, _ in rows))
     print(f"{'stage':<{width}}{'status':<10}detail")
@@ -637,7 +636,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     args = _build_parser().parse_args(argv)
-    _set_stage(args.command)
+    _TabFormatter.stage = args.command
 
     try:
         ws = Workspace(args.workspace)

@@ -41,7 +41,7 @@ class Config:
     hazard_mapping: dict[str, str] = field(
         default_factory=lambda: dict(DEFAULT_HAZARD_MAPPING))
     precip_intensity_mode: str = PRECIP_MODE_CUMULATIVE
-    boundary_path: str | None = None
+    boundary_path: str = "inputs/boundary.geojson"
     density_cell_size: float = 0.02
     scenarios: list[ScenarioSpec] = field(default_factory=list)
 
@@ -106,7 +106,8 @@ def parse_config(text: str, source: str = "config") -> Config:
         if doc["boundary_path"] is not None \
                 and not isinstance(doc["boundary_path"], str):
             raise ValidationError("boundary_path must be a string")
-        cfg.boundary_path = doc["boundary_path"]
+        if doc["boundary_path"]:  # null and "" mean the default
+            cfg.boundary_path = doc["boundary_path"]
     if "density_cell_size" in doc:
         cfg.density_cell_size = _number(doc["density_cell_size"],
                                         "density_cell_size")

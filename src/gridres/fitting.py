@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable
 
 from . import np
@@ -53,8 +53,8 @@ class FitDiagnostics:
     iterations: int       # accepted steps
     converged: bool
     initializer: str
-    gradient_norm: float = float("nan")
-    stop_reason: str = ""
+    gradient_norm: float
+    stop_reason: str
 
 
 @dataclass(frozen=True)
@@ -387,8 +387,8 @@ class ModelRecord:
     """One stored fit: functional form, parameters, diagnostics, x-range."""
     form: str
     params: dict[str, float]
-    diagnostics: dict = field(default_factory=dict)
-    fit_domain: tuple[float, float] = (0.0, 0.0)
+    diagnostics: dict
+    fit_domain: tuple[float, float]
 
     @classmethod
     def of(cls, model: ExponentialModel | SaturatingRestorationModel,

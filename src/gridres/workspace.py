@@ -22,6 +22,8 @@ and after hashing and its mtime and ctime were older than RACY_WINDOW_NS
 file just written is racy, so the writer never feeds the table. A table
 or entry that is not well formed counts as missing, never as an error:
 records still hold content digests, and the table only saves reads.
+`stage_fresh` never writes: the digests it learns stay in `added` until
+`update_manifest` saves them, with a stage record or on their own.
 
 Every write lands in a temp file first and is renamed into place, so a
 crash cannot leave a half-written output that hashes differently than the
@@ -71,6 +73,10 @@ def _stat(path: Path) -> list[int]:
 class Workspace:
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        # Made on first write, so only the nearest existing ancestor can be wrong.
+        existing = next(p for p in (self.root, *self.root.parents) if p.exists())
+        if not existing.is_dir():
+            raise ValidationError(f"workspace {self.root}: {existing} is not a directory")
         # Since the last clear: key -> sha256 (None: absent) of each file
         # read, and relative path -> sha256 of each file written.
         self.reads: dict[str, str | None] = {}
@@ -162,7 +168,7 @@ class Workspace:
 
     def _digest(self, key: str) -> str:
         """The digest from the table if the stat matches; else hashed, and
-        added to the table (saved by `stage_fresh`) unless racy."""
+        added to the table (saved by `update_manifest`) unless racy."""
         path = self.path(key)
         before = _stat(path)
         entry = self.files.get(key)
@@ -192,12 +198,9 @@ class Workspace:
         inputs, outputs = record.get("inputs", {}), record.get("outputs", {})
         files = {key: digest for key, digest in inputs.items()
                  if key not in meta}
-        fresh = (all(inputs.get(key) == value for key, value in meta.items())
-                 and not self._changed(files)
-                 and not self._changed(outputs))
-        if self.added:
-            self._update_manifest({})
-        return fresh
+        return (all(inputs.get(key) == value for key, value in meta.items())
+                and not self._changed(files)
+                and not self._changed(outputs))
 
     def record_stage(self, stage: str, input_hashes: dict[str, str | None],
                      outputs: dict[str, str], duration_s: float) -> None:
@@ -212,9 +215,9 @@ class Workspace:
             "peak_rss_mb": round(
                 resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         }
-        self._update_manifest({stage: record})
+        self.update_manifest({stage: record})
 
-    def _update_manifest(self, records: dict) -> None:
+    def update_manifest(self, records: dict) -> None:
         """Add stage records and unsaved table entries to the manifest, which
         is reloaded under the flock so concurrent commands keep each other's."""
         self.root.mkdir(parents=True, exist_ok=True)

@@ -54,7 +54,6 @@ class WeatherZone:
     zone_id: str
     station_id: str
     polygon: tuple[tuple[float, float], ...]
-    hazard_class: str
 
 
 @dataclass(frozen=True)
@@ -228,7 +227,6 @@ def build_partition(
             zone_id=f"{hazard_class}:{i}",
             station_id=qualifying[i].station_id,
             polygon=_close_ccw(ring),
-            hazard_class=hazard_class,
         ))
 
     return ZonePartition(
@@ -385,7 +383,7 @@ def partition_to_geojson(partition: ZonePartition) -> str:
     features = [polygon_feature(zone.polygon, {
         "zone_id": zone.zone_id,
         "station_id": zone.station_id,
-        "hazard_class": zone.hazard_class,
+        "hazard_class": partition.hazard_class,
     }) for zone in partition.zones]
     doc = {"type": "FeatureCollection", "features": features}
     return json_text(doc, indent=None)

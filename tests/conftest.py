@@ -47,7 +47,7 @@ def tiny_ws(tiny_bundle, tmp_path_factory) -> Path:
         target.write_bytes(data)
     for cmd in (["ingest"], ["zones"], ["extract-events"], ["link"], ["fit"],
                 ["predict", "--hazard", "wind", "--intensity", "20"],
-                ["render"]):
+                ["render"], ["truth-comparison"]):
         rc = main(cmd + ["--workspace", str(root)])
         assert rc == 0, f"stage {cmd[0]} failed during fixture setup"
     return root

@@ -230,11 +230,42 @@ def test_copied_workspace_stays_fresh(private_ws, capsys):
     out = capsys.readouterr().out
     rows = [line.split(None, 2) for line in out.strip().split("\n")[1:]]
     for name, status, detail in rows:
-        if name != "truth-comparison":
-            assert detail == "up to date", name
+        assert detail == "up to date", name
     for command in (PREDICT_WIND + ["20"], ["render"]):
         assert main(command + ["--workspace", str(private_ws)]) == 0
         assert "up to date, skipping" in capsys.readouterr().err
+
+
+def test_noop_run_all_rewrites_nothing_but_the_manifest(private_ws, monkeypatch):
+    monkeypatch.setattr(workspace, "time_ns",
+                        lambda: time.time_ns() + 2 * workspace.RACY_WINDOW_NS)
+
+    def stats():
+        return {p: (st.st_ino, st.st_mtime_ns) for p in private_ws.rglob("*")
+                if p.is_file() and p.name != "manifest.json" for st in [p.stat()]}
+
+    for _ in range(2):
+        assert main(["run-all", "--workspace", str(private_ws)]) == 0
+    before = stats()
+    assert main(["run-all", "--workspace", str(private_ws)]) == 0
+    assert stats() == before
+
+
+def test_config_spelling_out_every_default_leaves_run_all_up_to_date(
+        private_ws, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**dataclasses.asdict(Config()),
+                               "boundary_path": "inputs/boundary.geojson"}))
+    assert main(["run-all", "--workspace", str(private_ws)]) == 0
+    capsys.readouterr()
+    assert main(["run-all", "--workspace", str(private_ws),
+                 "--config", str(cfg)]) == 0
+    rows = [line.split(None, 2)
+            for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert [name for name, _, _ in rows] == [
+        "ingest", "zones", "extract-events", "link", "fit", "truth-comparison"]
+    for name, status, detail in rows:
+        assert detail == "up to date", name
 
 
 def test_noop_reruns_hash_each_recorded_file_at_most_once(private_ws, monkeypatch,
@@ -250,7 +281,8 @@ def test_noop_reruns_hash_each_recorded_file_at_most_once(private_ws, monkeypatc
     assert main(["run-all", "--workspace", str(private_ws)]) == 0
     stages = json.loads((private_ws / "manifest.json").read_text())["stages"]
     recorded = {private_ws / key
-                for stage in ("ingest", "zones", "extract-events", "link", "fit")
+                for stage in ("ingest", "zones", "extract-events", "link", "fit",
+                              "truth-comparison")
                 for part in ("inputs", "outputs")
                 for key, digest in stages[stage][part].items()
                 if digest is not None and not key.startswith("__")}
@@ -313,7 +345,7 @@ def test_recorded_inputs_cover_every_file_a_stage_opens(private_ws,
     opens = _stage_opens(monkeypatch, private_ws)
     commands = {"ingest": [], "zones": [], "extract-events": [], "link": [],
                 "fit": [], "predict_wind_20": PREDICT_WIND[1:] + ["20"],
-                "render": []}
+                "render": [], "truth-comparison": []}
     for key, args in commands.items():
         command = key.split("_")[0]
         assert main([command, "--force", "--workspace", str(private_ws),
@@ -592,6 +624,17 @@ def test_config_directory_exits_3(private_ws, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert str(tmp_path) in err
+
+
+@pytest.mark.parametrize("command", [["synth"], ["ingest"], PREDICT_WIND + ["20"],
+                                     ["run-all"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("relative", ["afile", "afile/sub"])
+def test_workspace_through_a_file_exits_3(tmp_path, capsys, command, relative):
+    (tmp_path / "afile").write_bytes(b"")
+    assert main(command + ["--workspace", str(tmp_path / relative)]) == 3
+    err = capsys.readouterr().err
+    assert "internal error" not in err and "missing input" not in err
+    assert str(tmp_path / relative) in err
 
 
 def _wind_fragility(doc):
@@ -897,6 +940,30 @@ def test_run_all_summary_and_truth_comparison(tiny_ws, capsys):
         assert zone_doc["restoration_c"]["rel_error"] >= 0.0
 
 
+def test_truth_comparison_alone_writes_what_run_all_writes(private_ws, tiny_outputs,
+                                                          capsys):
+    """The fixture ran truth-comparison as a command of its own."""
+    compared = private_ws / "truth_comparison.json"
+    alone = compared.read_bytes()
+    assert alone == tiny_outputs["truth_comparison.json"]
+
+    def reran():
+        assert main(["truth-comparison", "--workspace", str(private_ws)]) == 0
+        return "up to date" not in capsys.readouterr().err
+
+    assert not reran()
+    truth = private_ws / "truth.json"
+    doc = json.loads(truth.read_text())
+    doc["zones"]["wind:0"]["fragility"]["b"] *= 1.5
+    truth.write_text(json.dumps(doc))
+    assert reran()
+    assert compared.read_bytes() != alone
+    assert not reran()
+    compared.unlink()
+    assert reran()
+    assert compared.is_file()
+
+
 def _truth_errors_by_station(ws):
     truth = json.loads((ws / "truth.json").read_text())["zones"]
     compared = json.loads((ws / "truth_comparison.json").read_text())["zones"]
@@ -1128,7 +1195,7 @@ def test_readme_input_table_matches_cli_inputs():
     section = readme.split("\n## Inputs\n", 1)[1].split("\n## ", 1)[0]
     documented = set(re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE))
     assert documented == {Path(p).name for p in
-                          [*cli.INPUTS.values(), cli.DEFAULT_BOUNDARY]}
+                          [*cli.INPUTS.values(), Config().boundary_path]}
 
 
 def _readme_section(title):

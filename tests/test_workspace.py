@@ -204,6 +204,15 @@ def _clock_past_window(monkeypatch):
                         lambda: time.time_ns() + 2 * RACY_WINDOW_NS)
 
 
+def _fresh_and_saved(ws) -> bool:
+    """stage_fresh on the demo stage, then the update_manifest({}) call
+    that run_stage makes to save the digests a check learned."""
+    fresh = ws.stage_fresh("demo", META)
+    if ws.added:
+        ws.update_manifest({})
+    return fresh
+
+
 def test_same_size_rewrite_inside_the_racy_window_is_stale(tmp_path, monkeypatch):
     # A filesystem whose timestamps have not ticked since the files were
     # written: every mtime and ctime reads as one instant, and the clock
@@ -216,11 +225,11 @@ def test_same_size_rewrite_inside_the_racy_window_is_stale(tmp_path, monkeypatch
     ws = Workspace(tmp_path)
     ws.write_bytes("in.csv", b"a,b\n1,2\n")
     _record_demo(ws)
-    assert ws.stage_fresh("demo", META)
+    assert _fresh_and_saved(ws)
     assert ws.load_manifest()["files"] == {}
     # In place and the same size, so the stat above stays the same.
     ws.path("in.csv").write_bytes(b"a,b\n1,3\n")
-    assert not ws.stage_fresh("demo", META)
+    assert not _fresh_and_saved(ws)
     assert hashed == ["in.csv", "out.csv", "in.csv"]
 
 
@@ -230,19 +239,19 @@ def test_touch_without_change_stays_fresh_after_one_rehash(tmp_path, monkeypatch
     ws = Workspace(tmp_path)
     ws.write_bytes("in.csv", b"x\n")
     _record_demo(ws)
-    assert ws.stage_fresh("demo", META)
+    assert _fresh_and_saved(ws)
     assert hashed == ["in.csv", "out.csv"]
     assert set(ws.load_manifest()["files"]) == {"in.csv", "out.csv"}
     hashed.clear()
-    assert ws.stage_fresh("demo", META)
+    assert _fresh_and_saved(ws)
     assert hashed == []
 
     mtime = os.stat(ws.path("in.csv")).st_mtime_ns + 10**9
     os.utime(ws.path("in.csv"), ns=(mtime, mtime))  # touch, one second on
-    assert ws.stage_fresh("demo", META)
+    assert _fresh_and_saved(ws)
     assert hashed == ["in.csv"]
     hashed.clear()
-    assert ws.stage_fresh("demo", META)
+    assert _fresh_and_saved(ws)
     assert hashed == []
 
 
@@ -251,7 +260,7 @@ def test_rewrite_with_its_mtime_set_back_is_stale(tmp_path, monkeypatch):
     ws = Workspace(tmp_path)
     ws.write_bytes("in.csv", b"a,b\n1,2\n")
     _record_demo(ws)
-    assert ws.stage_fresh("demo", META)
+    assert _fresh_and_saved(ws)
     path = ws.path("in.csv")
     old = os.stat(path)
     assert ws.load_manifest()["files"]["in.csv"][:5] == workspace._stat(path)
@@ -262,7 +271,7 @@ def test_rewrite_with_its_mtime_set_back_is_stale(tmp_path, monkeypatch):
     assert (new.st_size, new.st_mtime_ns, new.st_ino, new.st_dev) == (
         old.st_size, old.st_mtime_ns, old.st_ino, old.st_dev)
     assert new.st_ctime_ns != old.st_ctime_ns
-    assert not ws.stage_fresh("demo", META)
+    assert not _fresh_and_saved(ws)
 
 
 def test_file_rewritten_while_hashed_stays_out_of_the_table(tmp_path, monkeypatch):
@@ -279,9 +288,22 @@ def test_file_rewritten_while_hashed_stays_out_of_the_table(tmp_path, monkeypatc
     ws = Workspace(tmp_path)
     ws.write_bytes("in.csv", b"a,b\n1,2\n")
     _record_demo(ws)
-    assert ws.stage_fresh("demo", META)
+    assert _fresh_and_saved(ws)
     assert set(ws.load_manifest()["files"]) == {"out.csv"}
-    assert not ws.stage_fresh("demo", META)
+    assert not _fresh_and_saved(ws)
+
+
+def test_stage_fresh_writes_nothing(tmp_path, monkeypatch):
+    _clock_past_window(monkeypatch)
+    ws = Workspace(tmp_path)
+    ws.write_bytes("in.csv", b"x\n")
+    _record_demo(ws)
+    manifest = ws.path("manifest.json")
+    before, inode = manifest.read_bytes(), manifest.stat().st_ino
+    assert ws.stage_fresh("demo", META)
+    assert set(ws.added) == {"in.csv", "out.csv"}
+    assert manifest.read_bytes() == before
+    assert manifest.stat().st_ino == inode
 
 
 @pytest.mark.parametrize("table", [
@@ -305,10 +327,10 @@ def test_bad_digest_table_gives_the_freshness_of_none(tmp_path, monkeypatch, tab
     if table != "deleted":
         manifest["files"] = table
     ws.save_manifest(manifest)
-    assert ws.stage_fresh("demo", META)
+    assert _fresh_and_saved(ws)
     assert isinstance(json.loads(ws.path("manifest.json").read_text())["files"], dict)
     ws.path("in.csv").write_bytes(b"a,b\n1,3\n")
-    assert not ws.stage_fresh("demo", META)
+    assert not _fresh_and_saved(ws)
 
 
 # Records argv[3] stages named argv[2]0, argv[2]1, ... in the workspace at
