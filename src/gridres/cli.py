@@ -375,9 +375,9 @@ def stage_fit(ws: Workspace, cfg: Config):
                     continue
                 xs = [x for x, _ in zone_samples]
                 records[kind.name] = ModelRecord.of(model, diag, (min(xs), max(xs)))
-                if not diag.converged:
-                    log.warning("%s fit for %s did not converge (kept best of "
-                                "restarts)", kind.name, zone_id)
+                if diag.stop_reason != "simplex":
+                    log.warning("%s fit for %s stopped on %s", kind.name, zone_id,
+                                diag.stop_reason)
             if records:
                 store.zones[zone_id] = records
 

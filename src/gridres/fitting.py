@@ -6,23 +6,26 @@ Two model families:
   restoration   y(x) = c - a1 * exp(-b1 * x)
                        - a2 * exp(-b2 * x)        x = outages in the event
 
-Both are fitted by damped Gauss-Newton (Levenberg-Marquardt) least squares
-on the raw observations, with documented closed-form initializers. Raw
-counts rather than log counts keep zero-outage samples usable and give the
-big events the weight they deserve; the log-linear pass is initialization
-only.
+Both are least squares on the raw observations, whose zero counts stay usable
+and whose big events get the weight they deserve. With its rates fixed each
+model is linear in its amplitudes, so the amplitudes are solved exactly and
+only the rates are searched (variable projection; Golub and Pereyra, 1973):
+fragility's a has a closed form, restoration's (c, a1, a2) >= 0 is the exact
+nonnegative least-squares solution. A Nelder-Mead search refines b from the
+log-linear slope, and (log b1, log b2) from the best pair on a log-spaced
+grid, within a range derived from the samples (RATE_SPAN).
 
-Bound constraints are enforced by projecting the iterate after each step,
-which keeps the solver readable at the price of theoretical elegance.
-The damping factor is multiplicative: divided by 10 after an accepted step,
-multiplied by 10 after a rejected one.
+`iterations` counts search iterations. `stop_reason` is "simplex" (the
+simplex shrank within SIMPLEX_TOL), "rate_at_bound" (it shrank with a rate on
+an edge of its range, so the data do not identify that rate) or
+"max_evaluations" (MAX_EVALUATIONS ran out; the one unconverged outcome).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 from . import np
@@ -36,13 +39,14 @@ FORM_RESTORATION = "sat2exp"
 
 # strictly-positive lower bounds use a tiny floor instead of an open interval
 POSITIVE_FLOOR = 1e-12
-RATE_FLOOR = 1e-9
 
-# Levenberg-Marquardt stopping rules and starting damping
-MAX_ITERATIONS = 200
-GRADIENT_TOL = 1e-10
-STEP_TOL = 1e-12
-INITIAL_DAMPING = 1e-3
+# Rate search: the limits of rate * x (a decay much past e^-20 no longer moves the
+# SSE), the restoration start's grid size, the simplex size that stops the search
+# (log rate; b * max |x|) and its evaluations.
+RATE_SPAN = (1e-4, 20.0)
+GRID_RATES = 48
+SIMPLEX_TOL = 1e-10
+MAX_EVALUATIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -50,11 +54,11 @@ class FitDiagnostics:
     n_samples: int
     sse: float
     r_squared: float
-    iterations: int       # accepted steps
+    iterations: int       # search iterations
     converged: bool
     initializer: str
-    gradient_norm: float
-    stop_reason: str
+    gradient_norm: float  # max |J^T r| at the fitted parameters
+    stop_reason: str      # "simplex", "rate_at_bound" or "max_evaluations"
 
 
 @dataclass(frozen=True)
@@ -76,126 +80,57 @@ class SaturatingRestorationModel:
 
 
 # ---------------------------------------------------------------------------
-# Solver
+# Rate search and the models' least-squares systems
 # ---------------------------------------------------------------------------
 
-def levenberg_marquardt(
-    residuals: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], np.ndarray],
-    init: np.ndarray,
-    bounds: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, FitDiagnostics]:
-    """Minimize ||residuals(p)||^2 from init, projecting onto [lo, hi].
+def _simplex_search(objective: Callable[[np.ndarray], float], start: np.ndarray,
+                    step: float, lo: np.ndarray, hi: np.ndarray,
+                    ) -> tuple[np.ndarray, int, str]:
+    """Nelder-Mead (reflection 1, expansion 2, contraction and shrink 1/2)
+    over the box [lo, hi] from `start` and `start` plus `step` along each
+    axis (minus where plus leaves the box); a trial point outside the box
+    moves onto its edge. Returns the best vertex, iterations, stop reason."""
+    step = np.where(start + step <= hi, step, -step)
+    points = [np.clip(start + step * unit, lo, hi)
+              for unit in np.eye(start.size + 1, start.size, -1)]
+    evaluations = 0
 
-    Convergence is declared when the gradient satisfies
-    ||J^T r||_inf <= GRADIENT_TOL * max(1, sse), or when an accepted step
-    moves the iterate by less than STEP_TOL * (1 + ||p||). A step is
-    accepted only if it does not increase the objective, so the accepted
-    SSE sequence is nonincreasing.
-    """
-    lo, hi = (np.asarray(b, dtype=float) for b in bounds)
-    p = np.clip(np.asarray(init, dtype=float), lo, hi)
+    def value(point: np.ndarray) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return objective(point)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = np.asarray(residuals(p), dtype=float)
-    if not np.all(np.isfinite(r)):
-        raise FitError("residuals are not finite at the initial point")
-    sse = float(r @ r)
+    def toward_worst(t: float) -> tuple[np.ndarray, float]:
+        point = np.clip(centroid + t * (points[-1] - centroid), lo, hi)
+        return point, value(point)
 
-    lam = INITIAL_DAMPING
-    accepted = 0
-    converged = False
-    reason = "max_iterations"
-
-    while accepted < MAX_ITERATIONS:
-        J = np.asarray(jacobian(p), dtype=float)
-        g = J.T @ r
-        g_norm = float(np.max(np.abs(g))) if g.size else 0.0
-        if g_norm <= GRADIENT_TOL * max(1.0, sse):
-            converged = True
-            reason = "gradient"
-            break
-
-        A = J.T @ J
-        d = np.diag(A).copy()
-        d[d <= 0.0] = 1e-30
-
-        stepped = False
-        while lam <= 1e12:
-            try:
-                step = np.linalg.solve(A + lam * np.diag(d), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            p_new = np.clip(p + step, lo, hi)
-            with np.errstate(over="ignore", invalid="ignore"):
-                r_new = np.asarray(residuals(p_new), dtype=float)
-            if np.all(np.isfinite(r_new)):
-                sse_new = float(r_new @ r_new)
-                if sse_new <= sse:
-                    moved = float(np.linalg.norm(p_new - p))
-                    p, r, sse = p_new, r_new, sse_new
-                    lam = max(lam / 10.0, 1e-12)
-                    accepted += 1
-                    stepped = True
-                    if moved <= STEP_TOL * (1.0 + float(np.linalg.norm(p))):
-                        converged = True
-                        reason = "step"
-                    break
-            lam *= 10.0
-        if not stepped:
-            reason = "damping_limit"
-            break
-        if converged:
-            break
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        g_final = np.asarray(jacobian(p), dtype=float).T @ r
-    diagnostics = FitDiagnostics(
-        n_samples=int(r.size),
-        sse=sse,
-        r_squared=float("nan"),
-        iterations=accepted,
-        converged=converged,
-        initializer="",
-        gradient_norm=float(np.max(np.abs(g_final))) if g_final.size else 0.0,
-        stop_reason=reason,
-    )
-    return p, diagnostics
-
-
-def _restart_factors(n_params: int) -> list[np.ndarray]:
-    """8 deterministic +-50% perturbation vectors, fixed order."""
-    out = []
-    for k in range(1, 9):
-        out.append(np.array([0.5 if (k >> j) & 1 else 1.5
-                             for j in range(n_params)]))
-    return out
-
-
-def _fit_with_restarts(
-    residuals: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], np.ndarray],
-    init: np.ndarray,
-    bounds: tuple[np.ndarray, np.ndarray],
-    initializer_label: str,
-) -> tuple[np.ndarray, FitDiagnostics]:
-    """Run the solver; on non-convergence retry from perturbed initializers
-    and keep the lowest-SSE result (first on ties)."""
-    params, diag = levenberg_marquardt(residuals, jacobian, init, bounds)
-    label = initializer_label
-    if not diag.converged:
-        best = (params, diag, label)
-        for k, factors in enumerate(_restart_factors(len(init)), start=1):
-            try:
-                p_k, d_k = levenberg_marquardt(
-                    residuals, jacobian, init * factors, bounds)
-            except FitError:
-                continue
-            if d_k.sse < best[1].sse:
-                best = (p_k, d_k, f"{initializer_label}+restart{k}")
-        params, diag, label = best
-    return params, replace(diag, initializer=label)
+    values = [value(p) for p in points]
+    iterations = 0
+    while True:
+        order = sorted(range(len(points)), key=values.__getitem__)
+        points, values = [points[i] for i in order], [values[i] for i in order]
+        best = points[0]
+        if max(float(np.max(np.abs(p - best))) for p in points[1:]) <= SIMPLEX_TOL:
+            at_edge = bool(np.any((best == lo) | (best == hi)))
+            return best, iterations, "rate_at_bound" if at_edge else "simplex"
+        if evaluations >= MAX_EVALUATIONS:
+            return best, iterations, "max_evaluations"
+        iterations += 1
+        centroid = np.mean(points[:-1], axis=0)
+        reflected, f_r = toward_worst(-1.0)
+        if f_r < values[0]:
+            expanded, f_e = toward_worst(-2.0)
+            points[-1], values[-1] = (expanded, f_e) if f_e < f_r else (reflected, f_r)
+        elif f_r < values[-2]:
+            points[-1], values[-1] = reflected, f_r
+        else:
+            # contract outside if the reflection beat the worst vertex, else inside
+            contracted, f_c = toward_worst(-0.5 if f_r < values[-1] else 0.5)
+            if f_c < min(f_r, values[-1]):
+                points[-1], values[-1] = contracted, f_c
+            else:
+                points = [best + 0.5 * (p - best) for p in points]
+                values = [values[0]] + [value(p) for p in points[1:]]
 
 
 def exponential_system(x: np.ndarray, y: np.ndarray):
@@ -234,11 +169,21 @@ def restoration_system(x: np.ndarray, y: np.ndarray):
     return residuals, jacobian
 
 
-def _r_squared(y: np.ndarray, sse: float) -> float:
+def _diagnostics(system, params: np.ndarray, y: np.ndarray, iterations: int,
+                 stop_reason: str, initializer: str, where: str) -> FitDiagnostics:
+    """Diagnostics at `params` from the residuals of `system`; FitError if not finite."""
+    residuals, jacobian = system
+    r = residuals(params)
+    sse = float(r @ r)
+    if not all(map(math.isfinite, [*params.tolist(), sse])):
+        raise FitError(f"fit{where} has no finite solution")
     sst = float(np.sum((y - y.mean()) ** 2))
-    if sst > 0.0:
-        return 1.0 - sse / sst
-    return 1.0 if sse <= 1e-30 else float("nan")
+    r_squared = 1.0 - sse / sst if sst > 0.0 else (1.0 if sse <= 1e-30 else math.nan)
+    return FitDiagnostics(
+        n_samples=int(y.size), sse=sse, r_squared=r_squared,
+        iterations=iterations, converged=stop_reason != "max_evaluations",
+        initializer=initializer, stop_reason=stop_reason,
+        gradient_norm=float(np.max(np.abs(jacobian(params).T @ r))))
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +197,8 @@ def fit_exponential(
 ) -> tuple[ExponentialModel, FitDiagnostics]:
     """Fit y = a*exp(b*x) to (intensity, outage_count) pairs.
 
-    Initializer: ordinary least squares on (x, ln y) over the y > 0 subset.
-    Refinement: bounded least squares on all samples, zeros included.
+    Start: the slope of ordinary least squares on (x, ln y) over the y > 0
+    subset. Search: b on all samples, zeros included, with a in closed form.
     """
     where = f" for zone {zone_id}" if zone_id else ""
     if len(samples) < 3:
@@ -271,24 +216,65 @@ def fit_exponential(
         raise FitError(f"fragility samples{where} need at least 2 nonzero "
                        f"outage counts")
 
-    xp, yp = x[pos], y[pos]
-    design = np.column_stack([xp, np.ones_like(xp)])
-    coef, *_ = np.linalg.lstsq(design, np.log(yp), rcond=None)
-    b0, log_a0 = float(coef[0]), float(coef[1])
-    init = np.array([math.exp(log_a0), b0])
+    design = np.column_stack([x[pos], np.ones(int(pos.sum()))])
+    slope = float(np.linalg.lstsq(design, np.log(y[pos]), rcond=None)[0][0])
+    scale = float(np.max(np.abs(x)))  # the search runs on u = b * scale
+    system = exponential_system(x, y)
 
-    residuals, jacobian = exponential_system(x, y)
-    bounds = (np.array([POSITIVE_FLOOR, -np.inf]), np.array([np.inf, np.inf]))
-    params, diag = _fit_with_restarts(
-        residuals, jacobian, init, bounds, "loglinear-ols")
-    model = ExponentialModel(a=float(params[0]), b=float(params[1]),
-                             zone_id=zone_id, hazard_class=hazard_class)
-    return model, replace(diag, r_squared=_r_squared(y, diag.sse))
+    def params(u: np.ndarray) -> np.ndarray:
+        """(a, b) at b = u / scale, with a in closed form."""
+        e = np.exp(u[0] / scale * x)
+        return np.array([max(POSITIVE_FLOOR, float(y @ e) / float(e @ e)), u[0] / scale])
+
+    span = np.array([RATE_SPAN[1]])
+    u, *search = _simplex_search(lambda u: float(np.sum(system[0](params(u)) ** 2)),
+                                 np.clip([slope * scale], -span, span), 0.1, -span, span)
+    a, b = params(u).tolist()
+    diag = _diagnostics(system, np.array([a, b]), y, *search, "loglinear-ols", where)
+    return ExponentialModel(a=a, b=b, zone_id=zone_id, hazard_class=hazard_class), diag
 
 
 # ---------------------------------------------------------------------------
 # Restoration: y = c - a1 exp(-b1 x) - a2 exp(-b2 x)
 # ---------------------------------------------------------------------------
+
+def _columns(rates: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The restoration design, transposed: ones, then -exp(-rate * x) per rate."""
+    return np.vstack([np.ones_like(x), -np.exp(-np.multiply.outer(rates, x))])
+
+
+def _support_solutions(gram: np.ndarray, rhs: np.ndarray):
+    """Least-squares (c, a1, a2) on each of the 8 supports of stacked normal
+    equations gram (..., 3, 3), rhs (..., 3), by Cramer's rule on the support's
+    block (the identity elsewhere), and which are feasible: finite (a singular
+    block is not) and >= 0. Shapes (..., 8, 3) and (..., 8); infeasible ones 0."""
+    on = np.array([[k >> j & 1 for j in range(3)] for k in range(8)], bool)
+    m = np.where(on[:, :, None] & on[:, None, :], gram[..., None, :, :], np.eye(3))
+    v = np.where(on, rhs[..., None, :], 0.0)
+    # cofactor (i, j) of a 3x3 matrix, from rows i+1, i+2 and columns j+1, j+2 mod 3
+    i1, i2 = np.array([[1], [2], [0]]), np.array([[2], [0], [1]])
+    cofactor = m[..., i1, i1.T] * m[..., i2, i2.T] - m[..., i1, i2.T] * m[..., i2, i1.T]
+    det = np.sum(m[..., 0, :] * cofactor[..., 0, :], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = np.einsum("...ji,...j->...i", cofactor, v) / det[..., None]
+    feasible = np.all(np.isfinite(theta) & (theta >= 0.0), axis=-1)
+    return np.where(feasible[..., None], theta, 0.0), feasible
+
+
+def _grid_start(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The log-rate pair z[i] < z[j] of least SSE, each pair's SSE taken from
+    its normal equations (one Gram column per rate): exact enough for a start."""
+    columns = _columns(np.exp(z), x)
+    gram, rhs = columns @ columns.T, columns @ y
+    i, j = np.triu_indices(z.size, 1)
+    pick = np.column_stack([np.zeros_like(i), i + 1, j + 1])
+    g, v = gram[pick[:, :, None], pick[:, None, :]], rhs[pick]
+    theta, feasible = _support_solutions(g, v)
+    sse = float(y @ y) - 2.0 * np.einsum("psk,pk->ps", theta, v) \
+        + np.einsum("psk,pkl,psl->ps", theta, g, theta)
+    best = int(np.argmin(np.where(feasible, sse, np.inf).min(axis=1)))
+    return np.array([z[i[best]], z[j[best]]])
+
 
 def fit_restoration(
     samples: list[tuple[float, float]],
@@ -296,9 +282,9 @@ def fit_restoration(
 ) -> tuple[SaturatingRestorationModel, FitDiagnostics]:
     """Fit the saturating restoration curve to (n_outages, hours) pairs.
 
-    Initializer: c0 = 1.05 * max(y); the gap c0 - min(y) split 90/10 into
-    the slow and fast amplitudes; rates 1/max(x) and 10/max(x). Output is
-    canonically ordered with b1 <= b2 (slow decay first).
+    Start: the best pair of a log-spaced rate grid. Search: (log b1, log b2)
+    with (c, a1, a2) >= 0 solved exactly. Output is canonically ordered with
+    b1 <= b2 (slow decay first).
     """
     where = f" for zone {zone_id}" if zone_id else ""
     if len(samples) < 6:
@@ -309,24 +295,32 @@ def fit_restoration(
     if float(x.max()) < 10.0:
         log.warning("restoration samples%s span only x <= %g; saturation "
                     "level is weakly identified", where, float(x.max()))
+    positive = x[x > 0.0]
+    if positive.size == 0 or not RATE_SPAN[1] / float(positive.min()) < math.inf:
+        raise FitError(f"restoration samples{where} need an outage count "
+                       f"that bounds the rates: positive, not near zero")
+    lo = math.log(RATE_SPAN[0] / float(positive.max()))
+    hi = math.log(RATE_SPAN[1] / float(positive.min()))
 
-    c0 = 1.05 * float(y.max())
-    gap = c0 - float(y.min())
-    init = np.array([c0, 0.9 * gap, 1.0 / float(x.max()),
-                     0.1 * gap, 10.0 / float(x.max())])
+    def solve(z: np.ndarray) -> tuple[float, np.ndarray]:
+        """The least SSE of a feasible support at rates exp(z), and its (c, a1, a2)."""
+        columns = _columns(np.exp(z), x)
+        theta, feasible = _support_solutions(columns @ columns.T, columns @ y)
+        sse = np.where(feasible, np.sum((theta @ columns - y) ** 2, axis=1), np.inf)
+        k = int(np.argmin(sse))
+        return float(sse[k]), theta[k]
 
-    residuals, jacobian = restoration_system(x, y)
-    bounds = (np.array([0.0, 0.0, RATE_FLOOR, 0.0, RATE_FLOOR]),
-              np.full(5, np.inf))
-    params, diag = _fit_with_restarts(
-        residuals, jacobian, init, bounds, "saturating-heuristic")
-
-    c, a1, b1, a2, b2 = (float(v) for v in params)
+    grid = np.linspace(lo, hi, GRID_RATES)
+    z, *search = _simplex_search(lambda z: solve(z)[0], _grid_start(x, y, grid),
+                                 grid[1] - grid[0], np.full(2, lo), np.full(2, hi))
+    c, a1, a2 = solve(z)[1].tolist()
+    b1, b2 = np.exp(z).tolist()
     if b1 > b2:
         a1, b1, a2, b2 = a2, b2, a1, b1
-    model = SaturatingRestorationModel(c=c, a1=a1, b1=b1, a2=a2, b2=b2,
-                                       zone_id=zone_id)
-    return model, replace(diag, r_squared=_r_squared(y, diag.sse))
+    diag = _diagnostics(restoration_system(x, y), np.array([c, a1, b1, a2, b2]), y,
+                        *search, "rate-grid", where)
+    return SaturatingRestorationModel(c=c, a1=a1, b1=b1, a2=a2, b2=b2,
+                                      zone_id=zone_id), diag
 
 
 # ---------------------------------------------------------------------------

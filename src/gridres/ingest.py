@@ -261,8 +261,8 @@ def on_earth(latitude, longitude):
 def _reader(data: bytes, expected: list[str], filename: str) -> Iterator[list[str]]:
     """CSV rows after a header that must match `expected`. A row the csv
     module cannot read is invalid data, named by file and line."""
-    # Decoded as read, with no copy of the whole text.
-    rows = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+    # Decoded as read, with no copy of the whole text; a byte-order mark is dropped.
+    rows = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig",
                                        newline="\n"))
     try:
         header = next(rows, None)

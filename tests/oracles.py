@@ -1,12 +1,14 @@
 """Slow, obviously-correct reference implementations that tests compare the
 pipeline's vectorised and indexed paths against: the row-at-a-time outage,
-weather and severe-event parsers and writers with their records, and
-converters between those records and the pipeline's column tables."""
+weather and severe-event parsers and writers with their records,
+converters between those records and the pipeline's column tables, and a
+brute-force rate grid for the curve fits."""
 
 from __future__ import annotations
 
 import math
 from datetime import datetime, timezone
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -400,3 +402,36 @@ def count_outages(
             if partition.zones[idx].zone_id == zone_id:
                 count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# Curve fits: a brute-force rate grid, amplitudes >= 0 solved exactly
+# ---------------------------------------------------------------------------
+
+def nonnegative_sse(design: np.ndarray, y: np.ndarray) -> float:
+    """The least SSE of design @ coef against y over coef >= 0: the SSE of
+    least-squares on each subset of the columns whose solution is >= 0, the
+    empty subset included, each summed from its residuals."""
+    best = float(y @ y)
+    for size in range(1, design.shape[1] + 1):
+        for subset in combinations(range(design.shape[1]), size):
+            coef, *_ = np.linalg.lstsq(design[:, subset], y, rcond=None)
+            if np.all(coef >= 0.0):
+                r = design[:, subset] @ coef - y
+                best = min(best, float(r @ r))
+    return best
+
+
+def fragility_grid_sse(x: np.ndarray, y: np.ndarray,
+                       rates=np.linspace(-3.0, 3.0, 6001)) -> float:
+    """The least SSE of a * exp(b x), a >= 0, over b on the grid."""
+    return min(nonnegative_sse(np.exp(b * x)[:, None], y) for b in rates)
+
+
+def restoration_grid_sse(x: np.ndarray, y: np.ndarray,
+                         rates=np.geomspace(1e-5, 1e2, 36)) -> float:
+    """The least SSE of c - a1 exp(-b1 x) - a2 exp(-b2 x), (c, a1, a2) >= 0,
+    over pairs b1 < b2 of grid rates."""
+    return min(nonnegative_sse(np.column_stack(
+        [np.ones_like(x), -np.exp(-b1 * x), -np.exp(-b2 * x)]), y)
+        for b1, b2 in combinations(rates, 2))

@@ -435,6 +435,23 @@ def test_corrupt_outages_exit_3(tmp_path, tiny_bundle, capsys):
         in capsys.readouterr().err
 
 
+def test_byte_order_mark_before_the_header_is_ignored(tmp_path, tiny_bundle, tiny_ws):
+    """A UTF-8 byte-order mark opens a quote-free outages.csv, a weather.csv
+    with every cell quoted (read by the csv module) and stations.csv, and
+    the clean files match those of the plain inputs byte for byte."""
+    quoted = io.StringIO()
+    csv.writer(quoted, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(
+        csv.reader(io.StringIO(tiny_bundle["weather.csv"].decode())))
+    assert b'"' not in tiny_bundle["outages.csv"]
+    seed_inputs(tmp_path, {**tiny_bundle, "weather.csv": quoted.getvalue().encode()})
+    for name in ("outages.csv", "weather.csv", "stations.csv"):
+        path = tmp_path / "inputs" / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(["ingest", "--workspace", str(tmp_path)]) == 0
+    for name in ("clean_outages.csv", "clean_weather.csv", "clean_stations.csv"):
+        assert (tmp_path / name).read_bytes() == (tiny_ws / name).read_bytes(), name
+
+
 def test_unknown_hazard_exit_3(tiny_ws):
     assert main(["predict", "--workspace", str(tiny_ws),
                  "--hazard", "snow", "--intensity", "1"]) == 3

@@ -1,10 +1,18 @@
-"""Nonlinear least squares: solver core, both model forms, model store."""
+"""Curve fits: both model forms, an oracle grid, metamorphic relations and
+robustness; evaluation; the model store."""
 
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import fragility_grid_sse, restoration_grid_sse
 
 from gridres.errors import EvaluationError, FitError, ValidationError
 from gridres.fitting import (
@@ -16,7 +24,6 @@ from gridres.fitting import (
     exponential_system,
     fit_exponential,
     fit_restoration,
-    levenberg_marquardt,
     restoration_system,
 )
 
@@ -28,100 +35,6 @@ def exp_samples(a, b, xs):
 def rest_samples(c, a1, b1, a2, b2, xs):
     return [(float(x), c - a1 * math.exp(-b1 * x) - a2 * math.exp(-b2 * x))
             for x in xs]
-
-
-# ---------------------------------------------------------------------------
-# Solver core
-# ---------------------------------------------------------------------------
-
-def test_zero_residual_init_is_fixed_point():
-    x = np.arange(5.0)
-    y = 2.0 * np.exp(0.3 * x)
-    residuals, jacobian = exponential_system(x, y)
-    p0 = np.array([2.0, 0.3])
-    p, diag = levenberg_marquardt(
-        residuals, jacobian, p0,
-        (np.array([-np.inf, -np.inf]), np.array([np.inf, np.inf])))
-    assert np.allclose(p, p0)
-    assert diag.iterations == 0
-    assert diag.converged
-    assert diag.stop_reason == "gradient"
-
-
-def test_linear_problem_matches_normal_equations():
-    rng = np.random.default_rng(5)
-    A = rng.normal(size=(40, 3))
-    y = rng.normal(size=40)
-
-    def residuals(p):
-        return A @ p - y
-
-    def jacobian(_p):
-        return A
-
-    p, diag = levenberg_marquardt(
-        residuals, jacobian, np.zeros(3),
-        (np.full(3, -np.inf), np.full(3, np.inf)))
-    expected = np.linalg.solve(A.T @ A, A.T @ y)
-    assert np.max(np.abs(p - expected)) < 1e-10
-    assert diag.converged
-
-
-def test_noiseless_exponential_recovery():
-    x = np.arange(11.0)
-    y = 3.0 * np.exp(0.2 * x)
-    residuals, jacobian = exponential_system(x, y)
-    p, _ = levenberg_marquardt(
-        residuals, jacobian, np.array([1.0, 0.05]),
-        (np.array([1e-12, -np.inf]), np.array([np.inf, np.inf])))
-    assert abs(p[0] - 3.0) / 3.0 < 1e-6
-    assert abs(p[1] - 0.2) / 0.2 < 1e-6
-
-
-def test_accepted_sse_sequence_nonincreasing():
-    x = np.linspace(0.0, 10.0, 30)
-    rng = np.random.default_rng(9)
-    y = 2.0 * np.exp(0.25 * x) * (1.0 + 0.05 * rng.normal(size=30))
-    residuals, jacobian = exponential_system(x, y)
-    history = []
-
-    def tracking_residuals(p):
-        r = residuals(p)
-        history.append((p.copy(), float(r @ r)))
-        return r
-
-    levenberg_marquardt(
-        tracking_residuals, jacobian, np.array([1.0, 0.1]),
-        (np.array([1e-12, -np.inf]), np.array([np.inf, np.inf])))
-    # reconstruct the accepted subsequence: SSE evaluations that set a new low
-    best = math.inf
-    accepted = []
-    for _, sse in history:
-        if sse <= best:
-            accepted.append(sse)
-            best = sse
-    assert accepted == sorted(accepted, reverse=True)
-    assert len(accepted) >= 2
-
-
-def test_bounds_are_respected():
-    x = np.arange(8.0)
-    y = 5.0 * np.exp(-0.5 * x)  # decaying data, but b is constrained >= 0
-    residuals, jacobian = exponential_system(x, y)
-    p, _ = levenberg_marquardt(
-        residuals, jacobian, np.array([1.0, 0.2]),
-        (np.array([1e-12, 0.0]), np.array([np.inf, np.inf])))
-    assert p[1] >= 0.0
-
-
-def test_nonfinite_init_is_fatal():
-    x = np.array([0.0, 1.0, 2.0])
-    y = np.array([1.0, 2.0, 3.0])
-    residuals, jacobian = exponential_system(x, y)
-    with pytest.raises(FitError):
-        levenberg_marquardt(
-            residuals, jacobian, np.array([1.0, 1e6]),
-            (np.array([1e-12, -np.inf]), np.array([np.inf, np.inf])))
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +135,6 @@ def test_fit_idempotence():
     assert abs(again.b - model.b) < 1e-9
 
 
-def test_scale_covariance():
-    xs = list(range(10))
-    base, _ = fit_exponential(exp_samples(2.0, 0.3, xs))
-    scaled, _ = fit_exponential([(x, 7.5 * y) for x, y in exp_samples(2.0, 0.3, xs)])
-    assert abs(scaled.a - 7.5 * base.a) / (7.5 * base.a) < 1e-8
-    assert abs(scaled.b - base.b) < 1e-8
-
-
 # ---------------------------------------------------------------------------
 # Restoration fits
 # ---------------------------------------------------------------------------
@@ -278,6 +183,145 @@ def test_restoration_monotone_on_grid():
 def test_restoration_needs_six_samples():
     with pytest.raises(FitError):
         fit_restoration(rest_samples(*TRUE_REST, range(1, 6)))
+
+
+# ---------------------------------------------------------------------------
+# Oracle grid, metamorphic relations, robustness
+# ---------------------------------------------------------------------------
+
+# The SSE of each tiny-bundle zone fit by the Levenberg-Marquardt solver with
+# restarts that variable projection replaced.
+PREVIOUS_SSE = {
+    "wind:0": {"fragility": 241.31661266325477, "restoration": 167.53617022844568},
+    "wind:1": {"fragility": 126.7185967099305, "restoration": 131.6587610015637},
+    "precipitation:0": {"fragility": 225.68229253299077,
+                        "restoration": 84.85402137595415},
+    "precipitation:1": {"fragility": 248.90612395791126,
+                        "restoration": 23.25472782782787},
+    "precipitation:2": {"fragility": 28.071443258730763,
+                        "restoration": 37.37069664100655},
+    "precipitation:3": {"fragility": 965.3823110365955,
+                        "restoration": 48.988735677325586},
+}
+
+# Per model kind: its sample file stem, x and y columns, the model's
+# prediction from its stored params, and the oracle.
+_KINDS = {
+    "fragility": ("fragility", "intensity", "outage_count",
+                  lambda p, x: p["a"] * np.exp(p["b"] * x), fragility_grid_sse),
+    "restoration": ("events", "n_outages", "total_restoration_hours",
+                    lambda p, x: p["c"] - p["a1"] * np.exp(-p["b1"] * x)
+                    - p["a2"] * np.exp(-p["b2"] * x), restoration_grid_sse),
+}
+
+
+def _zone_samples(path, x_column, y_column):
+    zones = {}
+    with open(path, newline="") as f:
+        for row in csv.DictReader(f):
+            zones.setdefault(row["zone_id"], []).append(
+                (float(row[x_column]), float(row[y_column])))
+    return {zone_id: np.array(pairs).T for zone_id, pairs in zones.items()}
+
+
+def test_tiny_bundle_fits_reach_the_oracle_grid_and_the_previous_solver(tiny_ws):
+    seen = 0
+    for hazard_class in ("wind", "precipitation"):
+        zones = json.loads((tiny_ws / f"models_{hazard_class}.json").read_text())["zones"]
+        for kind, (stem, x_column, y_column, predict, oracle) in _KINDS.items():
+            samples = _zone_samples(tiny_ws / f"{stem}_{hazard_class}.csv",
+                                    x_column, y_column)
+            for zone_id, (x, y) in samples.items():
+                r = predict(zones[zone_id][kind]["params"], x) - y
+                bound = min(oracle(x, y), PREVIOUS_SSE[zone_id][kind])
+                assert float(r @ r) <= bound * (1.0 + 1e-9), (zone_id, kind)
+                seen += 1
+    assert seen == 2 * len(PREVIOUS_SSE)
+
+
+def _noisy(samples, sigma, seed):
+    rng = np.random.default_rng(seed)
+    return [(x, y * (1.0 + sigma * float(rng.normal()))) for x, y in samples]
+
+
+NOISY_FRAGILITY = _noisy(exp_samples(2.0, 0.15, np.linspace(0.0, 30.0, 60)), 0.05, 412)
+NOISY_RESTORATION = _noisy(rest_samples(*TRUE_REST, range(1, 301)), 0.02, 5)
+
+# The amplitudes and the rates of each model form.
+_AMPLITUDES = {ExponentialModel: ("a",), SaturatingRestorationModel: ("c", "a1", "a2")}
+_RATES = {ExponentialModel: ("b",), SaturatingRestorationModel: ("b1", "b2")}
+
+
+def test_scale_covariance():
+    """Scaling y by k scales the amplitudes by k and leaves the rates. On
+    noisy samples the search stops where SSE differences reach its rounding,
+    which leaves parameters resolved to about 1e-8, so those inputs are
+    held to 1e-6."""
+    k = 7.5
+    for fit, samples, rel in [
+            (fit_exponential, exp_samples(2.0, 0.3, range(10)), 1e-8),
+            (fit_exponential, NOISY_FRAGILITY, 1e-6),
+            (fit_exponential,
+             exp_samples(0.5, 0.3, range(4, 14)) + [(0.0, 0.0), (1.0, 0.0)], 1e-6),
+            (fit_restoration, NOISY_RESTORATION, 1e-6)]:
+        base, _ = fit(samples)
+        scaled, _ = fit([(x, k * y) for x, y in samples])
+        for name in _AMPLITUDES[type(base)]:
+            assert getattr(scaled, name) == pytest.approx(k * getattr(base, name), rel=rel)
+        for name in _RATES[type(base)]:
+            assert getattr(scaled, name) == pytest.approx(getattr(base, name), rel=rel)
+
+
+def test_shift_covariance():
+    """Shifting fragility x by d multiplies a by exp(-b d) and leaves b, to
+    the resolution of noisy samples (see test_scale_covariance)."""
+    base, _ = fit_exponential(NOISY_FRAGILITY)
+    for d in (5.0, 12.5):
+        shifted, _ = fit_exponential([(x + d, y) for x, y in NOISY_FRAGILITY])
+        assert shifted.b == pytest.approx(base.b, rel=1e-6)
+        assert shifted.a == pytest.approx(base.a * math.exp(-base.b * d), rel=1e-6)
+
+
+_EXTREME_X = st.one_of(st.sampled_from([0.0, 1.0, 1e6]), st.floats(0.0, 1e6))
+_EXTREME_Y = st.one_of(st.sampled_from([0.0, 1e12]), st.floats(0.0, 1e12))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_EXTREME_X, _EXTREME_Y), min_size=3, max_size=30))
+def test_extreme_samples_fit_finitely_or_raise_fit_error(samples):
+    """Zeros, repeated x and values up to 1e6 (x) and 1e12 (y) give finite
+    parameters, with (c, a1, a2) >= 0 and b1 <= b2, or a FitError, which the
+    fit stage reports as a skipped zone."""
+    for fit in (fit_exponential, fit_restoration):
+        try:
+            model, diag = fit(samples)
+        except FitError:
+            continue
+        names = _AMPLITUDES[type(model)] + _RATES[type(model)]
+        assert all(math.isfinite(getattr(model, name)) for name in names)
+        assert math.isfinite(diag.sse)
+        if fit is fit_restoration:
+            assert min(model.c, model.a1, model.a2) >= 0.0
+            assert model.b1 <= model.b2
+
+
+def test_a_restoration_fit_loads_only_the_standard_library_and_numpy():
+    """numpy is the one dependency: a module the fit loads from anywhere
+    else (scipy, say) would be missing where only the package is installed."""
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "from gridres.fitting import fit_restoration\n"
+            "fit_restoration([(float(x), 9.0 - 5.0 * 0.9 ** x) for x in range(1, 40)])\n"
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))\n")
+    src = os.path.dirname(os.path.dirname(sys.modules["gridres.fitting"].__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert {"gridres", "numpy"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) - {"gridres", "numpy"} == set()
 
 
 # ---------------------------------------------------------------------------
