@@ -20,7 +20,8 @@ run_stage() records in manifest.json what the body read and wrote, plus
 hashes of the package source (`__code__`) and of those Config fields and
 the stage's arguments (`__config__`), and skips the body while all of these
 are unchanged, absent files included (override with --force). It also
-records the body's `duration_s` and the process's `peak_rss_mb` so far,
+records the body's `duration_s`, the process's `peak_rss_mb` so far and
+`peak_rss_rise_mb`, how far the body raised that peak (0 if it did not),
 which are never compared. Exit codes:
 0 success, 1 internal error, 2 missing input, 3 validation failure. Log
 lines go to stderr as LEVEL<TAB>stage<TAB>message.
@@ -92,7 +93,7 @@ from .scenario import (
     predictions_filename,
 )
 from .synth import SynthSpec, generate
-from .workspace import Workspace, sha256_bytes
+from .workspace import Workspace, peak_rss_mb, sha256_bytes
 from .zoning import (
     HAZARD_CLASSES,
     HAZARD_PRECIPITATION,
@@ -281,12 +282,13 @@ def stage_synth(ws: Workspace, cfg: Config, seed: int):
 def stage_ingest(ws: Workspace, cfg: Config):
     outages, outage_report = _parsed(ws, INPUTS["outages"], lambda data, source: (
         parse_outages(data, cfg.max_outage_days, cfg.max_customers, source)))
+    # Written before weather is parsed: its bytes reuse what the outage parse freed.
+    _write_clean(ws, "outages", outages, write_outages_csv)
+    ws.write_text("report_outages.json", outage_report.to_json())
     weather, weather_report = _parsed(ws, INPUTS["weather"], parse_weather)
     stations = _parsed(ws, INPUTS["stations"], parse_stations)
     severe, severe_report = _parsed(ws, INPUTS["severe"], parse_severe)
 
-    _write_clean(ws, "outages", outages, write_outages_csv)
-    ws.write_text("report_outages.json", outage_report.to_json())
     _write_clean(ws, "weather", weather, write_weather_csv)
     ws.write_text("report_weather.json", weather_report.to_json())
     _write_clean(ws, "stations", stations, write_stations_csv)
@@ -566,10 +568,10 @@ def run_stage(name: str, ws: Workspace, cfg: Config, force: bool, *args) -> str:
     body = globals()["stage_" + name.replace("-", "_")]
     ws.reads.clear()
     ws.writes.clear()
-    start = time.perf_counter()
+    start, peak = time.perf_counter(), peak_rss_mb()
     detail = body(ws, cfg, *args)
     ws.record_stage(key, {**ws.reads, **meta}, ws.writes,
-                    time.perf_counter() - start)
+                    time.perf_counter() - start, peak)
     log.info("%s %s", stage.done, detail)
     return detail
 

@@ -100,8 +100,8 @@ CHUNK_ROWS = 4096
 
 # ---------------------------------------------------------------------------
 # Domain types. Outages, weather and severe events are column tables: text
-# columns are lists of str, the others numpy arrays, row i of every column
-# is one row.
+# columns are lists of str (one str per distinct component id, cause code
+# or station id), the others numpy arrays; row i of every column is one row.
 # ---------------------------------------------------------------------------
 
 class _Table:
@@ -545,10 +545,13 @@ def parse_outages(
     `source` names the parsed file in errors."""
     report = CleaningReport()
     kept: list[OutageTable] = []
+    shared: dict[str, str] = {}  # each distinct component id and cause code, once
     for lines, cols, malformed in _chunks(data, OUTAGES_HEADER, source):
         outage_id, has_id = _stripped(cols[0])
         component_id, has_component = _stripped(cols[1])
         cause_code, has_cause = _stripped(cols[8])
+        component_id = list(map(shared.setdefault, component_id, component_id))
+        cause_code = list(map(shared.setdefault, cause_code, cause_code))
         lat, lon, restore = _floats(cols[2]), _floats(cols[3]), _floats(cols[6])
         customers = np.trunc(_floats(cols[7]))
         start, end = _instants(cols[4])[0], _instants(cols[5])[0]
@@ -624,7 +627,8 @@ def parse_weather(
         passed.append((lines[keep], np.fromiter(map(stations.__getitem__, ids), np.intp,
                                                 len(ids)),
                        timestamp[keep], values[keep]))
-    line, code, timestamp, values = map(np.concatenate, zip(*passed))
+    passed[:] = zip(*passed)  # the parts of each column, dropped once joined
+    line, code, timestamp, values = (np.concatenate(passed.pop(0)) for _ in range(4))
 
     # Group the station-hours, stations in id order. A group's first row in
     # line order counts as kept and each later one as a dropped duplicate;
@@ -648,8 +652,10 @@ def parse_weather(
     report.drop_rows("inconsistent_time", np.sort(by_line[~first]).tolist(), duplicate_id)
 
     winners = by_fields[last]
-    observations = WeatherTable(list(map(names.__getitem__, code[winners].tolist())),
-                                timestamp[winners], *values[winners].T.copy())
+    del key, by_line, by_fields, group_code, group_time, first, last
+    observations = WeatherTable(
+        list(map(names.__getitem__, code[winners].tolist())), timestamp[winners],
+        *(values[winners, j] for j in range(5)))
     report.kept = len(observations)
     report.check()
     return observations, report

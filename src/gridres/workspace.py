@@ -65,6 +65,11 @@ def sha256_file(path: Path) -> str:
         return hashlib.file_digest(f, "sha256").hexdigest()
 
 
+def peak_rss_mb() -> float:
+    """The process's peak RSS so far (ru_maxrss counts KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def _stat(path: Path) -> list[int]:
     st = os.stat(path)
     return [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino, st.st_dev]
@@ -203,7 +208,9 @@ class Workspace:
                 and not self._changed(outputs))
 
     def record_stage(self, stage: str, input_hashes: dict[str, str | None],
-                     outputs: dict[str, str], duration_s: float) -> None:
+                     outputs: dict[str, str], duration_s: float,
+                     peak_before_mb: float) -> None:
+        peak = peak_rss_mb()  # peak_before_mb: what this read as the stage began
         record = {
             "inputs": input_hashes,
             "outputs": dict(outputs),
@@ -211,9 +218,9 @@ class Workspace:
             "completed_at": datetime.now(timezone.utc)
             .strftime("%Y-%m-%dT%H:%M:%SZ"),
             "duration_s": round(duration_s, 3),
-            # the process's peak RSS so far (KiB on Linux): a high-water mark
-            "peak_rss_mb": round(
-                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+            # the process's peak RSS so far (a high-water mark), and the rise
+            "peak_rss_mb": round(peak, 1),
+            "peak_rss_rise_mb": round(peak - peak_before_mb, 1),
         }
         self.update_manifest({stage: record})
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -799,3 +800,46 @@ def test_parsing_is_deterministic():
     r2, rep2 = outages(data)
     assert r1 == r2
     assert json.loads(rep1.to_json()) == json.loads(rep2.to_json())
+
+
+def _all_quoted(data: bytes) -> bytes:
+    """The same CSV with every cell quoted, which the csv reader parses."""
+    out = io.StringIO()
+    csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(
+        csv.reader(io.StringIO(data.decode())))
+    return out.getvalue().encode()
+
+
+def _one_str_per_value(column: list[str]) -> bool:
+    return len({id(s) for s in column}) == len(set(column))
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["quote-free", "quoted"])
+def test_repeated_text_cells_share_one_str(tiny_bundle, quoted):
+    """Rows that repeat a component id, cause code or station id hold one
+    str object for it, whichever way the file is split."""
+    def prepared(name: str) -> bytes:
+        data = tiny_bundle[name]
+        return _all_quoted(data) if quoted else data
+    assert (b'"' in prepared("outages.csv")) == quoted
+    outages, _ = parse_outages(prepared("outages.csv"))
+    weather_table, _ = parse_weather(prepared("weather.csv"))
+    assert len(set(outages.component_id)) < len(outages)  # the values do repeat
+    assert _one_str_per_value(outages.component_id)
+    assert _one_str_per_value(outages.cause_code)
+    assert _one_str_per_value(weather_table.station_id)
+
+
+def test_parse_weather_peak_memory_is_a_few_tables(tiny_bundle):
+    """parse_weather's traced peak is at most 3.5 times the size of what it
+    returns: it never holds several whole-table copies at once."""
+    data = tiny_bundle["weather.csv"]
+    parse_weather(data)  # what a first call imports or caches is not the parse's
+    tracemalloc.start()
+    try:
+        result = parse_weather(data)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result[0]) > 10 * ingest.CHUNK_ROWS
+    assert peak <= 3.5 * size, f"peak {peak / 1e6:.1f} MB, table {size / 1e6:.1f} MB"

@@ -13,7 +13,7 @@ import pytest
 import gridres
 from gridres import workspace
 from gridres.errors import MissingInputError, ValidationError
-from gridres.workspace import RACY_WINDOW_NS, Workspace, sha256_bytes
+from gridres.workspace import RACY_WINDOW_NS, Workspace, peak_rss_mb, sha256_bytes
 
 
 def test_sha256_matches_hashlib():
@@ -76,7 +76,7 @@ def _record_demo(ws, *probes):
         if ws.exists(relative):
             ws.read_bytes(relative)
     ws.write_bytes("out.csv", b"result\n")
-    ws.record_stage("demo", {**ws.reads, **META}, ws.writes, 0.25)
+    ws.record_stage("demo", {**ws.reads, **META}, ws.writes, 0.25, peak_rss_mb())
 
 
 def test_reads_are_recorded_by_relative_path(tmp_path):
@@ -151,13 +151,16 @@ def test_manifest_timestamps_not_compared(tmp_path):
     manifest = ws.load_manifest()
     assert manifest["stages"]["demo"]["duration_s"] == 0.25
     assert manifest["stages"]["demo"]["peak_rss_mb"] > 0
+    assert manifest["stages"]["demo"]["peak_rss_rise_mb"] >= 0
     manifest["stages"]["demo"]["completed_at"] = "1999-01-01T00:00:00Z"
     manifest["stages"]["demo"]["duration_s"] = 9999.0
     manifest["stages"]["demo"]["peak_rss_mb"] = 123456.7
+    manifest["stages"]["demo"]["peak_rss_rise_mb"] = 4321.0
     ws.save_manifest(manifest)
     assert ws.stage_fresh("demo", META)
     del manifest["stages"]["demo"]["duration_s"]
     del manifest["stages"]["demo"]["peak_rss_mb"]
+    del manifest["stages"]["demo"]["peak_rss_rise_mb"]
     ws.save_manifest(manifest)
     assert ws.stage_fresh("demo", META)
 
@@ -341,7 +344,7 @@ from gridres.workspace import Workspace
 ws = Workspace(sys.argv[1])
 for i in range(int(sys.argv[3])):
     ws.added[f"{sys.argv[2]}{i}"] = [0, 0, 0, 0, 0, "0" * 64]
-    ws.record_stage(f"{sys.argv[2]}{i}", {}, {}, 0.0)
+    ws.record_stage(f"{sys.argv[2]}{i}", {}, {}, 0.0, 0.0)
 """
 
 
