@@ -20,9 +20,9 @@ run_stage() records in manifest.json what the body read and wrote, plus
 hashes of the package source (`__code__`) and of those Config fields and
 the stage's arguments (`__config__`), and skips the body while all of these
 are unchanged, absent files included (override with --force). It also
-records the body's `duration_s`, the process's `peak_rss_mb` so far and
-`peak_rss_rise_mb`, how far the body raised that peak (0 if it did not),
-which are never compared. Exit codes:
+records the body's `duration_s`, the process's `peak_rss_mb` so far (its
+VmHWM on Linux) and `peak_rss_rise_mb`, how far the body raised that peak
+(0 if it did not), which are never compared. Exit codes:
 0 success, 1 internal error, 2 missing input, 3 validation failure. Log
 lines go to stderr as LEVEL<TAB>stage<TAB>message.
 

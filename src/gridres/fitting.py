@@ -411,8 +411,8 @@ class ModelStore:
     @classmethod
     def from_json(cls, text: str, source: str = "model store") -> "ModelStore":
         """Parse a stored document. Objects must sit where objects belong,
-        and each entry must hold its kind's form with exactly its params,
-        all finite numbers; anything else is a ValidationError naming `source`."""
+        and each entry must hold its kind's form, exactly its params and a
+        fit_domain pair, all finite; anything else is a ValidationError naming `source`."""
         def bad(what: str) -> ValidationError:
             return ValidationError(f"{source}: {what}")
 
@@ -435,7 +435,7 @@ class ModelStore:
                 params = rec.get("params")
                 if not isinstance(params, dict) or sorted(params) != sorted(names):
                     raise bad(f"{where} needs exactly the params {', '.join(names)}")
-                domain = rec.get("fit_domain", [0.0, 0.0])
+                domain = rec.get("fit_domain")
                 diagnostics = rec.get("diagnostics", {})
                 if not isinstance(domain, list) or len(domain) != 2 \
                         or not isinstance(diagnostics, dict):

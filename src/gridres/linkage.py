@@ -137,7 +137,7 @@ def intensity(
     hazard_class: str,
     precip_mode: str = PRECIP_MODE_CUMULATIVE,
 ) -> float | None:
-    """Measured intensity over [window.start - 1h, window.end].
+    """Measured wind or precipitation intensity over [window.start - 1h, window.end].
 
     Returns None when the station has no usable rows in range; callers must
     drop the sample and say why. Sums and maxima run left to right over
@@ -150,18 +150,16 @@ def intensity(
         gusts = weather.wind_fastest_2min[rows]
         present = gusts[~np.isnan(gusts)].tolist()
         return max(present) if present else None
-    if hazard_class == HAZARD_PRECIPITATION:
-        precip, snowfall = weather.precip[rows], weather.snowfall[rows]
-        reported = ~(np.isnan(precip) & np.isnan(snowfall))
-        # An absent or zero measurement adds +0.0.
-        depth = np.where(np.isnan(precip) | (precip == 0.0), 0.0, precip) \
-            + np.where(np.isnan(snowfall) | (snowfall == 0.0), 0.0, snowfall)
-        present = depth[reported].tolist()
-        if not present:
-            return None
-        return sum(present) if precip_mode == PRECIP_MODE_CUMULATIVE \
-            else max(present)
-    raise ValueError(f"no intensity definition for hazard class {hazard_class!r}")
+    precip, snowfall = weather.precip[rows], weather.snowfall[rows]
+    reported = ~(np.isnan(precip) & np.isnan(snowfall))
+    # An absent or zero measurement adds +0.0.
+    depth = np.where(np.isnan(precip) | (precip == 0.0), 0.0, precip) \
+        + np.where(np.isnan(snowfall) | (snowfall == 0.0), 0.0, snowfall)
+    present = depth[reported].tolist()
+    if not present:
+        return None
+    return sum(present) if precip_mode == PRECIP_MODE_CUMULATIVE \
+        else max(present)
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,6 @@ def _outside(x: float, domain: tuple[float, float] | None) -> bool:
     if domain is None:
         return False
     lo, hi = domain
-    if lo == hi == 0.0:
-        return False
     return x < lo or x > hi
 
 
@@ -241,11 +239,8 @@ def emit_scatter(
     With no samples the curve is drawn alone over [0, 1] with a warning
     annotation.
     """
-    if samples:
-        x_hi = 1.05 * max(x for x, _ in samples)
-        if x_hi <= 0.0:
-            x_hi = 1.0
-    else:
+    x_hi = 1.05 * max((x for x, _ in samples), default=0.0)
+    if x_hi <= 0.0:
         x_hi = 1.0
 
     xs_curve = [x_hi * i / (_CURVE_POINTS - 1) for i in range(_CURVE_POINTS)]

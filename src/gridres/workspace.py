@@ -66,8 +66,13 @@ def sha256_file(path: Path) -> str:
 
 
 def peak_rss_mb() -> float:
-    """The process's peak RSS so far (ru_maxrss counts KiB on Linux)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    """Peak RSS so far in MB: VmHWM, as Linux's ru_maxrss spans exec; else ru_maxrss."""
+    try:
+        with open("/proc/self/status", "rb") as f:
+            kib = next(line.split()[1] for line in f if line.startswith(b"VmHWM:"))
+    except (OSError, StopIteration):
+        kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return int(kib) / 1024
 
 
 def _stat(path: Path) -> list[int]:

@@ -666,12 +666,13 @@ def _wind_fragility(doc):
     lambda doc: _wind_fragility(doc)["params"].update(a=float("nan")),
     lambda doc: _wind_fragility(doc)["params"].update(c=1.0),
     lambda doc: _wind_fragility(doc).update(fit_domain=[0.0, True]),
+    lambda doc: _wind_fragility(doc).pop("fit_domain"),
     lambda doc: doc.update(hazard_class="precipitation"),
     lambda doc: doc["zones"].update({"wind:0": {
         "fragility": doc["zones"]["wind:0"]["restoration"],
         "restoration": doc["zones"]["wind:0"]["fragility"]}}),
 ], ids=["string-param", "missing-params", "zones-list", "nan-param",
-        "extra-param", "bool-domain", "other-class", "swapped-kinds"])
+        "extra-param", "bool-domain", "missing-domain", "other-class", "swapped-kinds"])
 def test_malformed_model_store_exits_3(private_ws, capsys, edit):
     store = private_ws / "models_wind.json"
     doc = json.loads(store.read_text())
@@ -799,6 +800,24 @@ def test_malformed_sample_file_exits_3(private_ws, capsys, sample_file, edit):
         assert sample_file in err
 
 
+def test_render_skips_blank_sample_rows_and_kinds_without_a_model(private_ws):
+    """A blank line in a sample file is no sample; a zone with one fitted
+    kind gets that kind's plot alone."""
+    plots = private_ws / "plots"
+    before = {p.name: p.read_bytes() for p in plots.glob("*.svg")}
+    events = private_ws / "events_wind.csv"
+    header, rest = events.read_bytes().split(b"\n", 1)
+    events.write_bytes(header + b"\n\n" + rest)
+    store = private_ws / "models_wind.json"
+    doc = json.loads(store.read_text())
+    del doc["zones"]["wind:0"]["restoration"]
+    store.write_text(json.dumps(doc))
+    shutil.rmtree(plots)
+    assert main(["render", "--workspace", str(private_ws)]) == 0
+    del before["restoration_wind_0.svg"]
+    assert {p.name: p.read_bytes() for p in plots.glob("*.svg")} == before
+
+
 def test_carriage_return_in_a_severe_event_id_survives_the_pipeline(private_ws):
     """A "\\r" inside a severe event id reaches fragility_*.csv through the
     linked windows; every stage that writes or reads it must agree."""
@@ -919,6 +938,24 @@ def test_predict_render_and_fresh_rerun_do_not_load_numpy(private_ws, tmp_path):
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stderr.count("up to date, skipping") >= 5
+
+
+def test_lazy_numpy_is_the_one_already_imported():
+    """A numpy imported before gridres is used as it is, not loaded twice."""
+    import numpy
+    assert gridres._lazy("numpy") is numpy
+    src = str(Path(gridres.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", "import numpy, gridres; assert gridres.np is numpy"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def test_lazy_missing_module_fails_at_import():
+    with pytest.raises(ModuleNotFoundError, match="gridres_no_such_module"):
+        gridres._lazy("gridres_no_such_module")
 
 
 def test_synth_stage_writes_and_then_skips(tmp_path, tiny_bundle, monkeypatch,

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import fragility_grid_sse, restoration_grid_sse
 
+from gridres import fitting
 from gridres.errors import EvaluationError, FitError, ValidationError
 from gridres.fitting import (
     ExponentialModel,
@@ -128,6 +129,18 @@ def test_exponential_fit_failure_modes():
         fit_exponential([(0.0, 4.0), (1.0, 0.0), (2.0, 0.0)])  # 1 positive
 
 
+def test_search_stops_at_the_evaluation_cap(monkeypatch):
+    monkeypatch.setattr(fitting, "MAX_EVALUATIONS", 3)
+    _, diag = fit_exponential([(1.0, 2.0), (2.0, 5.0), (3.0, 9.0)])
+    assert diag.stop_reason == "max_evaluations"
+    assert not diag.converged
+
+
+def test_samples_past_float_range_have_no_finite_fit():
+    with np.errstate(all="ignore"), pytest.raises(FitError, match="no finite solution"):
+        fit_exponential([(1.0, 1e300), (2.0, 1e300), (3.0, 1e300)])
+
+
 def test_fit_idempotence():
     model, _ = fit_exponential(exp_samples(1.7, 0.22, range(12)))
     again, _ = fit_exponential(exp_samples(model.a, model.b, range(12)))
@@ -157,6 +170,22 @@ def test_restoration_canonical_order():
     assert model.b1 <= model.b2
 
 
+def test_rates_found_in_reverse_order_come_out_slow_first():
+    """On these data the search ends with the faster rate first; the fit
+    swaps the terms, so b1 <= b2 and each amplitude stays with its rate."""
+    y = [4.6, 5.7, 6.3, 8.0, 8.1, 9.0, 10.3, 10.8, 10.9, 10.5, 10.6, 11.0]
+    model, _ = fit_restoration([(float(x), v) for x, v in zip(range(1, 13), y)])
+    assert model.b1 == pytest.approx(0.1249, rel=1e-3)
+    assert model.b2 == pytest.approx(0.1997, rel=1e-3)
+    assert model.a1 == 0.0
+    assert model.a2 == pytest.approx(9.435, rel=1e-3)
+
+
+def test_short_restoration_range_warns(caplog):
+    fit_restoration(rest_samples(*TRUE_REST, range(1, 8)))
+    assert "span only x <= 7" in caplog.text
+
+
 def test_published_restoration_value_at_100():
     model = SaturatingRestorationModel(c=232.60, a1=217.17, b1=0.001,
                                        a2=15.22, b2=0.041)
@@ -183,6 +212,11 @@ def test_restoration_monotone_on_grid():
 def test_restoration_needs_six_samples():
     with pytest.raises(FitError):
         fit_restoration(rest_samples(*TRUE_REST, range(1, 6)))
+
+
+def test_restoration_needs_a_positive_outage_count():
+    with pytest.raises(FitError, match="bounds the rates"):
+        fit_restoration([(0.0, float(y)) for y in range(6)])
 
 
 # ---------------------------------------------------------------------------
@@ -395,4 +429,19 @@ def test_store_from_json_rejects_bad_documents():
                                  "diagnostics": {}, "fit_domain": [0, 1]}}}}
     with pytest.raises(ValidationError):
         ModelStore.from_json(json.dumps(bad))
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda doc: doc["zones"].update({"wind:0": []}), "is not an object"),
+    (lambda doc: doc["zones"]["wind:0"].update(outlook={}), "unknown entry 'outlook'"),
+    (lambda doc: doc["zones"]["wind:0"]["fragility"].update(fit_domain=[0.0]),
+     "needs a fit_domain pair"),
+    (lambda doc: doc["zones"]["wind:0"]["fragility"].pop("fit_domain"),
+     "needs a fit_domain pair"),
+], ids=["zone-list", "unknown-kind", "short-domain", "no-domain"])
+def test_store_from_json_names_the_bad_entry(edit, needle):
+    doc = json.loads(store_with_one_zone().to_json())
+    edit(doc)
+    with pytest.raises(ValidationError, match=needle):
+        ModelStore.from_json(json.dumps(doc))
 

@@ -181,6 +181,17 @@ def test_outages_bad_header_fatal():
         parse_outages(data)
 
 
+def test_empty_file_fatal():
+    with pytest.raises(SchemaError, match="stations.csv: file is empty, expected header"):
+        parse_stations(b"")
+
+
+def test_header_out_of_order_fatal():
+    data = csv_bytes("latitude,station_id,longitude,capabilities", [])
+    with pytest.raises(SchemaError, match="does not match expected order"):
+        parse_stations(data)
+
+
 def test_outages_round_trip():
     data = csv_bytes(OUTAGES_HEADER, [
         outage_row("O1", "2012-06-29T14:00:00Z", "2012-06-29T16:30:00Z", "150"),
@@ -290,6 +301,21 @@ def test_unknown_capability_fatal():
         parse_stations(data)
 
 
+def test_blank_station_row_skipped():
+    data = csv_bytes(STATIONS_HEADER, ["S1,39.7,-86.1,wind", "", "S2,39.8,-86.2,wind"])
+    assert [s.station_id for s in parse_stations(data)] == ["S1", "S2"]
+
+
+@pytest.mark.parametrize("row, needle", [
+    ("S1,39.7,-86.1", "line 2: expected 4 columns, got 3"),
+    ("S1,north,-86.1,wind", "line 2: missing or unparseable station fields"),
+    ("S1,39.7,-86.1, ; ", "line 2: station 'S1' has no capabilities"),
+], ids=["short-row", "bad-latitude", "no-capabilities"])
+def test_malformed_station_row_fatal(row, needle):
+    with pytest.raises(SchemaError, match=needle):
+        parse_stations(csv_bytes(STATIONS_HEADER, [row]))
+
+
 def test_stations_round_trip():
     data = csv_bytes(STATIONS_HEADER, [
         "S1,39.7,-86.1,wind;precipitation",
@@ -350,6 +376,11 @@ _junk = st.sampled_from([
     "", "x", "2012-06-29T14:00:00Z", "2012-06-29T15:00:00Z", "39.7", "95.0",
     "-86.1", "-200.0", "150", "-5", "1e9", "nan", "weather",
 ])
+
+
+def test_unbalanced_report_fails_its_check():
+    with pytest.raises(AssertionError, match="does not balance"):
+        ingest.CleaningReport(total_rows=1).check()
 
 
 @settings(max_examples=60, deadline=None)

@@ -255,6 +255,9 @@ def test_no_usable_rows_returns_none():
     rows = [obs("B", 1, wind_fast=10.0)]  # wrong station
     assert intensity(StationIndex(rows), "A", (at(1), at(2)), "wind") \
         is None
+    rows = [obs("A", 1, wind_fast=10.0)]  # right station, no depth reported
+    assert intensity(StationIndex(rows), "A", (at(1), at(2)), "precipitation") \
+        is None
 
 
 def test_station_index_matches_list_scan():

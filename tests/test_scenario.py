@@ -1,5 +1,6 @@
 """Scenario prediction, choropleth, and plot rendering."""
 
+import dataclasses
 import json
 import math
 
@@ -71,6 +72,13 @@ def test_extrapolation_flagged_beyond_fit_domain():
     assert zone_pred(store, "wind:0", 41.0).extrapolated
 
 
+def test_models_of_two_zones_do_not_compose():
+    with pytest.raises(ValidationError, match="'wind:0' but restoration model is for zone 'wind:1'"):
+        predict_zone(ExponentialModel(a=1.0, b=0.1, zone_id="wind:0"),
+                     SaturatingRestorationModel(*RESTORATION, zone_id="wind:1"),
+                     35.0)
+
+
 def test_negative_intensity_rejected_at_spec_construction():
     with pytest.raises(ValidationError):
         ScenarioSpec(hazard_class="wind", intensity=-1.0)
@@ -122,6 +130,12 @@ def test_hazard_class_mismatch_fatal():
     with pytest.raises(ValidationError):
         predict_all(reference_wind_store(), reference_partition("wind"),
                     PRECIP25)
+
+
+def test_partition_without_zones_fatal():
+    empty = dataclasses.replace(reference_partition("wind"), zones=())
+    with pytest.raises(ValidationError, match="no zones"):
+        predict_all(reference_wind_store(), empty, WIND35)
 
 
 def test_missing_models_reported_together():
@@ -188,6 +202,12 @@ def test_choropleth_zone0_darker_than_zone1():
     # shade 0 is darkest; zone 0 restores faster so it must be darker
     assert shades["wind:0"] < shades["wind:1"]
     assert doc["color_scale"]["darker_is_shorter"] is True
+
+
+def test_choropleth_needs_every_zone_predicted():
+    predictions = predict_all(reference_wind_store(), reference_partition("wind"), WIND35)
+    with pytest.raises(ValidationError, match="missing for zone"):
+        emit_choropleth(reference_partition("wind"), predictions[:1], WIND35)
 
 
 def test_choropleth_feature_contract():
@@ -259,6 +279,17 @@ def test_scatter_empty_samples_warns_and_still_renders():
     svg = emit_scatter([], model, "x", "y")
     assert "<polyline" in svg
     assert "no samples" in svg
+
+
+def test_scatter_with_every_x_at_zero_spans_the_unit_axis():
+    """As with no samples: the curve is drawn over [0, 1]."""
+    model = ExponentialModel(a=2.0, b=0.1)
+
+    def curve(samples):
+        svg = emit_scatter(samples, model, "x", "y")
+        return svg.split('<polyline points="')[1].split('"')[0]
+
+    assert curve([(0.0, 1.0), (0.0, 2.0)]) == curve([])
 
 
 def test_scatter_is_deterministic():

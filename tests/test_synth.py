@@ -5,12 +5,14 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gridres.cli import main
 from gridres.errors import ValidationError
 from gridres import linkage
 from gridres.ingest import (
+    Station,
     parse_instant,
     parse_outages,
     parse_stations,
@@ -18,7 +20,7 @@ from gridres.ingest import (
 )
 from gridres.ingest import parse_severe as parse_severe_table
 from gridres.linkage import StationIndex
-from gridres.synth import SynthSpec, generate
+from gridres.synth import SynthSpec, _default_fragility, _sample_in_convex, generate
 from gridres.zoning import assign_many, build_partition, load_boundary_geojson
 from conftest import OUTAGES_HEADER
 from oracles import datetime64, outage_records, severe_records
@@ -205,12 +207,31 @@ def test_rejects_infeasible_event_plan():
     ({"background_outage_rate": math.inf}, "background_outage_rate"),
     ({"wind_intensity_range": (28.0, 10.0)}, "wind intensity range"),
     ({"precip_intensity_range": (4.0, 0.3)}, "precip intensity range"),
+    ({"true_restoration": {"wind:0": (10.0, -1.0, 0.1, 1.0, 0.5)}}, "sign constraints"),
+    ({"true_restoration": {"wind:0": (0.6, 0.5, 0.1, 0.0, 1.0)}}, "under half an hour"),
 ], ids=["seed", "years", "events-per-zone", "mean-outages", "mean-outages-inf",
         "background-rate", "background-rate-nan", "background-rate-inf",
-        "wind-range-reversed", "precip-range-reversed"])
+        "wind-range-reversed", "precip-range-reversed", "restoration-sign",
+        "restoration-single-outage"])
 def test_rejects_bad_spec(bad, needle):
     with pytest.raises(ValidationError, match=needle):
         generate(small_spec(**bad))
+
+
+def test_single_point_intensity_range_gives_the_mean_there():
+    a, b = _default_fragility(0, "wind", (30.0, 30.0), 60.0)
+    assert a * math.exp(b * 30.0) == pytest.approx(60.0, rel=1e-12)
+
+
+def test_sliver_region_refused_after_stalling():
+    """No rounded candidate lands inside a triangle 1e-9 wide, so sampling
+    stops with an error rather than looping for ever."""
+    square = [(-5.0, -5.0), (5.0, -5.0), (5.0, 5.0), (-5.0, 5.0)]
+    partition = build_partition([Station("W", 0.0, 0.0, frozenset({"wind"}))],
+                                "wind", square)
+    sliver = [(0.0, 0.0), (1.0, 1.0), (1.0, 1.0 + 1e-9)]
+    with pytest.raises(ValidationError, match="degenerate"):
+        _sample_in_convex(np.random.default_rng(1), sliver, partition, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -163,6 +164,41 @@ def test_manifest_timestamps_not_compared(tmp_path):
     del manifest["stages"]["demo"]["peak_rss_rise_mb"]
     ws.save_manifest(manifest)
     assert ws.stage_fresh("demo", META)
+
+
+# Holds 100 MB, then execs a fresh interpreter that prints its peak_rss_mb()
+# and its ru_maxrss in MB.
+_EXEC_AFTER_PEAK = """
+import os, sys
+held = b"x" * (100 << 20)
+os.execv(sys.executable, [sys.executable, "-c",
+         "import resource; from gridres.workspace import peak_rss_mb; "
+         "print(peak_rss_mb(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)"])
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
+def test_peak_rss_is_the_process_own_after_exec():
+    """Linux carries ru_maxrss across exec, so a command started by a larger
+    process would report that process's peak; VmHWM starts afresh."""
+    src = str(Path(gridres.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", _EXEC_AFTER_PEAK], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    peak, ru_maxrss = map(float, result.stdout.split())
+    assert ru_maxrss > 100.0
+    assert 0.0 < peak < 60.0
+
+
+def test_peak_rss_falls_back_to_ru_maxrss_without_proc(monkeypatch):
+    def unreadable(*args, **kwargs):
+        raise OSError("no /proc here")
+
+    monkeypatch.setattr(workspace, "open", unreadable, raising=False)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert before <= peak_rss_mb() <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def test_manifest_is_valid_json(tmp_path):

@@ -12,7 +12,9 @@ from gridres.errors import ValidationError
 from gridres.ingest import Station
 from gridres.zoning import (
     DENSITY_MAX_CELLS,
+    _clip_halfplane,
     assign_many,
+    boundary_to_geojson,
     build_partition,
     density_grid,
     density_grid_csv,
@@ -109,6 +111,30 @@ def test_station_outside_boundary_fatal():
 def test_unknown_hazard_class_fatal():
     with pytest.raises(ValidationError):
         build_partition([wind_station("A", 0.0, 0.0)], "shade", EQ_BOUNDARY)
+
+
+def test_clockwise_boundary_gives_the_same_zones():
+    stations = [wind_station("A", 0.0, 0.0), wind_station("B", 0.0, 10.0)]
+    clockwise = build_partition(stations, "wind", EQ_BOUNDARY[::-1])
+    assert clockwise == two_station_partition()
+
+
+@pytest.mark.parametrize("stations, boundary, needle", [
+    ([Station("P", 0.0, 0.0, frozenset({"precipitation"}))], EQ_BOUNDARY,
+     "no station has capability 'wind'"),
+    ([wind_station("A", 0.0, 0.0)], EQ_BOUNDARY[:2], "at least 3 vertices"),
+    ([wind_station("A", 0.0, 0.0)], [(-5.0, -5.0), (0.0, 0.0), (5.0, 5.0)], "zero area"),
+], ids=["no-capable-station", "two-vertices", "collinear"])
+def test_degenerate_partition_input_fatal(stations, boundary, needle):
+    with pytest.raises(ValidationError, match=needle):
+        build_partition(stations, "wind", boundary)
+
+
+def test_clip_through_two_corners_drops_repeated_vertices():
+    """Both corners the clip line passes through come out once: as repeated
+    neighbours, and as the last vertex repeating the first."""
+    square = [(1.0, 1.0), (0.0, 1.0), (0.0, 0.0), (1.0, 0.0)]
+    assert _clip_halfplane(square, 1.0, -1.0, 0.0) == [(1.0, 1.0), (0.0, 1.0), (0.0, 0.0)]
 
 
 def test_area_conservation():
@@ -240,6 +266,15 @@ def test_density_outputs_parse():
     assert meta["total"] == 1
 
 
+@pytest.mark.parametrize("bbox, cell_size, needle", [
+    (BBOX, 0.0, "cell_size must be positive"),
+    ((15.0, -5.0, -5.0, 5.0), 1.0, "min < max"),
+], ids=["zero-cell", "reversed-bbox"])
+def test_density_grid_bad_layout_refused(bbox, cell_size, needle):
+    with pytest.raises(ValidationError, match=needle):
+        density_grid([0.0], [0.0], bbox, cell_size)
+
+
 def test_density_grid_past_the_cell_limit_refused():
     assert density_grid([], [], (0.0, 0.0, 1000.0, 1000.0), 1.0).counts.size \
         == DENSITY_MAX_CELLS
@@ -264,11 +299,20 @@ def test_partition_geojson_round_trips_through_loader():
     assert ring_area(ring) == pytest.approx(100.0, rel=1e-9)
 
 
+def test_clockwise_boundary_written_counter_clockwise():
+    clockwise = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)]
+    ring = json.loads(boundary_to_geojson(clockwise))["geometry"]["coordinates"][0]
+    assert ring[0] == ring[-1]
+    assert signed_area([tuple(p) for p in ring[:-1]]) == 1.0
+
+
 def test_load_boundary_rejects_nonsense():
     with pytest.raises(ValidationError):
         load_boundary_geojson("{\"type\": \"FeatureCollection\", \"features\": []}")
     with pytest.raises(ValidationError):
         load_boundary_geojson("not json")
+    with pytest.raises(ValidationError, match="must be an object"):
+        load_boundary_geojson('{"type": "FeatureCollection", "features": [1]}')
 
 
 def test_boundary_multipolygon_needs_one_part():
