@@ -14,15 +14,15 @@ Subcommands mirror the pipeline stages:
   run-all         ingest through fit, predict per configured scenario and
                   truth-comparison (given truth.json), plus a summary table
 
-Every stage is one row of STAGES: the Config fields it reads and its body,
-the module-level `stage_<name>`, which does all file I/O via the Workspace.
-run_stage() records in manifest.json what the body read and wrote, plus
-hashes of the package source (`__code__`) and of those Config fields and
-the stage's arguments (`__config__`), and skips the body while all of these
-are unchanged, absent files included (override with --force). It also
-records the body's `duration_s`, the process's `peak_rss_mb` so far (its
-VmHWM on Linux) and `peak_rss_rise_mb`, how far the body raised that peak
-(0 if it did not), which are never compared. Exit codes:
+Every stage is one row of STAGES; its body, the module-level `stage_<name>`,
+does all file I/O via the Workspace. run_stage() records in manifest.json
+hashes of each file and Config field (`__config__.<field>`) the body read,
+of each file it wrote, of the package source and numpy's version file
+(`__code__`) and of the stage's arguments (`__args__`), and skips the body
+while all are unchanged, absent files included (override with --force).
+It also records the body's `duration_s`, the process's `peak_rss_mb` so far
+(its VmHWM on Linux) and `peak_rss_rise_mb`, how far the body raised that
+peak (0 if it did not), which are never compared. Exit codes:
 0 success, 1 internal error, 2 missing input, 3 validation failure. Log
 lines go to stderr as LEVEL<TAB>stage<TAB>message.
 
@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import importlib.machinery
 import json
 import logging
 import math
@@ -498,7 +499,6 @@ class Stage:
     name: str
     help: str
     done: str                                   # log verb before the detail
-    reads: tuple[str, ...] = ()                 # Config fields the body reads
     key: str = ""   # manifest key, formatted with the args; the name if empty
     options: tuple[tuple[str, dict], ...] = ()  # subcommand flags
     args: Callable[[argparse.Namespace], tuple] = lambda ns: ()
@@ -509,17 +509,12 @@ STAGES = {stage.name: stage for stage in [
           "wrote synthetic bundle:", key="synth_{0}",
           options=(("--seed", {"type": int, "default": DEFAULT_SYNTH_SEED}),),
           args=lambda ns: (ns.seed,)),
-    Stage("ingest", "parse and clean the input CSV files", "kept",
-          reads=("max_outage_days", "max_customers")),
-    Stage("zones", "build weather zones and the density grid", "built",
-          reads=("boundary_path", "density_cell_size")),
-    Stage("extract-events", "extract outage-restoration events", "extracted",
-          reads=("boundary_path",)),
-    Stage("link", "build fragility samples from severe records", "linked",
-          reads=("hazard_mapping", "precip_intensity_mode", "boundary_path")),
+    Stage("ingest", "parse and clean the input CSV files", "kept"),
+    Stage("zones", "build weather zones and the density grid", "built"),
+    Stage("extract-events", "extract outage-restoration events", "extracted"),
+    Stage("link", "build fragility samples from severe records", "linked"),
     Stage("fit", "fit fragility and restoration models", "fitted"),
     Stage("predict", "evaluate one weather scenario", "predicted",
-          reads=("boundary_path",),
           key="predict_{0.stem}",
           options=(("--hazard", {"required": True, "help": "wind or precip"}),
                    ("--intensity", {"type": float, "required": True,
@@ -529,37 +524,48 @@ STAGES = {stage.name: stage for stage in [
                                         intensity=ns.intensity),)),
     Stage("render", "render model scatter/curve SVG plots", "rendered"),
     Stage("truth-comparison", "compare fitted models with truth.json",
-          "compared with truth:", reads=("boundary_path",)),
+          "compared with truth:"),
 ]}
 
 
 @functools.cache
 def code_fingerprint() -> str:
-    """sha256 over the package's source file names and bytes."""
+    """sha256 over the names and bytes of gridres's sources and numpy's version.py."""
+    numpy = importlib.machinery.PathFinder.find_spec("numpy")  # never loads numpy
     h = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
+    for path in [*sorted(Path(__file__).parent.glob("*.py")),
+                 Path(numpy.origin).with_name("version.py")]:
         data = path.read_bytes()
         h.update(f"{path.name}\0{len(data)}\0".encode())
         h.update(data)
     return h.hexdigest()
 
 
-def _config_digest(cfg: Config, fields: tuple[str, ...], args: tuple) -> str:
-    """Canonical JSON of the named Config fields and the stage arguments, so
-    a config file that spells out a default hashes like no config file."""
-    doc = [{name: getattr(cfg, name) for name in fields}, list(args)]
-    return sha256_bytes(json.dumps(doc, sort_keys=True, default=asdict).encode())
+def _digest(value) -> str:
+    """sha256 of canonical JSON, so a spelled-out default hashes like an absent one."""
+    return sha256_bytes(json.dumps(value, sort_keys=True, default=asdict).encode())
+
+
+class _RecordedConfig:
+    """The Config a body sees: it records each field read as `__config__.<field>`."""
+    def __init__(self, cfg: Config, ws: Workspace):
+        self._cfg, self._ws = cfg, ws
+
+    def __getattr__(self, name: str):
+        value = getattr(self._cfg, name)
+        self._ws.reads["__config__." + name] = _digest(value)
+        return value
 
 
 def run_stage(name: str, ws: Workspace, cfg: Config, force: bool, *args) -> str:
     """Run one stage unless it already ran on exactly these inputs, code and
-    config fields; return its detail line for the run-all summary."""
+    arguments; return its detail line for the run-all summary."""
     stage = STAGES[name]
     _TabFormatter.stage = name
-    meta = {"__code__": code_fingerprint(),
-            "__config__": _config_digest(cfg, stage.reads, args)}
+    meta = {"__code__": code_fingerprint(), "__args__": _digest(list(args))}
+    config = {"__config__." + k: _digest(v) for k, v in asdict(cfg).items()}
     key = (stage.key or name).format(*args)
-    if not force and ws.stage_fresh(key, meta):
+    if not force and ws.stage_fresh(key, {**meta, **config}):
         if ws.added:  # digests the check learned; a rerun saves them with its record
             ws.update_manifest({})
         log.info("outputs up to date, skipping")
@@ -569,7 +575,7 @@ def run_stage(name: str, ws: Workspace, cfg: Config, force: bool, *args) -> str:
     ws.reads.clear()
     ws.writes.clear()
     start, peak = time.perf_counter(), peak_rss_mb()
-    detail = body(ws, cfg, *args)
+    detail = body(ws, _RecordedConfig(cfg, ws), *args)
     ws.record_stage(key, {**ws.reads, **meta}, ws.writes,
                     time.perf_counter() - start, peak)
     log.info("%s %s", stage.done, detail)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from datetime import datetime
 
 from . import np
-from .errors import ValidationError
 from .ingest import OutageTable, csv_bytes, format_instant, utc_datetimes
 from .zoning import ZonePartition, assign_many
 
@@ -49,19 +48,13 @@ def union_intervals(start: np.ndarray, end: np.ndarray,
 
 
 def extract_events(outages: OutageTable, zone_id: str = "") -> list[OutageRestorationEvent]:
-    """Union the outage intervals into events. Returns events in
-    chronological order, indexed from 0.
+    """Union the outage intervals (start < end, as cleaning keeps them) into
+    events. Returns events in chronological order, indexed from 0.
 
     Outages are taken in start order (a stable sort, so ties keep table
     order) and grouped by union_intervals. Instants may have any
     datetime64 unit.
     """
-    invalid = np.flatnonzero(outages.start >= outages.end)
-    if invalid.size:
-        raise ValidationError(
-            f"outage {outages.outage_id[invalid[0]]!r} has start >= end; "
-            f"run ingest cleaning first")
-
     order = np.argsort(outages.start, kind="stable")
     start = outages.start[order]
     first, stop, last = union_intervals(start, outages.end[order])

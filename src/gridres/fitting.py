@@ -292,13 +292,13 @@ def fit_restoration(
                        f"got {len(samples)}")
     x = np.array([s[0] for s in samples], dtype=float)
     y = np.array([s[1] for s in samples], dtype=float)
-    if float(x.max()) < 10.0:
-        log.warning("restoration samples%s span only x <= %g; saturation "
-                    "level is weakly identified", where, float(x.max()))
     positive = x[x > 0.0]
     if positive.size == 0 or not RATE_SPAN[1] / float(positive.min()) < math.inf:
         raise FitError(f"restoration samples{where} need an outage count "
                        f"that bounds the rates: positive, not near zero")
+    if float(x.max()) < 10.0:
+        log.warning("restoration samples%s span only x <= %g; saturation "
+                    "level is weakly identified", where, float(x.max()))
     lo = math.log(RATE_SPAN[0] / float(positive.max()))
     hi = math.log(RATE_SPAN[1] / float(positive.min()))
 

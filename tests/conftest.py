@@ -6,9 +6,17 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from gridres.cli import main
 from gridres.synth import SynthSpec, generate
+
+# Tier-1 draws the same examples on every run and replays none stored by an
+# earlier one, so a commit has one verdict. `pytest --hypothesis-profile=search`
+# draws new examples each run, and prints a reproduction blob for a failure.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("search", print_blob=True)
+settings.load_profile("tier1")
 
 OUTAGES_HEADER = ("outage_id,component_id,latitude,longitude,start,end,"
                   "restore_minutes,customers,cause_code")

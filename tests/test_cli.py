@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -112,11 +113,12 @@ WIND_20 = {"hazard": "wind", "intensity": 20.0}
     ({"scenarios": [WIND_20, {"hazard": "wind", "intensity": 30.0}]},
      {"predict_wind_30"}, set()),
     ({"density_cell_size": 0.05}, {"zones"}, set()),
+    ({"precip_intensity_mode": "peak"}, {"link"}, set()),
     ({"scenarios": [dict(WIND_20, label="design storm")]},
      {"predict_wind_20_design-storm"}, set()),
     ({**dataclasses.asdict(Config()), "scenarios": [WIND_20]}, set(), set()),
-], ids=["add-scenario", "density-cell-size", "scenario-label",
-        "spelled-out-defaults"])
+], ids=["add-scenario", "density-cell-size", "precip-intensity-mode",
+        "scenario-label", "spelled-out-defaults"])
 def test_config_edit_reruns_only_stages_reading_it(private_ws, tmp_path, edit,
                                                    must_rerun, may_rerun):
     cfg = tmp_path / "cfg.json"
@@ -134,6 +136,46 @@ def test_config_edit_reruns_only_stages_reading_it(private_ws, tmp_path, edit,
     rerun = {stage for stage, inodes in after.items()
              if inodes != before.get(stage)}
     assert must_rerun <= rerun <= must_rerun | may_rerun
+
+
+def test_record_with_one_config_digest_reruns_once(private_ws, capsys):
+    """Records that hold a single `__config__` digest, as manifests written
+    before config fields were recorded one by one do, read as stale: each
+    stage reruns once, without error, and is then fresh."""
+    path = private_ws / "manifest.json"
+    manifest = json.loads(path.read_text())
+    for record in manifest["stages"].values():
+        inputs = record["inputs"]
+        for key in [k for k in inputs if k.startswith("__") and k != "__code__"]:
+            del inputs[key]
+        inputs["__config__"] = "0" * 64
+    path.write_text(json.dumps(manifest))
+    for command in (PREDICT_WIND + ["20"], ["render"]):
+        for rerun in (True, False):
+            assert main(command + ["--workspace", str(private_ws)]) == 0
+            assert ("up to date" not in capsys.readouterr().err) == rerun, command
+
+
+def test_numpy_version_file_change_reruns_every_stage(private_ws, tmp_path,
+                                                      monkeypatch):
+    """`__code__` covers the version.py of the numpy that an import would
+    find. The tiny_ws fixture's fits loaded numpy, so the stand-in put
+    first on the path is found but never imported."""
+    stand_in = tmp_path / "site" / "numpy"
+    stand_in.mkdir(parents=True)
+    (stand_in / "__init__.py").write_text("")
+    (stand_in / "version.py").write_text('version = "0.0.0"\n')
+    stages = {"ingest", "zones", "extract-events", "link", "fit",
+              "predict_wind_20", "render", "truth-comparison"}
+    before = _output_inodes(private_ws)
+    monkeypatch.syspath_prepend(str(stand_in.parent))
+    # A fresh cache, so the fingerprint is taken again with the stand-in.
+    monkeypatch.setattr(cli, "code_fingerprint",
+                        functools.cache(cli.code_fingerprint.__wrapped__))
+    for command in (["run-all"], PREDICT_WIND + ["20"], ["render"]):
+        assert main(command + ["--workspace", str(private_ws)]) == 0
+    after = _output_inodes(private_ws)
+    assert {stage for stage in stages if after[stage] != before[stage]} == stages
 
 
 def test_code_change_reruns_fresh_stage(private_ws, monkeypatch, capsys):
@@ -305,7 +347,8 @@ def test_manifest_keys_inputs_by_workspace_path(private_ws, tmp_path):
             assert not Path(key).is_absolute(), (stage, key)
     assert set(manifest["stages"]["zones"]["inputs"]) == {
         "clean_stations.csv", "inputs/boundary.geojson", "clean_outages.csv",
-        "__code__", "__config__"}
+        "__code__", "__args__", "__config__.boundary_path",
+        "__config__.density_cell_size"}
 
 
 def _stage_opens(monkeypatch, ws):
@@ -390,12 +433,6 @@ def test_missing_input_exits_2_before_any_write(private_ws, command, missing):
     before = {p: p.stat().st_ino for p in private_ws.rglob("*")}
     assert main([command, "--workspace", str(private_ws)]) == 2
     assert {p: p.stat().st_ino for p in private_ws.rglob("*")} == before
-
-
-def test_stage_table_reads_only_config_fields():
-    fields = {f.name for f in dataclasses.fields(Config)}
-    for stage in cli.STAGES.values():
-        assert set(stage.reads) <= fields, stage.name
 
 
 def test_log_lines_are_level_stage_message(tiny_ws, capsys):
@@ -894,12 +931,15 @@ def test_run_all_parses_each_file_once_and_reparse_agrees(private_ws,
 
 
 def test_clean_row_failing_a_rule_exits_3(private_ws, capsys):
-    _edit_first_row(private_ws / "clean_outages.csv", "end",
-                    "2000-01-01T00:00:00Z")    # before its start
-    assert main(["extract-events", "--workspace", str(private_ws)]) == 3
-    err = capsys.readouterr().err
-    assert "internal error" not in err
-    assert "clean_outages.csv" in err and "1 row(s)" in err
+    path = private_ws / "clean_outages.csv"
+    with path.open() as fh:
+        start = next(csv.DictReader(fh))["start"]
+    for end in (start, "2000-01-01T00:00:00Z"):    # at, then before, its start
+        _edit_first_row(path, "end", end)
+        assert main(["extract-events", "--workspace", str(private_ws)]) == 3
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert "clean_outages.csv" in err and "1 row(s)" in err
 
 
 # ---------------------------------------------------------------------------
@@ -1264,11 +1304,25 @@ def test_readme_config_example_parses_and_sets_every_field():
     assert set(json.loads(example)) == {f.name for f in dataclasses.fields(Config)}
 
 
-def test_readme_freshness_table_matches_stage_reads():
+def test_readme_freshness_table_matches_stage_reads(tiny_ws, tmp_path,
+                                                    monkeypatch):
+    """The table lists, per stage, the config fields that its runs recorded
+    reading: those of the tiny pipeline, and of a synth run."""
+    monkeypatch.setattr(
+        cli, "SynthSpec",
+        lambda seed: dataclasses.replace(TINY_SPEC, seed=seed))
+    assert main(["synth", "--workspace", str(tmp_path)]) == 0
+    recorded: dict[str, set[str]] = {}
+    for ws in (tiny_ws, tmp_path):
+        manifest = json.loads((ws / "manifest.json").read_text())
+        for key, record in manifest["stages"].items():
+            recorded.setdefault(key.split("_")[0], set()).update(
+                field.removeprefix("__config__.") for field in record["inputs"]
+                if field.startswith("__config__."))
     rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$",
                            _readme_section("Configuration"), re.MULTILINE))
-    assert set(rows) == set(cli.STAGES)
+    assert set(rows) == set(recorded) == set(cli.STAGES)
     for name, cell in rows.items():
         documented = {value for value in re.findall(r"`([^`]+)`", cell)
                       if not value.startswith("-")}
-        assert documented == set(cli.STAGES[name].reads), name
+        assert documented == recorded[name], name

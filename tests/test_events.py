@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridres import events
-from gridres.errors import ValidationError
 from gridres.events import events_csv
 from gridres.ingest import Station
 from gridres.zoning import build_partition
@@ -88,11 +87,6 @@ def test_every_onset_is_restored():
     events = extract_events([outage(i, s, e) for i, (s, e) in
                              enumerate([(0, 4), (1, 2), (3, 9), (12, 13)])])
     assert [event.n_outages for event in events] == [3, 1]
-
-
-def test_invalid_member_interval_fatal():
-    with pytest.raises(ValidationError):
-        extract_events([outage(1, 5, 5)])
 
 
 def test_permutation_invariance():

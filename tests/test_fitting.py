@@ -214,9 +214,12 @@ def test_restoration_needs_six_samples():
         fit_restoration(rest_samples(*TRUE_REST, range(1, 6)))
 
 
-def test_restoration_needs_a_positive_outage_count():
+def test_restoration_needs_a_positive_outage_count(caplog):
+    """The fit is refused for its real reason, with no warning about the
+    fit it never made."""
     with pytest.raises(FitError, match="bounds the rates"):
         fit_restoration([(0.0, float(y)) for y in range(6)])
+    assert "span only" not in caplog.text
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,9 @@ def test_failed_write_removes_its_temp_file(tmp_path):
     assert "d.csv" not in ws.writes
 
 
-# The non-file hashes a stage runner stores next to its recorded reads.
-META = {"__code__": "c" * 64, "__config__": "k" * 64}
+# The current non-file hashes a stage runner passes to stage_fresh, and
+# stores next to its recorded reads: code, arguments, a config field read.
+META = {"__code__": "c" * 64, "__args__": "a" * 64, "__config__.mode": "k" * 64}
 
 
 def _record_demo(ws, *probes):
@@ -108,7 +109,9 @@ def test_stage_freshness_lifecycle(tmp_path):
     assert not ws.stage_fresh("demo", META)
     _record_demo(ws)
     assert ws.stage_fresh("demo", META)
-    assert not ws.stage_fresh("demo", {**META, "__config__": "0" * 64})
+    assert not ws.stage_fresh("demo", {**META, "__config__.mode": "0" * 64})
+    # a value the record does not hold is not compared
+    assert ws.stage_fresh("demo", {**META, "__config__.other": "0" * 64})
 
     # input content change invalidates; restoring the content revalidates
     ws.write_bytes("in.csv", b"a,b\n1,3\n")
@@ -127,6 +130,15 @@ def test_stage_freshness_lifecycle(tmp_path):
     ws.path("out.csv").unlink()
     assert not ws.stage_fresh("demo", META)
     assert ws._changed(outputs) == {"out.csv": None}
+
+
+def test_record_without_code_hash_is_stale(tmp_path):
+    ws = Workspace(tmp_path)
+    ws.write_bytes("in.csv", b"a,b\n1,2\n")
+    ws.reads.clear()
+    ws.read_bytes("in.csv")
+    ws.record_stage("demo", dict(ws.reads), {}, 0.0, 0.0)
+    assert not ws.stage_fresh("demo", META)
 
 
 def test_probed_file_appearing_or_vanishing_invalidates(tmp_path):
