@@ -7,8 +7,8 @@ through the Workspace, which records the sha256 of what they touch: of the
 bytes each read returns and each write stores, so no output is read back to
 be hashed. `manifest.json` keeps, per stage, the sha256 of every file read
 (null for one found absent; anything but a regular file counts as absent),
-keyed by workspace-relative path, of each other input the caller names
-(a config field read), and of every output, which gives two properties:
+keyed by workspace-relative path, of each input the caller keys with `__`
+(code, arguments, each config field read), and of every output. Hence:
 
   - reruns with unchanged inputs are no-ops (unless forced), and
   - `stage_fresh` calls a stage stale when a recorded output is missing
@@ -197,9 +197,9 @@ class Workspace:
                 if digest != recorded[key]}
 
     def stage_fresh(self, stage: str, meta: dict[str, str]) -> bool:
-        """True when the stage's record has `__code__`, each of its keys in
-        `meta` holds the hash recorded, and every other input and every
-        output still hashes as recorded (None: absent)."""
+        """True when the stage's record has `__code__`, each of its `__` keys
+        holds the hash `meta` gives now, and every file it read or wrote
+        still hashes as recorded (None: absent)."""
         manifest = self.load_manifest()
         record = manifest["stages"].get(stage)
         if record is None:
@@ -207,9 +207,9 @@ class Workspace:
         self.files = manifest["files"]
         inputs, outputs = record.get("inputs", {}), record.get("outputs", {})
         files = {key: digest for key, digest in inputs.items()
-                 if key not in meta}
+                 if not key.startswith("__")}
         return ("__code__" in inputs
-                and all(meta[key] == inputs[key] for key in inputs.keys() - files)
+                and all(meta.get(key) == inputs[key] for key in inputs.keys() - files)
                 and not self._changed(files)
                 and not self._changed(outputs))
 

@@ -110,8 +110,10 @@ def test_stage_freshness_lifecycle(tmp_path):
     _record_demo(ws)
     assert ws.stage_fresh("demo", META)
     assert not ws.stage_fresh("demo", {**META, "__config__.mode": "0" * 64})
-    # a value the record does not hold is not compared
+    # a value the record does not hold is not compared; one it holds is
     assert ws.stage_fresh("demo", {**META, "__config__.other": "0" * 64})
+    assert not ws.stage_fresh("demo", {k: v for k, v in META.items()
+                                       if k != "__config__.mode"})
 
     # input content change invalidates; restoring the content revalidates
     ws.write_bytes("in.csv", b"a,b\n1,3\n")
