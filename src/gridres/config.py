@@ -4,23 +4,42 @@ Every knob has a default, so a missing config file means "defaults
 everywhere". Unknown keys are rejected rather than ignored; a typo that
 silently falls back to a default is the worst kind of configuration bug.
 Environment variables deliberately override nothing.
+
+It also states, once, the vocabulary the stage modules share with it: the
+hazard classes, the defaults, and the scenario spec and its file name. So
+loading a config loads no stage module.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import MissingInputError, ValidationError, decoded, is_finite_number, json_object
-from .ingest import DEFAULT_MAX_CUSTOMERS, DEFAULT_MAX_OUTAGE_DAYS
-from .linkage import (
-    DEFAULT_HAZARD_MAPPING,
-    HAZARD_EXCLUDED,
-    PRECIP_MODE_CUMULATIVE,
-    PRECIP_MODE_PEAK,
-)
-from .scenario import ScenarioSpec, predictions_filename
-from .zoning import HAZARD_CLASSES, HAZARD_PRECIPITATION, HAZARD_WIND
+
+# The hazard classes, which are the station capabilities; zones, samples
+# and models are kept per class.
+HAZARD_WIND = "wind"
+HAZARD_PRECIPITATION = "precipitation"
+HAZARD_CLASSES = (HAZARD_WIND, HAZARD_PRECIPITATION)
+
+DEFAULT_MAX_OUTAGE_DAYS = 30.0
+DEFAULT_MAX_CUSTOMERS = 10_000_000
+
+HAZARD_EXCLUDED = "excluded"
+
+DEFAULT_HAZARD_MAPPING: dict[str, str] = {
+    "tornado": HAZARD_WIND,
+    "high wind": HAZARD_WIND,
+    "flood": HAZARD_PRECIPITATION,
+    "heavy snow": HAZARD_PRECIPITATION,
+    "snowstorm": HAZARD_PRECIPITATION,
+}
+
+PRECIP_MODE_CUMULATIVE = "cumulative"
+PRECIP_MODE_PEAK = "peak"
 
 
 def canonical_hazard(token: str) -> str:
@@ -32,6 +51,40 @@ def canonical_hazard(token: str) -> str:
         return HAZARD_PRECIPITATION
     raise ValidationError(f"unknown hazard class {token!r}; "
                           f"expected wind or precip")
+
+
+@dataclass(frozen=True)
+class ScenarioSpec:
+    hazard_class: str
+    intensity: float
+    label: str = ""
+
+    def __post_init__(self):
+        if not 0.0 <= self.intensity < math.inf:
+            raise ValidationError(f"scenario intensity must be finite and "
+                                  f"nonnegative, got {self.intensity}")
+        # -0.0 passes the check; as 0.0 it names the same outputs as 0
+        object.__setattr__(self, "intensity", abs(self.intensity))
+        if self.label and not self.slug:
+            raise ValidationError(f"scenario label {self.label!r} needs a "
+                                  f"letter or digit")
+
+    @property
+    def slug(self) -> str:
+        """The label lowercased, each run of characters outside [a-z0-9]
+        replaced by "-", then trimmed of "-"."""
+        return re.sub(r"[^a-z0-9]+", "-", self.label.lower()).strip("-")
+
+    @property
+    def stem(self) -> str:
+        """<class>_<intensity:g>, plus _<slug> when labelled: names the
+        scenario's stage key and output files."""
+        stem = f"{self.hazard_class}_{self.intensity:g}"
+        return f"{stem}_{self.slug}" if self.label else stem
+
+
+def predictions_filename(scenario: ScenarioSpec) -> str:
+    return f"predictions_{scenario.stem}.csv"
 
 
 @dataclass

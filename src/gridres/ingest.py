@@ -65,6 +65,7 @@ from itertools import chain, compress, islice, repeat
 from typing import Callable, Iterator
 
 from . import np
+from .config import DEFAULT_MAX_CUSTOMERS, DEFAULT_MAX_OUTAGE_DAYS, HAZARD_CLASSES
 from .errors import SchemaError, ValidationError, decoded, json_text
 
 log = logging.getLogger(__name__)
@@ -81,15 +82,6 @@ STATIONS_HEADER = ["station_id", "latitude", "longitude", "capabilities"]
 SEVERE_HEADER = [
     "event_id", "event_type", "start", "end", "latitude", "longitude", "description",
 ]
-
-# The hazard classes, which are the station capabilities; zones, samples
-# and models are kept per class.
-HAZARD_WIND = "wind"
-HAZARD_PRECIPITATION = "precipitation"
-HAZARD_CLASSES = (HAZARD_WIND, HAZARD_PRECIPITATION)
-
-DEFAULT_MAX_OUTAGE_DAYS = 30.0
-DEFAULT_MAX_CUSTOMERS = 10_000_000
 
 # restore_minutes may round up past the true duration by this much
 RESTORE_ROUNDING_SLACK_MIN = 1.0

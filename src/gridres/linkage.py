@@ -31,24 +31,13 @@ import logging
 from dataclasses import dataclass
 
 from . import np
+from .config import (DEFAULT_HAZARD_MAPPING, HAZARD_EXCLUDED, HAZARD_WIND,
+                     PRECIP_MODE_CUMULATIVE, PRECIP_MODE_PEAK)  # noqa: F401 (PEAK re-exported)
 from .ingest import OutageTable, SevereTable, WeatherTable, _instant_cells, csv_bytes
 from .events import union_intervals
-from .zoning import HAZARD_PRECIPITATION, HAZARD_WIND, ZonePartition, assign_many
+from .zoning import ZonePartition, assign_many
 
 log = logging.getLogger(__name__)
-
-HAZARD_EXCLUDED = "excluded"
-
-DEFAULT_HAZARD_MAPPING: dict[str, str] = {
-    "tornado": HAZARD_WIND,
-    "high wind": HAZARD_WIND,
-    "flood": HAZARD_PRECIPITATION,
-    "heavy snow": HAZARD_PRECIPITATION,
-    "snowstorm": HAZARD_PRECIPITATION,
-}
-
-PRECIP_MODE_CUMULATIVE = "cumulative"
-PRECIP_MODE_PEAK = "peak"
 
 # hour-stamped observations cover minute-stamped window starts
 INTENSITY_LOOKBACK_S = 3600

@@ -13,10 +13,9 @@ plain string assembly so their bytes are stable for golden-file testing.
 
 from __future__ import annotations
 
-import math
-import re
 from dataclasses import dataclass
 
+from .config import ScenarioSpec, predictions_filename  # noqa: F401 (re-exported)
 from .errors import UnservedScenario, ValidationError, json_text
 from .fitting import (
     KIND_FRAGILITY,
@@ -28,36 +27,6 @@ from .fitting import (
 )
 from .ingest import csv_bytes
 from .zoning import ZonePartition, polygon_feature
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    hazard_class: str
-    intensity: float
-    label: str = ""
-
-    def __post_init__(self):
-        if not 0.0 <= self.intensity < math.inf:
-            raise ValidationError(f"scenario intensity must be finite and "
-                                  f"nonnegative, got {self.intensity}")
-        # -0.0 passes the check; as 0.0 it names the same outputs as 0
-        object.__setattr__(self, "intensity", abs(self.intensity))
-        if self.label and not self.slug:
-            raise ValidationError(f"scenario label {self.label!r} needs a "
-                                  f"letter or digit")
-
-    @property
-    def slug(self) -> str:
-        """The label lowercased, each run of characters outside [a-z0-9]
-        replaced by "-", then trimmed of "-"."""
-        return re.sub(r"[^a-z0-9]+", "-", self.label.lower()).strip("-")
-
-    @property
-    def stem(self) -> str:
-        """<class>_<intensity:g>, plus _<slug> when labelled: names the
-        scenario's stage key and output files."""
-        stem = f"{self.hazard_class}_{self.intensity:g}"
-        return f"{stem}_{self.slug}" if self.label else stem
 
 
 @dataclass(frozen=True)
@@ -203,10 +172,6 @@ def emit_choropleth(
 
 def choropleth_filename(scenario: ScenarioSpec) -> str:
     return f"choropleth_{scenario.stem}.geojson"
-
-
-def predictions_filename(scenario: ScenarioSpec) -> str:
-    return f"predictions_{scenario.stem}.csv"
 
 
 # ---------------------------------------------------------------------------

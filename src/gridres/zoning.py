@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 
 from . import np
+from .config import HAZARD_CLASSES, HAZARD_PRECIPITATION, HAZARD_WIND  # noqa: F401 (re-exported)
 from .errors import ValidationError, is_finite_number, json_object, json_text
-from .ingest import HAZARD_CLASSES, Station, on_earth
-from .ingest import HAZARD_PRECIPITATION, HAZARD_WIND  # noqa: F401 (re-exported)
+from .ingest import Station, on_earth
 
 # two points closer than this (projected degrees) are the same site
 COINCIDENT_TOL = 1e-12

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import functools
+import importlib
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tomllib
 from datetime import timedelta
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 import gridres
 import gridres.cli as cli
+from gridres import runner, synth
 from gridres.cli import main
 from gridres.config import Config, canonical_hazard, parse_config
 from gridres.errors import FitError
@@ -170,8 +173,8 @@ def test_numpy_version_file_change_reruns_every_stage(private_ws, tmp_path,
     before = _output_inodes(private_ws)
     monkeypatch.syspath_prepend(str(stand_in.parent))
     # A fresh cache, so the fingerprint is taken again with the stand-in.
-    monkeypatch.setattr(cli, "code_fingerprint",
-                        functools.cache(cli.code_fingerprint.__wrapped__))
+    monkeypatch.setattr(runner, "code_fingerprint",
+                        functools.cache(runner.code_fingerprint.__wrapped__))
     for command in (["run-all"], PREDICT_WIND + ["20"], ["render"]):
         assert main(command + ["--workspace", str(private_ws)]) == 0
     after = _output_inodes(private_ws)
@@ -181,7 +184,7 @@ def test_numpy_version_file_change_reruns_every_stage(private_ws, tmp_path,
 def test_code_change_reruns_fresh_stage(private_ws, monkeypatch, capsys):
     assert main(["ingest", "--workspace", str(private_ws)]) == 0
     assert "up to date, skipping" in capsys.readouterr().err
-    monkeypatch.setattr(cli, "code_fingerprint", lambda: "0" * 64)
+    monkeypatch.setattr(runner, "code_fingerprint", lambda: "0" * 64)
     assert main(["ingest", "--workspace", str(private_ws)]) == 0
     err = capsys.readouterr().err
     assert "up to date" not in err
@@ -980,6 +983,59 @@ def test_predict_render_and_fresh_rerun_do_not_load_numpy(private_ws, tmp_path):
     assert result.stderr.count("up to date, skipping") >= 5
 
 
+_ENTRY_POINT = """
+import json, runpy, sys
+try:
+    runpy.run_module("gridres.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gridres")),
+                  "numpy.linalg" in sys.modules]))
+"""
+LIGHT_MODULES = ["gridres", "gridres.config", "gridres.errors", "gridres.runner",
+                 "gridres.workspace"]
+
+
+def _entry_point(*argv):
+    """One command run as `python -m gridres.cli` runs it: its exit code, the
+    gridres modules it loaded, and whether it loaded numpy."""
+    src = str(Path(gridres.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", _ENTRY_POINT, *argv], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_fresh_commands_through_the_entry_point_load_no_stage_module(private_ws,
+                                                                     tmp_path):
+    """A command whose stages are all fresh checks that before any stage
+    module loads; a cold predict still loads neither synth nor reference."""
+    reference = str(tmp_path / "reference")
+    materialize_reference_workspace(reference)
+    predict = ["predict", "--workspace", reference, "--hazard", "wind",
+               "--intensity", "35"]
+    code, modules, _ = _entry_point(*predict)
+    assert code == 0 and "gridres.cli" in modules
+    assert not {"gridres.synth", "gridres.reference"} & set(modules)
+    assert _entry_point("render", "--workspace", reference)[0] == 0
+    assert main(["run-all", "--workspace", str(private_ws)]) == 0
+    for command in (predict, ["render", "--workspace", reference],
+                    ["run-all", "--workspace", str(private_ws)]):
+        assert _entry_point(*command) == [0, LIGHT_MODULES, False], command[0]
+
+
+def test_console_script_takes_the_light_path():
+    """The installed `gridres` script is the same main, in a module that a
+    fresh command loads anyway."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["gridres"]
+    module, _, name = target.partition(":")
+    assert module in LIGHT_MODULES
+    assert getattr(importlib.import_module(module), name) is main
+
+
 def test_lazy_numpy_is_the_one_already_imported():
     """A numpy imported before gridres is used as it is, not loaded twice."""
     import numpy
@@ -1001,7 +1057,7 @@ def test_lazy_missing_module_fails_at_import():
 def test_synth_stage_writes_and_then_skips(tmp_path, tiny_bundle, monkeypatch,
                                            capsys):
     monkeypatch.setattr(
-        cli, "SynthSpec",
+        synth, "SynthSpec",
         lambda seed: dataclasses.replace(TINY_SPEC, seed=seed))
     assert main(["synth", "--workspace", str(tmp_path), "--seed", "4242"]) == 0
     assert (tmp_path / "inputs" / "outages.csv").read_bytes() \
@@ -1309,7 +1365,7 @@ def test_readme_freshness_table_matches_stage_reads(tiny_ws, tmp_path,
     """The table lists, per stage, the config fields that its runs recorded
     reading: those of the tiny pipeline, and of a synth run."""
     monkeypatch.setattr(
-        cli, "SynthSpec",
+        synth, "SynthSpec",
         lambda seed: dataclasses.replace(TINY_SPEC, seed=seed))
     assert main(["synth", "--workspace", str(tmp_path)]) == 0
     recorded: dict[str, set[str]] = {}

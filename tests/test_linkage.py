@@ -247,6 +247,17 @@ def test_lookback_hour_included():
     assert got == 40.0
 
 
+def test_lookback_edge_is_exactly_one_hour():
+    """An observation one hour before the window start counts; one a second
+    earlier does not."""
+    start = at(2)
+    rows = [WeatherObservation("A", t, None, v, None, None, None) for t, v in [
+        (start - timedelta(hours=1, seconds=1), 50.0),
+        (start - timedelta(hours=1), 40.0),
+        (start, 10.0)]]
+    assert intensity(StationIndex(rows), "A", (start, at(3)), "wind") == 40.0
+
+
 def test_no_usable_rows_returns_none():
     assert intensity(StationIndex([]), "A", (at(0), at(1)), "wind") is None
     rows = [obs("A", 1, precip=1.0)]  # right station, wrong field
@@ -373,6 +384,19 @@ def test_excluded_and_unmeasurable_records_drop_out():
         part, weather, outages)
     got = samples["wind"]["wind:0"]
     assert [s.source_event_ids for s in got] == [("E3",)]
+
+
+def test_excluded_record_count_is_logged(caplog):
+    """Records whose label maps to no hazard class are counted once, in
+    the log, whichever partitions there are."""
+    part = {"wind": two_zone_partition()}
+    records = [severe("E1", "extreme heat", 0, 2), severe("E2", "tornado", 0, 2),
+               severe("E3", "drought", 0, 2), severe("E4", "flood", 0, 2),
+               severe("E5", "Extreme Heat", 4, 6)]
+    with caplog.at_level("INFO", logger="gridres.linkage"):
+        build_fragility_samples(records, part, hourly_gusts("A", 0, 6, 20.0), [])
+    assert [r.getMessage() for r in caplog.records if "excluded" in r.getMessage()] \
+        == ["linkage: 3 severe record(s) excluded by classification"]
 
 
 def test_samples_are_pure_derivations():

@@ -70,6 +70,9 @@ def test_extrapolation_flagged_beyond_fit_domain():
     store = reference_wind_store()
     assert not zone_pred(store, "wind:0", 39.0).extrapolated
     assert zone_pred(store, "wind:0", 41.0).extrapolated
+    # the fit domain is (0, 40), ends included
+    assert not zone_pred(store, "wind:0", 40.0).extrapolated
+    assert not zone_pred(store, "wind:0", 0.0).extrapolated
 
 
 def test_models_of_two_zones_do_not_compose():

@@ -13,6 +13,7 @@ from gridres.ingest import Station
 from gridres.zoning import (
     DENSITY_MAX_CELLS,
     _clip_halfplane,
+    _open_ring,
     assign_many,
     boundary_to_geojson,
     build_partition,
@@ -135,6 +136,14 @@ def test_clip_through_two_corners_drops_repeated_vertices():
     neighbours, and as the last vertex repeating the first."""
     square = [(1.0, 1.0), (0.0, 1.0), (0.0, 0.0), (1.0, 0.0)]
     assert _clip_halfplane(square, 1.0, -1.0, 0.0) == [(1.0, 1.0), (0.0, 1.0), (0.0, 0.0)]
+
+
+def test_open_ring_drops_only_a_closing_vertex():
+    """The last vertex is dropped only when it repeats the first."""
+    triangle = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
+    assert _open_ring(triangle + [(0.0, 0.0)]) == triangle
+    assert _open_ring(triangle) == triangle
+    assert _open_ring(triangle + [(1.0, 0.0)]) == triangle + [(1.0, 0.0)]
 
 
 def test_area_conservation():
